@@ -9,12 +9,6 @@ import argparse
 from qfhe import average_over_keys, maximally_mixed, trace_distance, verify_security
 from qfhe.rng import RandomSource
 
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from helpers import random_circuit  # noqa: E402
-
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -35,7 +29,7 @@ def main() -> int:
         worst_eval = 0.0
         n_circuits = args.circuits if n < 3 else max(1, args.circuits // 5)
         for _ in range(n_circuits):
-            circuit = random_circuit(n, 6, rng)
+            circuit = rng.circuit(n, 6)
             report = verify_security(circuit, rng.pure_state(n).to_density(), args.tol)
             worst_eval = max(worst_eval, report.worst_evaluate_distance)
             ok &= report.passed

@@ -9,16 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .linalg import TAU, canonical_angle
-
-_WIRE_COUNT = {"x": 1, "y": 1, "z": 1, "h": 1, "rz": 1, "ry": 1, "u": 1, "cnot": 2}
-_PARAM_COUNT = {"x": 0, "y": 0, "z": 0, "h": 0, "rz": 1, "ry": 1, "u": 4, "cnot": 0}
-
 
 class CircuitFormatError(ValueError):
     """Raised when a circuit document fails to parse or validate."""
@@ -33,20 +30,19 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _WIRE_COUNT:
+        spec = linalg.GATE_SPECS.get(self.kind)
+        if spec is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         wires = tuple(int(w) for w in self.wires)
-        if len(wires) != _WIRE_COUNT[self.kind]:
-            raise ValueError(f"gate {self.kind!r} takes {_WIRE_COUNT[self.kind]} wire(s), got {wires}")
+        if len(wires) != len(spec.wires):
+            raise ValueError(f"gate {self.kind!r} takes {len(spec.wires)} wire(s), got {wires}")
         if any(w < 0 for w in wires):
             raise ValueError(f"negative wire index in {wires}")
-        if self.kind == "cnot" and wires[0] == wires[1]:
-            raise ValueError("cnot control and target must differ")
+        if len(set(wires)) != len(wires):
+            raise ValueError(f"gate {self.kind!r} needs distinct wires, got {wires}")
         params = tuple(canonical_angle(float(p)) for p in self.params)
-        if len(params) != _PARAM_COUNT[self.kind]:
-            raise ValueError(
-                f"gate {self.kind!r} takes {_PARAM_COUNT[self.kind]} parameter(s), got {len(params)}"
-            )
+        if len(params) != len(spec.params):
+            raise ValueError(f"gate {self.kind!r} takes {len(spec.params)} parameter(s), got {len(params)}")
         object.__setattr__(self, "wires", wires)
         object.__setattr__(self, "params", params)
 
@@ -188,6 +184,12 @@ def full_matrix(circuit: Circuit) -> np.ndarray:
 
 # --- circuit file format -------------------------------------------------
 
+def is_finite_number(value) -> bool:
+    """True for a JSON int or float within the finite float range; bools are not numbers."""
+    # int-float comparison is exact, so a huge int fails here instead of overflowing
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
 def _gate_from_json(obj, index: int, n_qubits: int) -> Gate:
     def fail(msg: str):
         raise CircuitFormatError(f"gate {index}: {msg}")
@@ -208,10 +210,8 @@ def _gate_from_json(obj, index: int, n_qubits: int) -> Gate:
 
     def get_angle(field: str) -> float:
         v = obj.get(field)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            fail(f"missing or non-numeric {field!r}")
-        if not math.isfinite(v):
-            fail(f"{field!r} must be finite")
+        if not is_finite_number(v):
+            fail(f"{field!r} must be a finite number")
         return float(v)
 
     def check_fields(*allowed: str):
@@ -219,54 +219,41 @@ def _gate_from_json(obj, index: int, n_qubits: int) -> Gate:
         if extra:
             fail(f"unexpected field(s) {sorted(extra)} for kind {kind!r}")
 
+    if kind == "mat2":
+        check_fields("entries", "wire")
+        entries = obj.get("entries")
+        if (
+            not isinstance(entries, list)
+            or len(entries) != 4
+            or not all(isinstance(e, list) and len(e) == 2 and all(map(is_finite_number, e)) for e in entries)
+        ):
+            fail("'entries' must be four finite [re, im] pairs (row-major 2x2)")
+        mat = np.array([e[0] + 1j * e[1] for e in entries]).reshape(2, 2)
+        try:
+            angles = euler_decompose(mat)
+        except ValueError as exc:
+            fail(str(exc))
+        return Gate("u", (get_wire("wire"),), angles.as_tuple())
+    spec = linalg.GATE_SPECS.get(kind)
+    if spec is None:
+        fail(f"unknown gate kind {kind!r}")
+    check_fields(*spec.params, *spec.wires)
+    wires = tuple(get_wire(f) for f in spec.wires)
+    params = tuple(get_angle(f) for f in spec.params)
     try:
-        if kind in ("x", "y", "z", "h"):
-            check_fields("wire")
-            return Gate.named(kind, get_wire("wire"))
-        if kind in ("rz", "ry"):
-            check_fields("theta", "wire")
-            return Gate(kind, (get_wire("wire"),), (get_angle("theta"),))
-        if kind == "u":
-            check_fields("alpha", "beta", "gamma", "delta", "wire")
-            params = tuple(get_angle(f) for f in ("alpha", "beta", "gamma", "delta"))
-            return Gate("u", (get_wire("wire"),), params)
-        if kind == "cnot":
-            check_fields("control", "target")
-            return Gate.cnot(get_wire("control"), get_wire("target"))
-        if kind == "mat2":
-            check_fields("entries", "wire")
-            entries = obj.get("entries")
-            if (
-                not isinstance(entries, list)
-                or len(entries) != 4
-                or not all(
-                    isinstance(e, list) and len(e) == 2
-                    and all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in e)
-                    for e in entries
-                )
-            ):
-                fail("'entries' must be four finite [re, im] pairs (row-major 2x2)")
-            mat = np.array([e[0] + 1j * e[1] for e in entries]).reshape(2, 2)
-            try:
-                angles = euler_decompose(mat)
-            except ValueError as exc:
-                fail(str(exc))
-            return Gate("u", (get_wire("wire"),), angles.as_tuple())
+        return Gate(kind, wires, params)
     except ValueError as exc:
-        if isinstance(exc, CircuitFormatError):
-            raise
         fail(str(exc))
-    fail(f"unknown gate kind {kind!r}")
 
 
 def parse_circuit(text) -> Circuit:
     """Parse a circuit document (bytes or str) into a validated Circuit."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except json.JSONDecodeError as exc:
         raise CircuitFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # invalid UTF-8, or an integer literal past the digit limit
+        raise CircuitFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CircuitFormatError("top-level value must be an object")
     extra = set(doc) - {"qubits", "gates"}
@@ -283,14 +270,8 @@ def parse_circuit(text) -> Circuit:
 
 
 def _gate_to_json(gate: Gate) -> dict:
-    if gate.kind in ("x", "y", "z", "h"):
-        return {"kind": gate.kind, "wire": gate.wires[0]}
-    if gate.kind in ("rz", "ry"):
-        return {"kind": gate.kind, "theta": gate.params[0], "wire": gate.wires[0]}
-    if gate.kind == "u":
-        a, b, g, d = gate.params
-        return {"kind": "u", "alpha": a, "beta": b, "gamma": g, "delta": d, "wire": gate.wires[0]}
-    return {"kind": "cnot", "control": gate.wires[0], "target": gate.wires[1]}
+    spec = linalg.GATE_SPECS[gate.kind]
+    return {"kind": gate.kind, **dict(zip(spec.params, gate.params)), **dict(zip(spec.wires, gate.wires))}
 
 
 def serialize_circuit(circuit: Circuit) -> bytes:

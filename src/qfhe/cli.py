@@ -61,7 +61,7 @@ def _read_file(path: str) -> bytes:
 def _load_json(path: str):
     try:
         return json.loads(_read_file(path).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer literal past the digit limit
         raise CliError(EXIT_PARSE, f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -75,8 +75,11 @@ def _load_key(path: str) -> QotpKey:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise CliError(EXIT_PARSE, f"{path}: key file must hold an object")
+    n = doc.get("n")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise CliError(EXIT_PARSE, f"{path}: 'n' must be an integer")
     try:
-        return QotpKey(doc.get("n"), doc.get("x_bits"), doc.get("z_bits"), doc.get("variant", "xz"))
+        return QotpKey(n, doc.get("x_bits"), doc.get("z_bits"), doc.get("variant", "xz"))
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"{path}: invalid key file: {exc}") from exc
 
@@ -92,13 +95,14 @@ def _state_to_bytes(state) -> bytes:
 
 
 def _parse_pair(entry, where: str) -> complex:
-    ok = (
-        isinstance(entry, list) and len(entry) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-    )
-    if not ok:
-        raise CliError(EXIT_PARSE, f"{where}: each entry must be a [re, im] pair")
+    if not (isinstance(entry, list) and len(entry) == 2 and all(map(circuits.is_finite_number, entry))):
+        raise CliError(EXIT_PARSE, f"{where}: each entry must be a finite [re, im] pair")
     return complex(entry[0], entry[1])
+
+
+def _is_list_of(items, n: int) -> bool:
+    """items is a list of length 2^n; 2^n is not built before the length rules it out."""
+    return isinstance(items, list) and len(items).bit_length() == n + 1 and len(items) == 1 << n
 
 
 def _load_state(path: str):
@@ -112,15 +116,14 @@ def _load_state(path: str):
         raise CliError(EXIT_PARSE, f"{path}: 'qubits' must be a non-negative integer")
     if kind not in ("pure", "density"):
         raise CliError(EXIT_PARSE, f"{path}: 'kind' must be 'pure' or 'density'")
-    dim = 2 ** n
     try:
         if kind == "pure":
-            if not isinstance(data, list) or len(data) != dim:
-                raise CliError(EXIT_PARSE, f"{path}: expected {dim} amplitude pairs")
+            if not _is_list_of(data, n):
+                raise CliError(EXIT_PARSE, f"{path}: expected 2^{n} amplitude pairs")
             vec = np.array([_parse_pair(e, path) for e in data])
             return PureState(n, vec)
-        if not isinstance(data, list) or len(data) != dim or not all(isinstance(r, list) and len(r) == dim for r in data):
-            raise CliError(EXIT_PARSE, f"{path}: expected a {dim}x{dim} grid of pairs")
+        if not _is_list_of(data, n) or not all(_is_list_of(row, n) for row in data):
+            raise CliError(EXIT_PARSE, f"{path}: expected a 2^{n} x 2^{n} grid of pairs")
         mat = np.array([[_parse_pair(e, path) for e in row] for row in data])
         return DensityState(n, mat)
     except ValueError as exc:
@@ -157,10 +160,7 @@ def _cmd_keygen(args) -> int:
 def _cmd_crypt(args, forward: bool) -> int:
     key = _load_key(args.key)
     state = _load_state(args.in_path)
-    try:
-        result = (qotp.encrypt if forward else qotp.decrypt)(key, state)
-    except ValueError as exc:
-        raise CliError(EXIT_SEMANTIC, str(exc)) from exc
+    result = (qotp.encrypt if forward else qotp.decrypt)(key, state)
     _write_file(args.out, _state_to_bytes(result))
     return EXIT_OK
 
@@ -169,11 +169,8 @@ def _cmd_evaluate(args) -> int:
     key = _load_key(args.key)
     circ = _load_circuit(args.circuit)
     state = _load_state(args.in_path)
-    try:
-        rewritten = rewrite.rewrite_circuit(key, circ)
-        result = circuits.simulate(rewritten, state)
-    except (ValueError, rewrite.OperatorNotPermitted) as exc:
-        raise CliError(EXIT_SEMANTIC, str(exc)) from exc
+    rewritten = rewrite.rewrite_circuit(key, circ)
+    result = circuits.simulate(rewritten, state)
     _write_file(args.out, _state_to_bytes(result))
     if args.emit_rewritten:
         _write_file(args.emit_rewritten, circuits.serialize_circuit(rewritten))
@@ -183,10 +180,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_simulate(args) -> int:
     circ = _load_circuit(args.circuit)
     state = _load_state(args.in_path)
-    try:
-        result = circuits.simulate(circ, state)
-    except ValueError as exc:
-        raise CliError(EXIT_SEMANTIC, str(exc)) from exc
+    result = circuits.simulate(circ, state)
     _write_file(args.out, _state_to_bytes(result))
     return EXIT_OK
 
@@ -196,10 +190,7 @@ def _cmd_verify_security(args) -> int:
     state = _load_state(args.state)
     if isinstance(state, PureState):
         state = state.to_density()
-    try:
-        report = analysis.verify_security(circ, state, args.tol)
-    except ValueError as exc:
-        raise CliError(EXIT_SEMANTIC, str(exc)) from exc
+    report = analysis.verify_security(circ, state, args.tol)
     if args.format == "json":
         doc = {
             "n_qubits": report.n_qubits,
@@ -221,10 +212,7 @@ def _cmd_verify_security(args) -> int:
 
 def _cmd_classify(args) -> int:
     mat = _load_matrix(args.unitary)
-    try:
-        result = analysis.classify_key_independent(mat, args.tol)
-    except ValueError as exc:
-        raise CliError(EXIT_SEMANTIC, str(exc)) from exc
+    result = analysis.classify_key_independent(mat, args.tol)
     if args.format == "json":
         doc = {
             "key_independent": result.key_independent,
@@ -246,8 +234,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_check_identities(args) -> int:
-    if args.samples < 1:
-        raise CliError(EXIT_SEMANTIC, "--samples must be >= 1")
     report = analysis.check_appendix_identities(args.samples, RandomSource(args.seed))
     ok = all(err <= IDENTITY_TOL for err in report.values())
     if args.format == "json":
@@ -324,10 +310,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except rewrite.OperatorNotPermitted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except ValueError as exc:
+    except (ValueError, rewrite.OperatorNotPermitted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
 

@@ -12,6 +12,7 @@ the analysis layer cap useful n well below that anyway.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,11 +36,6 @@ _CNOT = np.array(
      [0, 0, 1, 0]],
     dtype=complex,
 )
-
-_FIXED_GATES = {"x": _X, "y": _Y, "z": _Z, "h": _H, "cnot": _CNOT}
-_PARAM_COUNT = {"x": 0, "y": 0, "z": 0, "h": 0, "cnot": 0, "rz": 1, "ry": 1, "u": 4}
-
-GATE_KINDS = frozenset(_PARAM_COUNT)
 
 
 def canonical_angle(theta: float) -> float:
@@ -72,20 +68,45 @@ def single_qubit_unitary(alpha: float, beta: float, gamma: float, delta: float) 
     return np.exp(1j * alpha) * (rotation_z(beta) @ rotation_y(gamma) @ rotation_z(delta))
 
 
+@dataclass(frozen=True)
+class GateSpec:
+    """One gate kind: its wire and parameter fields, its matrix, its rewrite rule.
+
+    ``parity[i]`` holds the weights (x, z) of the wire's key bits whose parity
+    negates parameter i when the mask X^x Z^z moves past the gate. Kinds with
+    no parity column (the fixed single-qubit gates) are rewritten as ``u``;
+    cnot has its own rule.
+    """
+
+    wires: tuple[str, ...]
+    params: tuple[str, ...]
+    build: Callable[..., np.ndarray]
+    parity: tuple[tuple[int, int], ...] = ()
+
+
+#: the gate vocabulary; its order is the order RandomSource.circuit draws kinds in
+GATE_SPECS = {
+    "x": GateSpec(("wire",), (), _X.copy),
+    "y": GateSpec(("wire",), (), _Y.copy),
+    "z": GateSpec(("wire",), (), _Z.copy),
+    "h": GateSpec(("wire",), (), _H.copy),
+    "rz": GateSpec(("wire",), ("theta",), rotation_z, ((1, 0),)),
+    "ry": GateSpec(("wire",), ("theta",), rotation_y, ((1, 1),)),
+    "u": GateSpec(
+        ("wire",), ("alpha", "beta", "gamma", "delta"), single_qubit_unitary,
+        ((0, 0), (1, 0), (1, 1), (1, 0)),
+    ),
+    "cnot": GateSpec(("control", "target"), (), _CNOT.copy),
+}
+
 def gate_matrix(kind: str, params: tuple[float, ...] = ()) -> np.ndarray:
     """Matrix of a named gate. Rz/Ry take one angle, u takes four, others none."""
-    if kind not in GATE_KINDS:
+    spec = GATE_SPECS.get(kind)
+    if spec is None:
         raise ValueError(f"unknown gate kind {kind!r}")
-    expected = _PARAM_COUNT[kind]
-    if len(params) != expected:
-        raise ValueError(f"gate {kind!r} takes {expected} parameter(s), got {len(params)}")
-    if kind in _FIXED_GATES:
-        return _FIXED_GATES[kind].copy()
-    if kind == "rz":
-        return rotation_z(params[0])
-    if kind == "ry":
-        return rotation_y(params[0])
-    return single_qubit_unitary(*params)
+    if len(params) != len(spec.params):
+        raise ValueError(f"gate {kind!r} takes {len(spec.params)} parameter(s), got {len(params)}")
+    return spec.build(*params)
 
 
 def _check_bits(bits: str, name: str) -> None:
@@ -102,13 +123,25 @@ def pauli_operator(x_bits: str, z_bits: str) -> np.ndarray:
     _check_bits(z_bits, "z_bits")
     if len(x_bits) != len(z_bits):
         raise ValueError(f"bit string lengths differ: {len(x_bits)} vs {len(z_bits)}")
+    return mask_operator(_X, _Z, x_bits, z_bits)
+
+
+def mask_operator(first: np.ndarray, second: np.ndarray, x_bits: str, z_bits: str,
+                  inverse: bool = False) -> np.ndarray:
+    """Kron over qubits of first^a second^b (second applies first), or second^b first^a.
+
+    For self-inverse first and second, ``inverse`` gives the exact inverse.
+    Decryption uses it rather than the adjoint of the encryption mask, which
+    is equal in value but flips the sign of zero imaginary parts, and
+    canonical JSON prints those as -0.0.
+    """
     op = np.eye(1, dtype=complex)
     for a, b in zip(x_bits, z_bits):
+        steps = ((a, first), (b, second)) if inverse else ((b, second), (a, first))
         factor = _I2
-        if b == "1":
-            factor = _Z @ factor
-        if a == "1":
-            factor = _X @ factor
+        for bit, mat in steps:
+            if bit == "1":
+                factor = mat @ factor
         op = np.kron(op, factor)
     return op
 
@@ -116,13 +149,6 @@ def pauli_operator(x_bits: str, z_bits: str) -> np.ndarray:
 def all_bit_strings(n: int):
     """All length-n bit strings in lexicographic order."""
     return [format(i, f"0{n}b") if n else "" for i in range(2 ** n)]
-
-
-def _require_power_of_two(dim: int) -> int:
-    n = dim.bit_length() - 1
-    if dim <= 0 or 2 ** n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    return n
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -150,11 +176,6 @@ class PureState:
             raise ValueError(f"statevector norm {norm} is not 1 within {ATOL_STATE}")
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
-
-    @classmethod
-    def from_vector(cls, vec) -> "PureState":
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
-        return cls(_require_power_of_two(vec.shape[0]), vec)
 
     @classmethod
     def basis(cls, n_qubits: int, index: int = 0) -> "PureState":
@@ -188,11 +209,6 @@ class DensityState:
             raise ValueError(f"matrix has eigenvalues below -{ATOL_STATE}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def from_matrix(cls, mat) -> "DensityState":
-        mat = np.asarray(mat, dtype=complex)
-        return cls(_require_power_of_two(mat.shape[0]), mat)
 
 
 def is_unitary(mat: np.ndarray, atol: float = ATOL_STATE) -> bool:
@@ -237,13 +253,12 @@ def apply_to_wires(unitary: np.ndarray, wires, state):
 
     Accepts a PureState or DensityState and returns the same kind.
     """
+    if not isinstance(state, (PureState, DensityState)):
+        raise TypeError(f"expected PureState or DensityState, got {type(state).__name__}")
+    full = embed_on_wires(unitary, tuple(wires), state.n_qubits)
     if isinstance(state, PureState):
-        full = embed_on_wires(unitary, tuple(wires), state.n_qubits)
         return PureState(state.n_qubits, full @ state.amplitudes)
-    if isinstance(state, DensityState):
-        full = embed_on_wires(unitary, tuple(wires), state.n_qubits)
-        return apply_to_density(full, state)
-    raise TypeError(f"expected PureState or DensityState, got {type(state).__name__}")
+    return apply_to_density(full, state)
 
 
 def trace_distance(rho: DensityState, sigma: DensityState) -> float:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
 from .linalg import DensityState, PureState
 from .rng import RandomSource
@@ -46,40 +44,16 @@ def keygen(n_qubits: int, rng: RandomSource, variant: str = VARIANT_XZ) -> QotpK
     return QotpKey(n_qubits, rng.bit_string(n_qubits), rng.bit_string(n_qubits), variant)
 
 
-def _mask(key: QotpKey, inverse: bool) -> np.ndarray:
-    """Per-qubit masking operator; `inverse` selects the decryption order."""
-    if key.variant == VARIANT_XZ:
-        first, second = linalg.gate_matrix("x"), linalg.gate_matrix("z")
-    else:
-        first, second = linalg.gate_matrix("h"), linalg.gate_matrix("y")
-    op = np.eye(1, dtype=complex)
-    for a, b in zip(key.x_bits, key.z_bits):
-        factor = np.eye(2, dtype=complex)
-        if inverse:
-            if a == "1":
-                factor = first @ factor
-            if b == "1":
-                factor = second @ factor
-        else:
-            if b == "1":
-                factor = second @ factor
-            if a == "1":
-                factor = first @ factor
-        op = np.kron(op, factor)
-    return op
+#: per variant, the gates applied for a set x bit and a set z bit
+_MASK_GATES = {VARIANT_XZ: ("x", "z"), VARIANT_HY: ("h", "y")}
 
 
 def _conjugate(key: QotpKey, state, inverse: bool):
-    op = _mask(key, inverse)
-    if isinstance(state, PureState):
-        if state.n_qubits != key.n_qubits:
-            raise ValueError(f"key is for {key.n_qubits} qubit(s), state has {state.n_qubits}")
-        return PureState(state.n_qubits, op @ state.amplitudes)
-    if isinstance(state, DensityState):
-        if state.n_qubits != key.n_qubits:
-            raise ValueError(f"key is for {key.n_qubits} qubit(s), state has {state.n_qubits}")
-        return linalg.apply_to_density(op, state)
-    raise TypeError(f"expected PureState or DensityState, got {type(state).__name__}")
+    if isinstance(state, (PureState, DensityState)) and state.n_qubits != key.n_qubits:
+        raise ValueError(f"key is for {key.n_qubits} qubit(s), state has {state.n_qubits}")
+    first, second = (linalg.gate_matrix(kind) for kind in _MASK_GATES[key.variant])
+    op = linalg.mask_operator(first, second, key.x_bits, key.z_bits, inverse)
+    return linalg.apply_to_wires(op, range(key.n_qubits), state)
 
 
 def encrypt(key: QotpKey, state):

@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 
 from . import circuits, linalg, qotp
-from .circuits import Circuit, EulerAngles, Gate
+from .circuits import Circuit, Gate
 from .linalg import DensityState, PureState, canonical_angle
 from .qotp import QotpKey
 
@@ -54,63 +54,40 @@ def _negate_if(theta: float, active: int) -> tuple[float, int]:
     return canonical_angle(-theta), 1
 
 
-def rewrite_rz(j: int, theta: float) -> float:
-    """Twin angle for Rz under an X-exponent bit j: canonical((-1)^j * theta)."""
-    return _negate_if(theta, j)[0]
-
-
-def rewrite_ry(j: int, k: int, theta: float, hy_variant: bool = False) -> float:
-    """Twin angle for Ry: canonical((-1)^(k+j) * theta), or (-1)^j under the hy mask."""
-    active = j if hy_variant else (j + k) % 2
-    return _negate_if(theta, active)[0]
-
-
-def rewrite_u(j: int, k: int, angles: EulerAngles) -> EulerAngles:
-    """Twin of the general single-qubit gate: negate beta/delta for j, gamma for k+j."""
-    beta, _ = _negate_if(angles.beta, j)
-    gamma, _ = _negate_if(angles.gamma, (j + k) % 2)
-    delta, _ = _negate_if(angles.delta, j)
-    return EulerAngles(angles.alpha, beta, gamma, delta)
-
-
-def rewrite_cnot(j_control: int, m_target: int, control: int = 0, target: int = 1) -> RewriteResult:
-    """Twin of cnot: Z^m on control, then X^j on target, then cnot; drops (-1)^(j*m)."""
-    gates: list[Gate] = []
-    if m_target:
-        gates.append(Gate.named("z", control))
-    if j_control:
-        gates.append(Gate.named("x", target))
-    gates.append(Gate.cnot(control, target))
-    return RewriteResult(tuple(gates), j_control * m_target)
-
-
 def rewrite_gate(key: QotpKey, gate: Gate) -> RewriteResult:
-    """Rewrite one gate against the key bits of the wires it touches."""
+    """Rewrite one gate against the key bits of the wires it touches.
+
+    cnot becomes Z^m on the control, X^j on the target, then cnot, and drops
+    (-1)^(j*m). A single-qubit gate keeps its kind and negates each angle by
+    the parity column of its GateSpec; gates without one lift to u first.
+    """
     if key.variant != qotp.VARIANT_XZ:
         raise ValueError(f"circuit rewriting requires the xz key variant, got {key.variant!r}")
     if gate.kind == "cnot":
         control, target = gate.wires
         j = int(key.x_bits[control])
         m = int(key.z_bits[target])
-        return rewrite_cnot(j, m, control, target)
+        gates: list[Gate] = []
+        if m:
+            gates.append(Gate.named("z", control))
+        if j:
+            gates.append(Gate.named("x", target))
+        gates.append(gate)
+        return RewriteResult(tuple(gates), j * m)
     wire = gate.wires[0]
     j = int(key.x_bits[wire])
     k = int(key.z_bits[wire])
-    if gate.kind == "rz":
-        theta, flips = _negate_if(gate.params[0], j)
-        return RewriteResult((Gate.rz(theta, wire),), flips)
-    if gate.kind == "ry":
-        theta, flips = _negate_if(gate.params[0], (j + k) % 2)
-        return RewriteResult((Gate.ry(theta, wire),), flips)
-    if gate.kind == "u":
-        alpha, beta, gamma, delta = gate.params
-    else:
+    kind, params = gate.kind, gate.params
+    if not linalg.GATE_SPECS[kind].parity:
         # named gates lift through the ZYZ form; the general rule covers them
-        alpha, beta, gamma, delta = circuits.euler_decompose(gate.matrix()).as_tuple()
-    beta, f1 = _negate_if(beta, j)
-    gamma, f2 = _negate_if(gamma, (j + k) % 2)
-    delta, f3 = _negate_if(delta, j)
-    return RewriteResult((Gate.u(alpha, beta, gamma, delta, wire),), f1 + f2 + f3)
+        kind, params = "u", circuits.euler_decompose(gate.matrix()).as_tuple()
+    angles: list[float] = []
+    flips = 0
+    for theta, (x_weight, z_weight) in zip(params, linalg.GATE_SPECS[kind].parity):
+        theta, flip = _negate_if(theta, (x_weight & j) ^ (z_weight & k))
+        angles.append(theta)
+        flips += flip
+    return RewriteResult((Gate(kind, gate.wires, tuple(angles)),), flips)
 
 
 def rewrite_circuit(key: QotpKey, circuit: Circuit) -> Circuit:
@@ -123,21 +100,10 @@ def rewrite_circuit(key: QotpKey, circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, tuple(gates))
 
 
-def rewrite_phase_flips(key: QotpKey, circuit: Circuit) -> int:
-    """Total dropped (-1) factors for the rewrite of a whole circuit."""
-    if key.n_qubits != circuit.n_qubits:
-        raise ValueError(f"key is for {key.n_qubits} qubit(s), circuit has {circuit.n_qubits}")
-    return sum(rewrite_gate(key, gate).phase_flips for gate in circuit.gates)
-
-
 def evaluate(key: QotpKey, circuit: Circuit, ciphertext):
     """Run the rewritten circuit on the ciphertext; no decryption happens here."""
     if not isinstance(ciphertext, (PureState, DensityState)):
         raise TypeError(f"expected PureState or DensityState, got {type(ciphertext).__name__}")
-    if ciphertext.n_qubits != circuit.n_qubits:
-        raise ValueError(
-            f"circuit has {circuit.n_qubits} qubit(s), ciphertext has {ciphertext.n_qubits}"
-        )
     return circuits.simulate(rewrite_circuit(key, circuit), ciphertext)
 
 
@@ -161,15 +127,10 @@ def scheme_evaluate(scheme: Scheme, key: QotpKey, op: Gate, ciphertext: DensityS
         raise ValueError(f"scheme {scheme.value!r} requires a {expected_variant!r} key")
     if ciphertext.n_qubits != key.n_qubits:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), state has {ciphertext.n_qubits}")
-    if any(w >= key.n_qubits for w in op.wires):
-        raise ValueError(f"gate wires {op.wires} out of range for {key.n_qubits} qubit(s)")
-
     if scheme is Scheme.RY_HY:
+        # moving H^a Y^b past Ry negates the angle by the H bit alone
         wire = op.wires[0]
-        twin = [Gate.ry(rewrite_ry(int(key.x_bits[wire]), int(key.z_bits[wire]), op.params[0], hy_variant=True), wire)]
+        twin = (Gate.ry(_negate_if(op.params[0], int(key.x_bits[wire]))[0], wire),)
     else:
-        twin = list(rewrite_gate(key, op).gates)
-    state = ciphertext
-    for gate in twin:
-        state = linalg.apply_to_wires(gate.matrix(), gate.wires, state)
-    return state
+        twin = rewrite_gate(key, op).gates
+    return circuits.simulate(Circuit(key.n_qubits, twin), ciphertext)

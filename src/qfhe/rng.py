@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityState, PureState, canonical_angle
+from .circuits import Circuit, Gate
+from .linalg import GATE_SPECS, DensityState, PureState, canonical_angle
 
 
 class RandomSource:
@@ -55,3 +56,26 @@ class RandomSource:
             psi = self.pure_state(n_qubits).amplitudes
             mat += p * np.outer(psi, psi.conj())
         return DensityState(n_qubits, mat)
+
+    def circuit(self, n_qubits: int, n_gates: int) -> Circuit:
+        """Random circuit drawing each gate's kind uniformly from the gate table.
+
+        On one qubit a drawn cnot becomes x. Each gate draws its kind, then its
+        wires (a cnot target skips the control), then its angles.
+        """
+        kinds = tuple(GATE_SPECS)
+        gates = []
+        for _ in range(n_gates):
+            kind = kinds[self.integer(0, len(kinds))]
+            if kind == "cnot" and n_qubits < 2:
+                kind = "x"
+            if kind == "cnot":
+                control = self.integer(0, n_qubits)
+                target = self.integer(0, n_qubits - 1)
+                if target >= control:
+                    target += 1
+                wires = (control, target)
+            else:
+                wires = (self.integer(0, n_qubits),)
+            gates.append(Gate(kind, wires, tuple(self.angles(len(GATE_SPECS[kind].params)))))
+        return Circuit(n_qubits, tuple(gates))

@@ -29,6 +29,7 @@ from qfhe import (
     pauli_decompose,
     pauli_operator,
     rewrite_circuit,
+    rewrite_gate,
     scheme_evaluate,
     simulate,
     trace_distance,
@@ -37,8 +38,6 @@ from qfhe import (
 from qfhe.cli import main
 from qfhe.linalg import all_bit_strings
 from qfhe.qotp import VARIANT_HY
-from qfhe.rewrite import rewrite_phase_flips
-from helpers import random_circuit
 from qfhe.rng import RandomSource
 
 
@@ -52,7 +51,7 @@ def test_criterion_1_homomorphic_round_trip():
     worst = 0.0
     for _ in range(200):
         n = 1 + rng.integer(0, 4)
-        circuit = random_circuit(n, rng.integer(0, 21), rng)
+        circuit = rng.circuit(n, rng.integer(0, 21))
         key = keygen(n, rng)
         sigma = rng.pure_state(n).to_density()
         out = decrypt(key, evaluate(key, circuit, encrypt(key, sigma)))
@@ -70,7 +69,7 @@ def test_criterion_2_perfect_security():
     worst_eval = 0.0
     for n in (1, 2):
         for _ in range(10):
-            circuit = random_circuit(n, 6, rng)
+            circuit = rng.circuit(n, 6)
             report = verify_security(circuit, rng.pure_state(n).to_density(), 1e-9)
             worst_eval = max(worst_eval, report.worst_evaluate_distance)
     ok = worst_avg <= 1e-10 and worst_eval <= 1e-9
@@ -122,7 +121,7 @@ def test_criterion_4_size_bound():
     bounded = True
     for _ in range(100):
         n = 1 + rng.integer(0, 4)
-        circuit = random_circuit(n, rng.integer(0, 16), rng)
+        circuit = rng.circuit(n, rng.integer(0, 16))
         key = keygen(n, rng)
         bounded &= len(rewrite_circuit(key, circuit)) <= 3 * len(circuit)
     key = QotpKey(2, "11", "11")
@@ -136,10 +135,10 @@ def test_criterion_5_commutation_identity():
     worst = 0.0
     for _ in range(50):
         n = 1 + rng.integer(0, 3)
-        circuit = random_circuit(n, rng.integer(0, 13), rng)
+        circuit = rng.circuit(n, rng.integer(0, 13))
         key = keygen(n, rng)
         mask = pauli_operator(key.x_bits, key.z_bits)
-        sign = (-1) ** rewrite_phase_flips(key, circuit)
+        sign = (-1) ** sum(rewrite_gate(key, gate).phase_flips for gate in circuit.gates)
         err = np.max(np.abs(full_matrix(rewrite_circuit(key, circuit)) @ mask - sign * mask @ full_matrix(circuit)))
         worst = max(worst, float(err))
     _verdict(5, f"masked commutation with tracked sign, worst error {worst:.3e}", worst <= 1e-9)

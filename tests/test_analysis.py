@@ -19,7 +19,6 @@ from qfhe import (
 )
 from qfhe.analysis import check_u_rewrite_endpoints
 from qfhe.linalg import all_bit_strings
-from helpers import random_circuit
 from qfhe.rng import RandomSource
 
 
@@ -64,7 +63,7 @@ def test_verify_security_empty_circuit():
 
 def test_verify_security_random_circuit():
     rng = RandomSource(23)
-    circuit = random_circuit(2, 8, rng)
+    circuit = rng.circuit(2, 8)
     report = verify_security(circuit, rng.pure_state(2).to_density(), 1e-9)
     assert report.passed
 
@@ -72,7 +71,7 @@ def test_verify_security_random_circuit():
 def test_verify_security_zero_tolerance_fails():
     # generic states leave a floating-point floor; exact zero is unreachable
     rng = RandomSource(19)
-    circuit = random_circuit(1, 4, rng)
+    circuit = rng.circuit(1, 4)
     report = verify_security(circuit, rng.pure_state(1).to_density(), 0.0)
     assert not report.passed
     assert report.worst_encrypt_distance > 0.0 or report.worst_evaluate_distance > 0.0

@@ -21,7 +21,6 @@ from qfhe import (
     simulate,
     trace_distance,
 )
-from helpers import random_circuit
 from qfhe.rng import RandomSource
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,6 +83,10 @@ def test_parse_rejects_cnot_self_loop():
         b'{"qubits": 1, "gates": [null]}',
         b'{"qubits": 1, "gates": {}, "extra": 1}',
         b'{"qubits": 1}',
+        b'{"qubits": 1, "gates": [{"kind": "rz", "theta": 1' + b"0" * 400 + b', "wire": 0}]}',
+        b'{"qubits": 1, "gates": [{"kind": "mat2", "entries": [[1' + b"0" * 400 + b', 0], [0, 0], [0, 0], [1, 0]], "wire": 0}]}',
+        b'{"qubits": 1, "gates": [{"kind": "u", "alpha": 1e400, "beta": 0, "gamma": 0, "delta": 0, "wire": 0}]}',
+        b'{"qubits": 1, "gates": [], "\xff": 1}',
     ],
 )
 def test_parser_rejects_mutations(doc):
@@ -178,7 +181,7 @@ def test_simulate_matches_full_matrix_oracle():
     rng = RandomSource(31)
     for _ in range(25):
         n = 1 + rng.integer(0, 3)
-        circuit = random_circuit(n, rng.integer(0, 21), rng)
+        circuit = rng.circuit(n, rng.integer(0, 21))
         sigma = rng.density_state(n)
         direct = simulate(circuit, sigma)
         oracle = apply_to_density(full_matrix(circuit), sigma)

@@ -92,14 +92,46 @@ def test_encrypt_dimension_mismatch_exits_2(tmp_path):
     assert main(["encrypt", "--key", key, "--in", state, "--out", str(tmp_path / "o.json")]) == 2
 
 
+HUGE = "9" * 401  # a JSON integer beyond the float range
+HUGER = "9" * 5000  # a JSON integer beyond Python's str-to-int digit limit
+
+
+MALFORMED = [
+    ("encrypt-key", "{not json"),
+    ("encrypt-key", '{"n": true, "x_bits": "1", "z_bits": "0", "variant": "xz"}'),
+    ("encrypt-key", '{"n": 1.0, "x_bits": "1", "z_bits": "0", "variant": "xz"}'),
+    ("encrypt-key", '{"n": ' + HUGER + ', "x_bits": "1", "z_bits": "0"}'),
+    ("encrypt-state", '{"qubits": 1, "kind": "pure", "data": [[2, 0], [0, 0]]}'),
+    ("encrypt-state", '{"qubits": 1, "kind": "pure", "data": [[' + HUGE + ', 0], [0, 0]]}'),
+    ("encrypt-state", '{"qubits": 1000000000000, "kind": "pure", "data": [[1, 0], [0, 0]]}'),
+    ("encrypt-state", '{"qubits": 1000000000000, "kind": "density", "data": [[[1, 0]]]}'),
+    ("encrypt-state", None),  # missing file
+    ("simulate-circuit", '{"qubits": 1, "gates": [{"kind": "rz", "theta": ' + HUGE + ', "wire": 0}]}'),
+    ("simulate-circuit", '{"qubits": 1, "gates": [{"kind": "mat2", "entries": [[' + HUGE
+     + ', 0], [0, 0], [0, 0], [1, 0]], "wire": 0}]}'),
+    ("simulate-circuit", '{"qubits": ' + HUGER + ', "gates": []}'),
+    ("simulate-circuit", b'{"qubits": 1, "gates": [], "\xff": 1}'),
+    ("classify", '[[[' + HUGE + ', 0], [0, 0]], [[0, 0], [1, 0]]]'),
+]
+
+
 def test_malformed_inputs_exit_3(tmp_path):
-    key = write(tmp_path / "key.json", "{not json")
+    key = write(tmp_path / "key.json", json.dumps({"n": 1, "x_bits": "1", "z_bits": "0", "variant": "xz"}))
     state = write(tmp_path / "in.json", pure_state_doc(np.array([1.0, 0.0])))
-    assert main(["encrypt", "--key", key, "--in", state, "--out", str(tmp_path / "o.json")]) == 3
-    good_key = write(tmp_path / "k2.json", json.dumps({"n": 1, "x_bits": "1", "z_bits": "0", "variant": "xz"}))
-    bad_state = write(tmp_path / "s2.json", json.dumps({"qubits": 1, "kind": "pure", "data": [[2, 0], [0, 0]]}))
-    assert main(["encrypt", "--key", good_key, "--in", bad_state, "--out", str(tmp_path / "o.json")]) == 3
-    assert main(["encrypt", "--key", good_key, "--in", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o.json")]) == 3
+    out = str(tmp_path / "o.json")
+    for i, (command, text) in enumerate(MALFORMED):
+        path = tmp_path / f"bad{i}.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
+            path.write_text(text)
+        argv = {
+            "encrypt-key": ["encrypt", "--key", str(path), "--in", state, "--out", out],
+            "encrypt-state": ["encrypt", "--key", key, "--in", str(path), "--out", out],
+            "simulate-circuit": ["simulate", "--circuit", str(path), "--in", state, "--out", out],
+            "classify": ["classify", "--unitary", str(path)],
+        }[command]
+        assert main(argv) == 3, (command, text if text is None or len(text) < 80 else text[:80])
 
 
 # --- evaluate / simulate -------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from qfhe import (
     Circuit,
-    EulerAngles,
     Gate,
     OperatorNotPermitted,
     QotpKey,
@@ -17,28 +16,33 @@ from qfhe import (
     gate_matrix,
     keygen,
     pauli_operator,
+    apply_to_density,
     rewrite_circuit,
-    rewrite_cnot,
     rewrite_gate,
-    rewrite_rz,
-    rewrite_ry,
-    rewrite_u,
     scheme_evaluate,
     simulate,
     trace_distance,
 )
 from qfhe.linalg import rotation_y, rotation_z
 from qfhe.qotp import VARIANT_HY
-from qfhe.rewrite import rewrite_phase_flips
-from helpers import random_circuit
 from qfhe.rng import RandomSource
+
+
+def _twin(kind, params, j, k):
+    """The single gate rewrite_gate returns for a one-qubit gate under key bits (j, k)."""
+    result = rewrite_gate(QotpKey(1, str(j), str(k)), Gate(kind, (0,), params))
+    (twin,) = result.gates
+    return twin, result.phase_flips
 
 
 # --- single-rule angle rewrites -----------------------------------------
 
 def test_rewrite_rz_values():
-    assert rewrite_rz(0, math.pi / 2) == math.pi / 2
-    assert rewrite_rz(1, math.pi / 2) == pytest.approx(3 * math.pi / 2)
+    for k in (0, 1):
+        assert _twin("rz", (math.pi / 2,), 0, k) == (Gate.rz(math.pi / 2, 0), 0)
+        twin, flips = _twin("rz", (math.pi / 2,), 1, k)
+        assert twin.kind == "rz" and flips == 1
+        assert twin.params[0] == pytest.approx(3 * math.pi / 2)
 
 
 def test_rz_commutation_with_raw_angle():
@@ -57,16 +61,23 @@ def test_rz_commutation_with_raw_angle():
 def test_rewrite_rz_canonical_differs_by_global_sign():
     theta = 1.1
     raw = rotation_z(-theta)
-    canon = rotation_z(rewrite_rz(1, theta))
-    assert np.max(np.abs(canon + raw)) <= 1e-12
+    twin, flips = _twin("rz", (theta,), 1, 0)
+    assert flips == 1  # the tracked sign is the one canonicalization dropped
+    assert np.max(np.abs(twin.matrix() + raw)) <= 1e-12
 
 
 def test_rewrite_ry_values():
     theta = 0.7
-    assert rewrite_ry(1, 1, theta) == theta
-    assert rewrite_ry(1, 0, theta) == pytest.approx(2 * math.pi - theta)
-    assert rewrite_ry(1, 1, theta, hy_variant=True) == pytest.approx(2 * math.pi - theta)
-    assert rewrite_ry(0, 1, theta, hy_variant=True) == theta
+    assert _twin("ry", (theta,), 1, 1) == (Gate.ry(theta, 0), 0)
+    twin, flips = _twin("ry", (theta,), 1, 0)
+    assert twin.kind == "ry" and flips == 1
+    assert twin.params[0] == pytest.approx(2 * math.pi - theta)
+    # under the hy mask only the H bit negates the angle
+    rho = RandomSource(1).density_state(1)
+    for j, k, angle in ((1, 1, 2 * math.pi - theta), (0, 1, theta)):
+        out = scheme_evaluate(Scheme.RY_HY, QotpKey(1, str(j), str(k), VARIANT_HY), Gate.ry(theta, 0), rho)
+        expected = apply_to_density(rotation_y(angle), rho)
+        assert np.max(np.abs(out.matrix - expected.matrix)) <= 1e-12
 
 
 def test_ry_commutation_with_raw_angle():
@@ -80,21 +91,29 @@ def test_ry_commutation_with_raw_angle():
 
 
 def test_rewrite_u_values():
-    angles = EulerAngles(0.5, 1.0, 2.0, 3.0)
-    assert rewrite_u(0, 0, angles) == angles
-    neg = rewrite_u(1, 0, angles)
-    assert neg.alpha == 0.5
-    assert neg.beta == pytest.approx(2 * math.pi - 1.0)
-    assert neg.gamma == pytest.approx(2 * math.pi - 2.0)
-    assert neg.delta == pytest.approx(2 * math.pi - 3.0)
-    half = rewrite_u(0, 1, angles)
-    assert (half.alpha, half.beta, half.delta) == (0.5, 1.0, 3.0)
-    assert half.gamma == pytest.approx(2 * math.pi - 2.0)
+    angles = (0.5, 1.0, 2.0, 3.0)
+    assert _twin("u", angles, 0, 0) == (Gate.u(*angles, 0), 0)
+    neg, flips = _twin("u", angles, 1, 0)
+    assert flips == 3
+    alpha, beta, gamma, delta = neg.params
+    assert alpha == 0.5
+    assert beta == pytest.approx(2 * math.pi - 1.0)
+    assert gamma == pytest.approx(2 * math.pi - 2.0)
+    assert delta == pytest.approx(2 * math.pi - 3.0)
+    half, flips = _twin("u", angles, 0, 1)
+    assert flips == 1
+    alpha, beta, gamma, delta = half.params
+    assert (alpha, beta, delta) == (0.5, 1.0, 3.0)
+    assert gamma == pytest.approx(2 * math.pi - 2.0)
 
 
 # --- cnot rule -----------------------------------------------------------
 
 def test_rewrite_cnot_cases():
+    def rewrite_cnot(j_control, m_target):
+        key = QotpKey(2, f"{j_control}0", f"0{m_target}")
+        return rewrite_gate(key, Gate.cnot(0, 1))
+
     r00 = rewrite_cnot(0, 0)
     assert [g.kind for g in r00.gates] == ["cnot"] and r00.phase_flips == 0
     r10 = rewrite_cnot(1, 0)
@@ -129,7 +148,7 @@ def test_rewrite_cnot_uses_only_control_x_and_target_z_bits():
 
 def test_all_zero_key_is_identity_rewrite():
     rng = RandomSource(8)
-    circuit = random_circuit(3, 12, rng)
+    circuit = rng.circuit(3, 12)
     key = QotpKey(3, "000", "000")
     rewritten = rewrite_circuit(key, circuit)
     for src, dst in zip(circuit.gates, rewritten.gates):
@@ -157,7 +176,7 @@ def test_rewrite_keeps_key_fixed_and_size_bounded():
     rng = RandomSource(14)
     for _ in range(30):
         n = 1 + rng.integer(0, 3)
-        circuit = random_circuit(n, rng.integer(0, 16), rng)
+        circuit = rng.circuit(n, rng.integer(0, 16))
         key = keygen(n, rng)
         rewritten = rewrite_circuit(key, circuit)
         assert len(rewritten) <= 3 * len(circuit)
@@ -177,10 +196,10 @@ def test_commutation_identity_with_tracked_sign():
     rng = RandomSource(55)
     for _ in range(50):
         n = 1 + rng.integer(0, 3)
-        circuit = random_circuit(n, rng.integer(0, 13), rng)
+        circuit = rng.circuit(n, rng.integer(0, 13))
         key = keygen(n, rng)
         mask = pauli_operator(key.x_bits, key.z_bits)
-        sign = (-1) ** rewrite_phase_flips(key, circuit)
+        sign = (-1) ** sum(rewrite_gate(key, gate).phase_flips for gate in circuit.gates)
         lhs = full_matrix(rewrite_circuit(key, circuit)) @ mask
         rhs = sign * mask @ full_matrix(circuit)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
@@ -210,7 +229,7 @@ def test_evaluate_random_round_trips():
     rng = RandomSource(202)
     for _ in range(200):
         n = 1 + rng.integer(0, 4)
-        circuit = random_circuit(n, rng.integer(0, 21), rng)
+        circuit = rng.circuit(n, rng.integer(0, 21))
         key = keygen(n, rng)
         sigma = rng.pure_state(n).to_density()
         out = decrypt(key, evaluate(key, circuit, encrypt(key, sigma)))
@@ -247,16 +266,12 @@ def test_single_qubit_schemes_round_trip(scheme, kind, variant):
         sigma = rng.pure_state(1).to_density()
         op = Gate(kind, (0,), (rng.angle(),))
         out = _single_gate_round_trip(scheme, key, op, sigma)
-        from qfhe import apply_to_density
-
         expected = apply_to_density(op.matrix(), sigma)
         assert trace_distance(out, expected) <= 1e-10
 
 
 def test_cnot_scheme_round_trip():
     rng = RandomSource(404)
-    from qfhe import apply_to_density
-
     for _ in range(50):
         key = keygen(2, rng)
         sigma = rng.pure_state(2).to_density()
