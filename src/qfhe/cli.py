@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, circuits, linalg, qotp, rewrite
+from . import analysis, circuits, qotp, rewrite
 from .circuits import CircuitFormatError
 from .linalg import DensityState, PureState
 from .qotp import QotpKey
@@ -100,7 +100,7 @@ def _parse_pair(entry, where: str) -> complex:
     return complex(entry[0], entry[1])
 
 
-def _is_list_of(items, n: int) -> bool:
+def _is_list_of_2_pow_n(items, n: int) -> bool:
     """items is a list of length 2^n; 2^n is not built before the length rules it out."""
     return isinstance(items, list) and len(items).bit_length() == n + 1 and len(items) == 1 << n
 
@@ -118,11 +118,11 @@ def _load_state(path: str):
         raise CliError(EXIT_PARSE, f"{path}: 'kind' must be 'pure' or 'density'")
     try:
         if kind == "pure":
-            if not _is_list_of(data, n):
+            if not _is_list_of_2_pow_n(data, n):
                 raise CliError(EXIT_PARSE, f"{path}: expected 2^{n} amplitude pairs")
             vec = np.array([_parse_pair(e, path) for e in data])
             return PureState(n, vec)
-        if not _is_list_of(data, n) or not all(_is_list_of(row, n) for row in data):
+        if not _is_list_of_2_pow_n(data, n) or not all(_is_list_of_2_pow_n(row, n) for row in data):
             raise CliError(EXIT_PARSE, f"{path}: expected a 2^{n} x 2^{n} grid of pairs")
         mat = np.array([[_parse_pair(e, path) for e in row] for row in data])
         return DensityState(n, mat)

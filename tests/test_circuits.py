@@ -83,10 +83,12 @@ def test_parse_rejects_cnot_self_loop():
         b'{"qubits": 1, "gates": [null]}',
         b'{"qubits": 1, "gates": {}, "extra": 1}',
         b'{"qubits": 1}',
-        b'{"qubits": 1, "gates": [{"kind": "rz", "theta": 1' + b"0" * 400 + b', "wire": 0}]}',
-        b'{"qubits": 1, "gates": [{"kind": "mat2", "entries": [[1' + b"0" * 400 + b', 0], [0, 0], [0, 0], [1, 0]], "wire": 0}]}',
+        pytest.param(b'{"qubits": 1, "gates": [{"kind": "rz", "theta": 1' + b"0" * 400 + b', "wire": 0}]}',
+                     id="rz-theta-beyond-float-range"),
+        pytest.param(b'{"qubits": 1, "gates": [{"kind": "mat2", "entries": [[1' + b"0" * 400
+                     + b', 0], [0, 0], [0, 0], [1, 0]], "wire": 0}]}', id="mat2-entry-beyond-float-range"),
         b'{"qubits": 1, "gates": [{"kind": "u", "alpha": 1e400, "beta": 0, "gamma": 0, "delta": 0, "wire": 0}]}',
-        b'{"qubits": 1, "gates": [], "\xff": 1}',
+        pytest.param(b'{"qubits": 1, "gates": [], "\xff": 1}', id="invalid-utf8"),
     ],
 )
 def test_parser_rejects_mutations(doc):

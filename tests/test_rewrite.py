@@ -9,6 +9,7 @@ from qfhe import (
     OperatorNotPermitted,
     QotpKey,
     Scheme,
+    apply_to_density,
     decrypt,
     encrypt,
     evaluate,
@@ -16,7 +17,6 @@ from qfhe import (
     gate_matrix,
     keygen,
     pauli_operator,
-    apply_to_density,
     rewrite_circuit,
     rewrite_gate,
     scheme_evaluate,
