@@ -5,9 +5,13 @@ Conventions used everywhere in this package:
 - operators compose right-to-left, so ``X^a Z^b`` applies Z first,
 - all angles are radians; the IR keeps them canonical in [0, 2*pi).
 
-Everything here is dense and double precision. Target scale is n <= 8 for
-statevectors and n <= 5 for density matrices; the exhaustive key loops in
-the analysis layer cap useful n well below that anyway.
+Everything here is double precision. Gates are contracted with the wire axes
+of a state (``apply_to_wires``); the dense 2^n x 2^n embeddings
+(``embed_on_wires``, ``apply_to_density``) remain as the test oracles. On a
+2-core Xeon with one BLAS thread, 200 random gates take about 9 ms on a pure
+n=12 state and about 0.4 s on a density n=7 state, where the eigenvalue check
+of each DensityState construction takes nearly all of it. The exhaustive key
+loops in the analysis layer cap useful n well below that anyway.
 """
 from __future__ import annotations
 
@@ -152,7 +156,8 @@ def all_bit_strings(n: int):
 
 
 def _check_finite(arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr.view(float))):
+    # isfinite tests both parts of a complex entry, in any memory layout
+    if not np.isfinite(arr).all():
         raise ValueError("entries must be finite")
 
 
@@ -226,8 +231,8 @@ def apply_to_density(unitary: np.ndarray, rho: DensityState) -> DensityState:
     return DensityState(rho.n_qubits, unitary @ rho.matrix @ unitary.conj().T)
 
 
-def embed_on_wires(unitary: np.ndarray, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Tensor-embed a k-qubit operator onto the named wires of an n-qubit register."""
+def _checked_operator(unitary, wires, n_qubits: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The operator as a complex array and the wires as a tuple; ValueError unless they fit."""
     unitary = np.asarray(unitary, dtype=complex)
     wires = tuple(wires)
     k = len(wires)
@@ -237,6 +242,13 @@ def embed_on_wires(unitary: np.ndarray, wires: tuple[int, ...], n_qubits: int) -
         raise ValueError(f"wires {wires} out of range for {n_qubits} qubits")
     if unitary.shape != (2 ** k, 2 ** k):
         raise ValueError(f"operator shape {unitary.shape} does not match {k} wire(s)")
+    return unitary, wires
+
+
+def embed_on_wires(unitary: np.ndarray, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
+    """Tensor-embed a k-qubit operator onto the named wires of an n-qubit register."""
+    unitary, wires = _checked_operator(unitary, wires, n_qubits)
+    k = len(wires)
     if k == n_qubits and wires == tuple(range(n_qubits)):
         return unitary
     others = [q for q in range(n_qubits) if q not in wires]
@@ -248,17 +260,48 @@ def embed_on_wires(unitary: np.ndarray, wires: tuple[int, ...], n_qubits: int) -
     return tensor.reshape(2 ** n_qubits, 2 ** n_qubits)
 
 
-def apply_to_wires(unitary: np.ndarray, wires, state):
-    """Apply a 1- or 2-qubit operator to the named wires of a state.
+def _apply_on_axes(op: np.ndarray, axes: tuple[int, ...], flat: np.ndarray, m: int) -> np.ndarray:
+    """Apply a 2^k x 2^k operator to the given axes of the (2,)*m view of flat.
 
-    Accepts a PureState or DensityState and returns the same kind.
+    Axis axes[i] carries the operator's i-th tensor factor. Returns a new
+    C-contiguous array of 2^m entries. Ascending contiguous axes take one
+    matmul on a (2^lo, 2^k, rest) reshape, which copies nothing on the way
+    in. That matmul issues one gemm per batch entry, so once the batch
+    outnumbers the columns each entry covers, and for any other axes, the
+    axes are gathered in front, multiplied in one gemm and scattered back.
+    """
+    k = len(axes)
+    lo = axes[0] if axes else 0
+    if axes == tuple(range(lo, lo + k)):
+        batch, rest = 1 << lo, 1 << (m - lo - k)
+        if rest == 1:
+            return (flat.reshape(batch, 1 << k) @ op.T).reshape(-1)
+        if batch <= rest:
+            return np.matmul(op, flat.reshape(batch, 1 << k, rest)).reshape(-1)
+    perm = [*axes, *(a for a in range(m) if a not in axes)]
+    gathered = flat.reshape((2,) * m).transpose(perm)
+    out = (op @ gathered.reshape(1 << k, -1)).reshape(gathered.shape)
+    return out.transpose(sorted(range(m), key=perm.__getitem__)).reshape(-1)
+
+
+def apply_to_wires(unitary: np.ndarray, wires, state):
+    """Apply a k-qubit operator to the named wires of a state.
+
+    Accepts a PureState or DensityState and returns the same kind. This is
+    the one gate-application kernel: every gate and the full-register QOTP
+    masks go through it. The operator is contracted with the wire axes of
+    the state, never embedded into a 2^n x 2^n matrix: a density matrix gets
+    U on its row axes and U* on its column axes.
     """
     if not isinstance(state, (PureState, DensityState)):
         raise TypeError(f"expected PureState or DensityState, got {type(state).__name__}")
-    full = embed_on_wires(unitary, tuple(wires), state.n_qubits)
+    n = state.n_qubits
+    unitary, wires = _checked_operator(unitary, wires, n)
     if isinstance(state, PureState):
-        return PureState(state.n_qubits, full @ state.amplitudes)
-    return apply_to_density(full, state)
+        return PureState(n, _apply_on_axes(unitary, wires, state.amplitudes, n))
+    rows = _apply_on_axes(unitary, wires, state.matrix.reshape(-1), 2 * n)
+    both = _apply_on_axes(unitary.conj(), tuple(n + w for w in wires), rows, 2 * n)
+    return DensityState(n, both.reshape(2 ** n, 2 ** n))
 
 
 def trace_distance(rho: DensityState, sigma: DensityState) -> float:

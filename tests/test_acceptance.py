@@ -6,7 +6,6 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 from qfhe import (
     Circuit,

@@ -5,7 +5,6 @@ import pytest
 
 from qfhe import (
     Circuit,
-    Gate,
     PureState,
     average_over_keys,
     check_appendix_identities,

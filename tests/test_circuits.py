@@ -190,6 +190,21 @@ def test_simulate_matches_full_matrix_oracle():
         assert trace_distance(direct, oracle) <= 1e-9
 
 
+#: bound on the residuals of 10^4 applied gates: the dense path drifted about
+#: 5e-14 in norm and 1e-13 in trace over such a run, and ATOL_STATE is 1e-9
+DRIFT_TOL = 1e-12
+
+
+def test_long_circuit_drift():
+    rng = RandomSource(41)
+    circuit = rng.circuit(4, 10_000)
+    psi = simulate(circuit, rng.pure_state(4)).amplitudes
+    assert abs(np.linalg.norm(psi) - 1.0) <= DRIFT_TOL
+    rho = simulate(circuit, rng.density_state(4)).matrix
+    assert abs(np.trace(rho) - 1.0) <= DRIFT_TOL
+    assert np.max(np.abs(rho - rho.conj().T)) <= DRIFT_TOL
+
+
 # --- full_matrix ---------------------------------------------------------
 
 def test_full_matrix_empty_is_identity():

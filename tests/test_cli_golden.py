@@ -3,8 +3,9 @@
 Every step below runs ``qfhe.cli.main`` in a scratch directory holding the
 files of ``golden/cli/inputs`` and the golden circuits. The files a step
 writes, its exit code, and its stdout and stderr when not empty must equal
-the files under ``golden/cli/expected``. Run this file as a script to
-rewrite the expected files after a deliberate output change.
+the files under ``golden/cli/expected``. Run this file as a script,
+``PYTHONPATH=src python tests/test_cli_golden.py``, to rewrite the expected
+files after a deliberate output change.
 """
 from __future__ import annotations
 

@@ -2,21 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfhe import (
     DensityState,
     PureState,
+    QotpKey,
     apply_to_density,
     apply_to_wires,
     canonical_angle,
+    decrypt,
+    encrypt,
+    full_matrix,
     gate_matrix,
     maximally_mixed,
     pauli_operator,
+    simulate,
     trace_distance,
 )
-from qfhe.linalg import embed_on_wires
+from qfhe.linalg import ATOL_EXACT, GATE_SPECS, embed_on_wires, mask_operator
 from qfhe.rng import RandomSource
 
 TAU = 2 * math.pi
@@ -174,6 +179,87 @@ def test_gate_by_gate_matches_one_shot_embedding():
         assert np.max(np.abs(stepped.amplitudes - total @ state.amplitudes)) <= 1e-9
 
 
+# --- kernel against the dense oracle -------------------------------------
+
+#: the gate kinds of each QOTP variant's mask, for the dense mask oracle
+MASK_GATES = {"xz": ("x", "z"), "hy": ("h", "y")}
+
+
+def _assert_matches_dense(apply, full, rng, n):
+    """apply() on a random pure and density state equals the dense operator full."""
+    psi, rho = rng.pure_state(n), rng.density_state(n)
+    out, out_rho = apply(psi), apply(rho)
+    assert np.max(np.abs(out.amplitudes - full @ psi.amplitudes)) <= ATOL_EXACT
+    assert np.max(np.abs(out_rho.matrix - apply_to_density(full, rho).matrix)) <= ATOL_EXACT
+    for arr in (out.amplitudes, out_rho.matrix):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+
+
+def _check_gate(op, wires, n, rng):
+    _assert_matches_dense(lambda s: apply_to_wires(op, wires, s), embed_on_wires(op, wires, n), rng, n)
+
+
+def _random_gate_matrix(kind, rng):
+    return gate_matrix(kind, tuple(rng.angles(len(GATE_SPECS[kind].params))))
+
+
+@pytest.mark.parametrize("kind", [k for k in GATE_SPECS if k != "cnot"])
+def test_kernel_single_qubit_gates_on_every_wire(kind):
+    rng = RandomSource(17)
+    for n in (1, 3, 5):
+        for wire in range(n):
+            _check_gate(_random_gate_matrix(kind, rng), (wire,), n, rng)
+
+
+def test_kernel_cnot_on_every_ordered_pair():
+    # both wire orders, adjacent and not
+    rng = RandomSource(18)
+    for n in (2, 4):
+        for control in range(n):
+            for target in range(n):
+                if control != target:
+                    _check_gate(gate_matrix("cnot"), (control, target), n, rng)
+
+
+def test_kernel_operators_on_any_wire_set():
+    rng = RandomSource(19)
+    for wires in [(0, 5), (5, 0), (2, 4), (4, 1), (3, 2)]:
+        _check_gate(rng.unitary(4), wires, 6, rng)
+    _check_gate(rng.unitary(8), (4, 0, 2), 6, rng)
+    _check_gate(np.array([[1j]]), (), 3, rng)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(GATE_SPECS)), st.data())
+def test_kernel_matches_dense_oracle(n, seed, kind, data):
+    if kind == "cnot":
+        assume(n > 1)
+        wires = tuple(data.draw(st.permutations(range(n)))[:2])
+    else:
+        wires = (data.draw(st.integers(0, n - 1)),)
+    rng = RandomSource(seed)
+    _check_gate(_random_gate_matrix(kind, rng), wires, n, rng)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(MASK_GATES)))
+def test_kernel_full_register_masks_match_dense(n, seed, variant):
+    rng = RandomSource(seed)
+    key = QotpKey(n, rng.bit_string(n), rng.bit_string(n), variant)
+    first, second = (gate_matrix(kind) for kind in MASK_GATES[variant])
+    for inverse, step in ((False, encrypt), (True, decrypt)):
+        mask = mask_operator(first, second, key.x_bits, key.z_bits, inverse)
+        _assert_matches_dense(lambda s: step(key, s), mask, rng, n)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.integers(0, 12))
+def test_simulate_matches_full_matrix(n, seed, n_gates):
+    rng = RandomSource(seed)
+    circuit = rng.circuit(n, n_gates)
+    _assert_matches_dense(lambda s: simulate(circuit, s), full_matrix(circuit), rng, n)
+
+
 def test_trace_distance_examples():
     rho = RandomSource(1).density_state(2)
     assert trace_distance(rho, rho) <= 1e-12
@@ -230,6 +316,23 @@ def test_density_rejects_non_hermitian():
 def test_density_rejects_bad_trace():
     with pytest.raises(ValueError):
         DensityState(1, np.eye(2))
+
+
+def test_states_accept_non_contiguous_arrays():
+    rng = RandomSource(6)
+    rho = rng.density_state(2).matrix.copy()
+    for layout in (rho.T, np.asfortranarray(rho)):
+        state = DensityState(2, layout)
+        assert np.array_equal(state.matrix, layout)
+        out = apply_to_wires(gate_matrix("h"), (1,), state)
+        full = embed_on_wires(gate_matrix("h"), (1,), 2)
+        assert np.max(np.abs(out.matrix - full @ layout @ full.conj().T)) <= ATOL_EXACT
+    padded = np.zeros(8, dtype=complex)
+    padded[::2] = rng.pure_state(2).amplitudes
+    state = PureState(2, padded[::2])
+    assert np.array_equal(state.amplitudes, padded[::2])
+    out = apply_to_wires(gate_matrix("x"), (0,), state)
+    assert np.array_equal(out.amplitudes, padded[::2][[2, 3, 0, 1]])
 
 
 def test_density_rejects_negative_eigenvalues():
