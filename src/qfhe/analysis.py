@@ -153,6 +153,8 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
     all Pauli conjugates agree up to a global phase, and the Pauli-basis
     expansion has a single non-negligible coefficient. A positive answer
     comes with the witness (a, b, theta) such that U ~ e^{i theta} X^a Z^b.
+    ValueError when tol falls between the two criteria, which then disagree:
+    near a phase-Pauli the deviation is about twice the second coefficient.
     """
     operator = np.asarray(operator, dtype=complex)
     if not linalg.is_unitary(operator):
@@ -178,8 +180,8 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
     by_decomposition = second <= tol
 
     if by_conjugation != by_decomposition:
-        raise RuntimeError(
-            "internal disagreement between conjugation and decomposition classifiers "
+        raise ValueError(
+            f"tolerance {tol} cannot separate the two classifier criteria for this matrix "
             f"(max_deviation={max_dev}, second coefficient={second})"
         )
 

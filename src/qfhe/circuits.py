@@ -162,6 +162,8 @@ def euler_decompose(u: np.ndarray) -> EulerAngles:
 
 def simulate(circuit: Circuit, state):
     """Apply the circuit's gates left to right to a pure or density state."""
+    if not isinstance(state, (linalg.PureState, linalg.DensityState)):
+        raise TypeError(f"expected PureState or DensityState, got {type(state).__name__}")
     if state.n_qubits != circuit.n_qubits:
         raise ValueError(f"circuit has {circuit.n_qubits} qubit(s), state has {state.n_qubits}")
     for gate in circuit.gates:

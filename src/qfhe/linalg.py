@@ -127,25 +127,13 @@ def pauli_operator(x_bits: str, z_bits: str) -> np.ndarray:
     _check_bits(z_bits, "z_bits")
     if len(x_bits) != len(z_bits):
         raise ValueError(f"bit string lengths differ: {len(x_bits)} vs {len(z_bits)}")
-    return mask_operator(_X, _Z, x_bits, z_bits)
-
-
-def mask_operator(first: np.ndarray, second: np.ndarray, x_bits: str, z_bits: str,
-                  inverse: bool = False) -> np.ndarray:
-    """Kron over qubits of first^a second^b (second applies first), or second^b first^a.
-
-    For self-inverse first and second, ``inverse`` gives the exact inverse.
-    Decryption uses it rather than the adjoint of the encryption mask, which
-    is equal in value but flips the sign of zero imaginary parts, and
-    canonical JSON prints those as -0.0.
-    """
     op = np.eye(1, dtype=complex)
     for a, b in zip(x_bits, z_bits):
-        steps = ((a, first), (b, second)) if inverse else ((b, second), (a, first))
         factor = _I2
-        for bit, mat in steps:
-            if bit == "1":
-                factor = mat @ factor
+        if b == "1":
+            factor = _Z @ factor
+        if a == "1":
+            factor = _X @ factor
         op = np.kron(op, factor)
     return op
 
@@ -169,7 +157,7 @@ class PureState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vec = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        vec = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if vec.shape[0] != 2 ** self.n_qubits:
             raise ValueError(
                 f"expected {2 ** self.n_qubits} amplitudes for {self.n_qubits} qubits, "
@@ -200,7 +188,7 @@ class DensityState:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         dim = 2 ** self.n_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
@@ -288,10 +276,10 @@ def apply_to_wires(unitary: np.ndarray, wires, state):
     """Apply a k-qubit operator to the named wires of a state.
 
     Accepts a PureState or DensityState and returns the same kind. This is
-    the one gate-application kernel: every gate and the full-register QOTP
-    masks go through it. The operator is contracted with the wire axes of
-    the state, never embedded into a 2^n x 2^n matrix: a density matrix gets
-    U on its row axes and U* on its column axes.
+    the one gate-application kernel: every gate of ``circuits.simulate``,
+    the QOTP masks included, goes through it. The operator is contracted
+    with the wire axes of the state, never embedded into a 2^n x 2^n matrix:
+    a density matrix gets U on its row axes and U* on its column axes.
     """
     if not isinstance(state, (PureState, DensityState)):
         raise TypeError(f"expected PureState or DensityState, got {type(state).__name__}")

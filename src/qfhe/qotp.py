@@ -1,15 +1,16 @@
 """Quantum one-time pad: key generation, encryption, decryption.
 
-A key holds one X-exponent bit and one Z-exponent bit per qubit. Encryption
-conjugates the state by the Pauli mask X^a Z^b; decryption applies the exact
-inverse Z^b X^a. The "hy" variant replaces the mask with H^a Y^b and is only
-meaningful for the Ry-family scheme.
+A key holds one X-exponent bit and one Z-exponent bit per qubit. The mask is
+a circuit conjugating each qubit by X^a Z^b; decryption runs it reversed, the
+exact inverse Z^b X^a since every mask gate is self-inverse. The "hy" variant
+masks with H^a Y^b and is only meaningful for the Ry-family scheme.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import linalg
+from .circuits import Circuit, Gate, simulate
 from .linalg import DensityState, PureState
 from .rng import RandomSource
 
@@ -48,22 +49,28 @@ def keygen(n_qubits: int, rng: RandomSource, variant: str = VARIANT_XZ) -> QotpK
 _MASK_GATES = {VARIANT_XZ: ("x", "z"), VARIANT_HY: ("h", "y")}
 
 
-def _conjugate(key: QotpKey, state, inverse: bool):
+def _mask(key: QotpKey, state) -> Circuit:
+    """The encryption mask as a circuit: per wire, the z-bit gate then the x-bit gate."""
     if isinstance(state, (PureState, DensityState)) and state.n_qubits != key.n_qubits:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), state has {state.n_qubits}")
-    first, second = (linalg.gate_matrix(kind) for kind in _MASK_GATES[key.variant])
-    op = linalg.mask_operator(first, second, key.x_bits, key.z_bits, inverse)
-    return linalg.apply_to_wires(op, range(key.n_qubits), state)
+    first, second = _MASK_GATES[key.variant]
+    gates = []
+    for wire, (a, b) in enumerate(zip(key.x_bits, key.z_bits)):
+        if b == "1":
+            gates.append(Gate.named(second, wire))
+        if a == "1":
+            gates.append(Gate.named(first, wire))
+    return Circuit(key.n_qubits, tuple(gates))
 
 
 def encrypt(key: QotpKey, state):
     """Conjugate by the key mask: X^a Z^b (or H^a Y^b) on each qubit."""
-    return _conjugate(key, state, inverse=False)
+    return simulate(_mask(key, state), state)
 
 
 def decrypt(key: QotpKey, state):
-    """Exact inverse of encrypt for the same key."""
-    return _conjugate(key, state, inverse=True)
+    """Exact inverse of encrypt for the same key: the mask gates in reverse order."""
+    return simulate(Circuit(key.n_qubits, _mask(key, state).gates[::-1]), state)
 
 
 def all_keys(n_qubits: int, variant: str = VARIANT_XZ):

@@ -178,6 +178,16 @@ def test_classify_rejects_non_unitary():
         classify_key_independent(np.diag([1.0, 2.0]))
 
 
+def test_classify_tolerance_between_the_criteria_is_a_value_error():
+    # near a phase-Pauli the deviation is about 2*eps, the second coefficient about eps
+    eps = 1e-3
+    u = math.cos(eps) * np.eye(2) + 1j * math.sin(eps) * gate_matrix("x")
+    with pytest.raises(ValueError, match="cannot separate the two classifier criteria"):
+        classify_key_independent(u, 1.5e-3)
+    assert not classify_key_independent(u, 1e-4).key_independent
+    assert classify_key_independent(u, 1e-2).key_independent
+
+
 # --- commutation identities ----------------------------------------------
 
 def test_appendix_identities_all_hold():

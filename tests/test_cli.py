@@ -250,6 +250,15 @@ def test_classify_non_unitary_exits_2(tmp_path):
     assert main(["classify", "--unitary", path]) == 2
 
 
+def test_classify_tolerance_between_the_criteria_exits_2(tmp_path, capsys):
+    eps = 1e-3
+    u = math.cos(eps) * np.eye(2) + 1j * math.sin(eps) * gate_matrix("x")
+    path = write(tmp_path / "u.json", matrix_doc(u))
+    assert main(["classify", "--unitary", path, "--tol", "1.5e-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tolerance 0.0015 cannot separate") and "Traceback" not in err
+
+
 def test_classify_json_format(tmp_path, capsys):
     path = write(tmp_path / "u.json", matrix_doc(np.exp(0.25j) * gate_matrix("z")))
     assert main(["classify", "--unitary", path, "--format", "json"]) == 0

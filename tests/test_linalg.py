@@ -21,7 +21,7 @@ from qfhe import (
     simulate,
     trace_distance,
 )
-from qfhe.linalg import ATOL_EXACT, GATE_SPECS, embed_on_wires, mask_operator
+from qfhe.linalg import ATOL_EXACT, GATE_SPECS, embed_on_wires
 from qfhe.rng import RandomSource
 
 TAU = 2 * math.pi
@@ -247,9 +247,14 @@ def test_kernel_full_register_masks_match_dense(n, seed, variant):
     rng = RandomSource(seed)
     key = QotpKey(n, rng.bit_string(n), rng.bit_string(n), variant)
     first, second = (gate_matrix(kind) for kind in MASK_GATES[variant])
-    for inverse, step in ((False, encrypt), (True, decrypt)):
-        mask = mask_operator(first, second, key.x_bits, key.z_bits, inverse)
-        _assert_matches_dense(lambda s: step(key, s), mask, rng, n)
+    eye = np.eye(2, dtype=complex)
+    enc = dec = np.eye(1, dtype=complex)
+    for a, b in zip(key.x_bits, key.z_bits):
+        f = first if a == "1" else eye
+        s = second if b == "1" else eye
+        enc, dec = np.kron(enc, f @ s), np.kron(dec, s @ f)
+    for step, mask in ((encrypt, enc), (decrypt, dec)):
+        _assert_matches_dense(lambda state: step(key, state), mask, rng, n)
 
 
 @settings(deadline=None)
@@ -338,6 +343,19 @@ def test_states_accept_non_contiguous_arrays():
 def test_density_rejects_negative_eigenvalues():
     with pytest.raises(ValueError):
         DensityState(1, np.diag([1.5, -0.5]))
+
+
+def test_states_copy_the_callers_array():
+    vec = np.array([1, 0], dtype=complex)
+    psi = PureState(1, vec)
+    vec[:] = [0, 1]
+    assert np.array_equal(psi.amplitudes, [1, 0])
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    states = [DensityState(1, rho), DensityState(1, rho.T)]
+    rho[0, 0] = 5
+    assert all(state.matrix[0, 0] == 1 for state in states)
+    # freezing the state's own array leaves the caller's writable
+    assert vec.flags.writeable and rho.flags.writeable
 
 
 def test_states_are_immutable():

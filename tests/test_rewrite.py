@@ -242,6 +242,19 @@ def test_evaluate_dim_mismatch():
         evaluate(key, Circuit(2), RandomSource(0).density_state(1))
 
 
+@pytest.mark.parametrize("step", [
+    lambda state: encrypt(QotpKey(2, "00", "00"), state),
+    lambda state: decrypt(QotpKey(2, "00", "00"), state),
+    lambda state: evaluate(QotpKey(2, "00", "00"), Circuit(2), state),
+    lambda state: simulate(Circuit(2), state),
+], ids=["encrypt", "decrypt", "evaluate", "simulate"])
+def test_non_state_rejected_by_empty_circuits(step):
+    # an all-zero key masks with no gates, so only simulate's own check is left
+    for not_a_state in (np.array([1, 0, 0, 0], dtype=complex), "x"):
+        with pytest.raises(TypeError, match="expected PureState or DensityState"):
+            step(not_a_state)
+
+
 # --- restricted schemes --------------------------------------------------
 
 def _single_gate_round_trip(scheme, key, op, sigma):
