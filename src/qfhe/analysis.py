@@ -38,11 +38,11 @@ class PauliCoefficients:
     table: dict[tuple[str, str], complex]
 
     def reconstruct(self) -> np.ndarray:
+        """Sum of coeff * X^a Z^b in table order; a table may hold any subset of the keys."""
         dim = 2 ** self.n_qubits
-        total = np.zeros((dim, dim), dtype=complex)
-        for (a, b), coeff in self.table.items():
-            total += coeff * linalg.pauli_operator(a, b)
-        return total
+        paulis = {key: p for key, p in linalg.pauli_basis(self.n_qubits) if key in self.table}
+        terms = (coeff * paulis[key] for key, coeff in self.table.items())
+        return sum(terms, np.zeros((dim, dim), dtype=complex))
 
     def weight_sum(self) -> float:
         """Sum of squared magnitudes; 1 for unitary sources."""
@@ -70,17 +70,17 @@ class SecurityReport:
     passed: bool
 
 
+def _check_tolerance(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+
+
 def average_over_keys(sigma: DensityState) -> DensityState:
     """Uniform average of X^a Z^b sigma Z^b X^a over all 4^n key pairs."""
     n = sigma.n_qubits
     if n > _MAX_QUBITS_AVERAGE:
         raise ValueError(f"key averaging is limited to {_MAX_QUBITS_AVERAGE} qubits, got {n}")
-    dim = 2 ** n
-    total = np.zeros((dim, dim), dtype=complex)
-    for a in linalg.all_bit_strings(n):
-        for b in linalg.all_bit_strings(n):
-            p = linalg.pauli_operator(a, b)
-            total += p @ sigma.matrix @ p.conj().T
+    total = sum(p @ sigma.matrix @ p.conj().T for _, p in linalg.pauli_basis(n))
     return DensityState(n, total / (4 ** n))
 
 
@@ -90,6 +90,7 @@ def verify_security(circuit: Circuit, sigma: DensityState, tol: float) -> Securi
     Averages encrypt(key, sigma) and evaluate(key, C, encrypt(key, sigma))
     over every key and reports the trace distances to the mixed state.
     """
+    _check_tolerance(tol)
     n = circuit.n_qubits
     if n != sigma.n_qubits:
         raise ValueError(f"circuit has {n} qubit(s), state has {sigma.n_qubits}")
@@ -129,11 +130,7 @@ def pauli_decompose(operator: np.ndarray) -> PauliCoefficients:
         raise ValueError(f"dimension {dim} is not a power of two")
     if n > _MAX_QUBITS_DECOMPOSE:
         raise ValueError(f"decomposition is limited to {_MAX_QUBITS_DECOMPOSE} qubits, got {n}")
-    table: dict[tuple[str, str], complex] = {}
-    for a in linalg.all_bit_strings(n):
-        for b in linalg.all_bit_strings(n):
-            p = linalg.pauli_operator(a, b)
-            table[(a, b)] = complex(np.trace(p.conj().T @ operator)) / dim
+    table = {key: complex(np.trace(p.conj().T @ operator)) / dim for key, p in linalg.pauli_basis(n)}
     return PauliCoefficients(n, table)
 
 
@@ -156,6 +153,7 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
     ValueError when tol falls between the two criteria, which then disagree:
     near a phase-Pauli the deviation is about twice the second coefficient.
     """
+    _check_tolerance(tol)
     operator = np.asarray(operator, dtype=complex)
     if not linalg.is_unitary(operator):
         raise ValueError("matrix is not unitary within 1e-9")
@@ -166,12 +164,8 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
     if n > _MAX_QUBITS_CLASSIFY:
         raise ValueError(f"classification is limited to {_MAX_QUBITS_CLASSIFY} qubits, got {n}")
 
-    max_dev = 0.0
-    for a in linalg.all_bit_strings(n):
-        for b in linalg.all_bit_strings(n):
-            p = linalg.pauli_operator(a, b)
-            conjugate = p @ operator @ p.conj().T
-            max_dev = max(max_dev, _phase_adjusted_distance(conjugate, operator))
+    conjugates = (p @ operator @ p.conj().T for _, p in linalg.pauli_basis(n))
+    max_dev = max(_phase_adjusted_distance(c, operator) for c in conjugates)
     by_conjugation = max_dev <= tol
 
     coeffs = pauli_decompose(operator)

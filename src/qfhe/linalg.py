@@ -28,7 +28,6 @@ ATOL_STATE = 1e-9
 #: tolerance for identities between exact matrix products
 ATOL_EXACT = 1e-12
 
-_I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -122,25 +121,30 @@ def pauli_operator(x_bits: str, z_bits: str) -> np.ndarray:
     """Tensor product X^a Z^b indexed by equal-length bit strings.
 
     Qubit 0 is the most significant factor; on each qubit Z applies first.
+    It is a signed permutation: with a, b read as integers, (X^a Z^b)[i ^ a, i]
+    = (-1)^popcount(b & i) and every other entry is 0.
     """
     _check_bits(x_bits, "x_bits")
     _check_bits(z_bits, "z_bits")
     if len(x_bits) != len(z_bits):
         raise ValueError(f"bit string lengths differ: {len(x_bits)} vs {len(z_bits)}")
-    op = np.eye(1, dtype=complex)
-    for a, b in zip(x_bits, z_bits):
-        factor = _I2
-        if b == "1":
-            factor = _Z @ factor
-        if a == "1":
-            factor = _X @ factor
-        op = np.kron(op, factor)
+    n = len(x_bits)
+    a, b = int(x_bits or "0", 2), int(z_bits or "0", 2)
+    index = np.arange(1 << n)
+    op = np.zeros((1 << n, 1 << n), dtype=complex)
+    op[index ^ a, index] = (-1) ** sum((index & b) >> q & 1 for q in range(n))
     return op
 
 
 def all_bit_strings(n: int):
     """All length-n bit strings in lexicographic order."""
     return [format(i, f"0{n}b") if n else "" for i in range(2 ** n)]
+
+
+def pauli_basis(n: int):
+    """Yield ((a, b), X^a Z^b) one at a time, in the (a, b) order of ``qotp.all_keys``."""
+    bit_strings = all_bit_strings(n)
+    return (((a, b), pauli_operator(a, b)) for a in bit_strings for b in bit_strings)
 
 
 def _check_finite(arr: np.ndarray) -> None:

@@ -17,6 +17,7 @@ from qfhe import (
     verify_security,
 )
 from qfhe.analysis import check_u_rewrite_endpoints
+from qfhe.cli import main
 from qfhe.linalg import all_bit_strings
 from qfhe.rng import RandomSource
 
@@ -52,6 +53,12 @@ def test_average_size_guard():
 
 
 # --- security verification ----------------------------------------------
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_verify_security_rejects_invalid_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        verify_security(Circuit(1), PureState.basis(1, 0).to_density(), tol)
+
 
 def test_verify_security_empty_circuit():
     report = verify_security(Circuit(1), PureState.basis(1, 0).to_density(), 1e-9)
@@ -171,6 +178,23 @@ def test_classify_random_non_paulis_negative():
             continue
         assert not classify_key_independent(u).key_independent
         count += 1
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_classify_rejects_invalid_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        classify_key_independent(gate_matrix("z"), tol)
+
+
+def test_zero_qubit_operator(tmp_path, capsys):
+    coeffs = pauli_decompose(np.eye(1))
+    assert coeffs.table == {("", ""): 1}
+    assert np.array_equal(coeffs.reconstruct(), [[1]])
+    assert classify_key_independent(np.eye(1)).witness == ("", "", 0.0)
+    path = tmp_path / "u.json"
+    path.write_text("[[[1, 0]]]")
+    assert main(["classify", "--unitary", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("key-independent: a= b= theta=0.0\n")
 
 
 def test_classify_rejects_non_unitary():

@@ -217,6 +217,16 @@ def test_verify_security_zero_tol_fails(tmp_path):
     assert main(["verify-security", "--circuit", circ, "--state", state, "--tol", "0"]) == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_security_invalid_tol_exits_2(tmp_path, capsys, tol):
+    circ = write(tmp_path / "c.json", BELL)
+    state = write(tmp_path / "s.json", pure_state_doc(np.array([1.0, 0, 0, 0])))
+    assert main(["verify-security", "--circuit", circ, "--state", state, "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: tolerance must be a finite number >= 0") and "Traceback" not in err
+
+
 def test_verify_security_guard_exits_2(tmp_path):
     circ = write(tmp_path / "c.json", json.dumps({"qubits": 4, "gates": []}))
     amps = np.zeros(16)
@@ -257,6 +267,15 @@ def test_classify_tolerance_between_the_criteria_exits_2(tmp_path, capsys):
     assert main(["classify", "--unitary", path, "--tol", "1.5e-3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: tolerance 0.0015 cannot separate") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_classify_invalid_tol_exits_2(tmp_path, capsys, tol):
+    path = write(tmp_path / "u.json", matrix_doc(gate_matrix("z")))
+    assert main(["classify", "--unitary", path, "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: tolerance must be a finite number >= 0") and "Traceback" not in err
 
 
 def test_classify_json_format(tmp_path, capsys):

@@ -1,7 +1,10 @@
-"""Every imported name is used: a stdlib-ast stand-in for a linter's unused-import rule.
+"""Stdlib-ast stand-ins for two linter rules: unused imports and dead private names.
 
-Package ``__init__.py`` files are skipped, since their imports are the
-re-exported API, and so are ``from __future__`` imports.
+Every imported name is used. Package ``__init__.py`` files are skipped, since
+their imports are the re-exported API, and so are ``from __future__`` imports.
+
+Every single-underscore name that a module of ``src/qfhe`` defines at top level
+is read somewhere in ``src/qfhe``, ``tests`` or ``scripts``.
 """
 from __future__ import annotations
 
@@ -11,12 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(
-    path
-    for folder in ("src/qfhe", "tests", "scripts")
-    for path in (ROOT / folder).rglob("*.py")
-    if path.name != "__init__.py"
-)
+ALL_SOURCES = sorted(path for folder in ("src/qfhe", "tests", "scripts") for path in (ROOT / folder).rglob("*.py"))
+SOURCES = [path for path in ALL_SOURCES if path.name != "__init__.py"]
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -41,3 +40,64 @@ def test_no_unused_imports(path):
 def test_detector_flags_an_unused_name():
     tree = ast.parse("from __future__ import annotations\nimport os, os.path\nfrom m import a, b as c\nc(a)\n")
     assert unused_imports(tree) == ["line 2: os"]
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Single-underscore names bound at module level by an assignment, def or class."""
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    return defined
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Names loaded, attributes loaded, and names imported from another module."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def dead_private_names(defining: dict[str, ast.Module], reading: list[ast.Module]) -> list[str]:
+    read = set().union(*(names_read(tree) for tree in reading))
+    return [
+        f"{where} line {line}: {name}"
+        for where, tree in defining.items()
+        for name, line in private_definitions(tree).items()
+        if name not in read
+    ]
+
+
+def test_no_dead_private_names():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in ALL_SOURCES}
+    package = ROOT / "src" / "qfhe"
+    defining = {str(p.relative_to(ROOT)): t for p, t in trees.items() if p.is_relative_to(package)}
+    assert not dead_private_names(defining, list(trees.values()))
+
+
+def test_detector_flags_a_dead_private_name():
+    module = ast.parse(
+        "_dead = 1\n_a, _b = 2, 3\n_c: int = 4\n__dunder__ = 5\npublic = 6\n"
+        "def _f():\n    _local = _c\n    return _local\n"
+        "class _K:\n    _attr = 7\n"
+        "_dead2 = 8\n_dead2 = 9\n"
+    )
+    # a store is not a read: m._dead stays dead
+    reader = ast.parse("from m import _f\nimport m\nprint(m._b, m._K)\nm._dead = 0\n")
+    assert dead_private_names({"m": module}, [module, reader]) == [
+        "m line 1: _dead", "m line 2: _a", "m line 11: _dead2"
+    ]

@@ -21,7 +21,8 @@ from qfhe import (
     simulate,
     trace_distance,
 )
-from qfhe.linalg import ATOL_EXACT, GATE_SPECS, embed_on_wires
+from qfhe.linalg import ATOL_EXACT, GATE_SPECS, all_bit_strings, embed_on_wires, pauli_basis
+from qfhe.qotp import all_keys
 from qfhe.rng import RandomSource
 
 TAU = 2 * math.pi
@@ -101,9 +102,20 @@ def test_pauli_xz_order():
 
 
 def test_pauli_tensor_order():
-    # qubit 0 is the most significant factor
+    # qubit 0 is the most significant factor; on each qubit Z applies first
     x, z = gate_matrix("x"), gate_matrix("z")
-    assert np.allclose(pauli_operator("10", "01"), np.kron(x, z), atol=1e-15)
+    for n in range(5):
+        for a in all_bit_strings(n):
+            for b in all_bit_strings(n):
+                expected = np.eye(1)
+                for ai, bi in zip(a, b):
+                    factor = np.linalg.matrix_power(x, int(ai)) @ np.linalg.matrix_power(z, int(bi))
+                    expected = np.kron(expected, factor)
+                assert np.array_equal(pauli_operator(a, b), expected), (a, b)
+    for n in range(1, 4):
+        basis = list(pauli_basis(n))
+        assert len(basis) == 4 ** n
+        assert [key for key, _ in basis] == [(k.x_bits, k.z_bits) for k in all_keys(n)]
 
 
 def test_pauli_rejects_length_mismatch():
