@@ -13,10 +13,8 @@ from .analysis import (
 from .circuits import (
     Circuit,
     CircuitFormatError,
-    EulerAngles,
     Gate,
     euler_decompose,
-    full_matrix,
     parse_circuit,
     serialize_circuit,
     simulate,
@@ -24,12 +22,10 @@ from .circuits import (
 from .linalg import (
     DensityState,
     PureState,
-    apply_to_density,
     apply_to_wires,
     canonical_angle,
     gate_matrix,
     maximally_mixed,
-    pauli_operator,
     trace_distance,
 )
 from .qotp import QotpKey, decrypt, encrypt, keygen
@@ -49,7 +45,6 @@ __all__ = [
     "CircuitFormatError",
     "ClassifyResult",
     "DensityState",
-    "EulerAngles",
     "Gate",
     "OperatorNotPermitted",
     "PauliCoefficients",
@@ -59,7 +54,6 @@ __all__ = [
     "RewriteResult",
     "Scheme",
     "SecurityReport",
-    "apply_to_density",
     "apply_to_wires",
     "average_over_keys",
     "canonical_angle",
@@ -69,13 +63,11 @@ __all__ = [
     "encrypt",
     "euler_decompose",
     "evaluate",
-    "full_matrix",
     "gate_matrix",
     "keygen",
     "maximally_mixed",
     "parse_circuit",
     "pauli_decompose",
-    "pauli_operator",
     "rewrite_circuit",
     "rewrite_gate",
     "scheme_evaluate",

@@ -1,13 +1,18 @@
 """Exhaustive small-scale verification of the scheme's security claims.
 
-Three families of checks, all numerical and all brute-force at desk scale:
+Three families of checks, all numerical at desk scale:
 - key averaging: encrypting (or evaluating) under a uniformly random key and
   forgetting the key yields the totally mixed state,
 - Pauli-basis decomposition and the key-independence classifier: the only
   operators whose rewritten twin needs no key knowledge are phase-Paulis,
 - the commutation identities every rewrite rule rests on.
 
-Key loops are 4^n-sized, so sizes are hard-guarded rather than silently slow.
+No Pauli operator is built as a matrix. Column i of X^a Z^b holds
+S[b, i] = (-1)^popcount(b & i) in row i ^ a, so decomposing, conjugating and
+reconstructing are gathers and scatters with one sign table. Key averaging
+runs n one-wire twirls of ``qotp.encrypt``, since the key bits are
+independent. Only ``verify_security`` still loops over all 4^n keys. Sizes
+are hard-guarded rather than silently slow.
 """
 from __future__ import annotations
 
@@ -38,11 +43,18 @@ class PauliCoefficients:
     table: dict[tuple[str, str], complex]
 
     def reconstruct(self) -> np.ndarray:
-        """Sum of coeff * X^a Z^b in table order; a table may hold any subset of the keys."""
-        dim = 2 ** self.n_qubits
-        paulis = {key: p for key, p in linalg.pauli_basis(self.n_qubits) if key in self.table}
-        terms = (coeff * paulis[key] for key, coeff in self.table.items())
-        return sum(terms, np.zeros((dim, dim), dtype=complex))
+        """Sum of coeff * X^a Z^b in table order; a table may hold any subset of the keys.
+
+        KeyError for a key that is not a pair of n-bit strings.
+        """
+        bits = linalg.all_bit_strings(self.n_qubits)
+        position = {(a, b): (i, j) for i, a in enumerate(bits) for j, b in enumerate(bits)}
+        signs, idx = _pauli_signs(self.n_qubits), np.arange(len(bits))
+        total = np.zeros((len(bits), len(bits)), dtype=complex)
+        for key, coeff in self.table.items():
+            a, b = position[key]
+            total[idx ^ a, idx] += coeff * signs[b]
+        return total
 
     def weight_sum(self) -> float:
         """Sum of squared magnitudes; 1 for unitary sources."""
@@ -75,13 +87,29 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 
+def _pauli_signs(n: int) -> np.ndarray:
+    """S[b, i] = (-1)^popcount(b & i): column i of X^a Z^b holds S[b, i] in row i ^ a."""
+    idx = np.arange(1 << n)
+    parity = np.zeros((1 << n, 1 << n), dtype=int)
+    for q in range(n):
+        parity ^= (idx[:, None] & idx) >> q & 1
+    return 1 - 2 * parity
+
+
 def average_over_keys(sigma: DensityState) -> DensityState:
-    """Uniform average of X^a Z^b sigma Z^b X^a over all 4^n key pairs."""
+    """Uniform average of X^a Z^b sigma Z^b X^a over all 4^n key pairs.
+
+    The key bits are independent, so the average is n one-wire twirls: each
+    averages ``qotp.encrypt`` over the four keys with bits on that wire only.
+    """
     n = sigma.n_qubits
     if n > _MAX_QUBITS_AVERAGE:
         raise ValueError(f"key averaging is limited to {_MAX_QUBITS_AVERAGE} qubits, got {n}")
-    total = sum(p @ sigma.matrix @ p.conj().T for _, p in linalg.pauli_basis(n))
-    return DensityState(n, total / (4 ** n))
+    for wire in range(n):
+        on_wire = [("0" * wire + bit).ljust(n, "0") for bit in "01"]
+        keys = [qotp.QotpKey(n, a, b) for a in on_wire for b in on_wire]
+        sigma = DensityState(n, sum(qotp.encrypt(key, sigma).matrix for key in keys) / 4)
+    return sigma
 
 
 def verify_security(circuit: Circuit, sigma: DensityState, tol: float) -> SecurityReport:
@@ -130,7 +158,12 @@ def pauli_decompose(operator: np.ndarray) -> PauliCoefficients:
         raise ValueError(f"dimension {dim} is not a power of two")
     if n > _MAX_QUBITS_DECOMPOSE:
         raise ValueError(f"decomposition is limited to {_MAX_QUBITS_DECOMPOSE} qubits, got {n}")
-    table = {key: complex(np.trace(p.conj().T @ operator)) / dim for key, p in linalg.pauli_basis(n)}
+    # v[a, i] = U[i ^ a, i]; the reduction sums over i in np.trace's order
+    idx = np.arange(dim)
+    v = operator[idx ^ idx[:, None], idx]
+    coeffs = (v[:, None, :] * _pauli_signs(n)).sum(axis=2) / dim
+    bits = linalg.all_bit_strings(n)
+    table = {(bits[a], bits[b]): complex(coeffs[a, b]) for a in range(dim) for b in range(dim)}
     return PauliCoefficients(n, table)
 
 
@@ -164,7 +197,12 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
     if n > _MAX_QUBITS_CLASSIFY:
         raise ValueError(f"classification is limited to {_MAX_QUBITS_CLASSIFY} qubits, got {n}")
 
-    conjugates = (p @ operator @ p.conj().T for _, p in linalg.pauli_basis(n))
+    # X^a Z^b U (X^a Z^b)^dagger, entry (r, c): S[b, r] S[b, c] U[r ^ a, c ^ a]
+    signs, idx = _pauli_signs(n), np.arange(dim)
+    conjugates = (
+        np.outer(signs[b], signs[b]) * operator[np.ix_(idx ^ a, idx ^ a)]
+        for a in range(dim) for b in range(dim)
+    )
     max_dev = max(_phase_adjusted_distance(c, operator) for c in conjugates)
     by_conjugation = max_dev <= tol
 

@@ -171,19 +171,6 @@ def simulate(circuit: Circuit, state):
     return state
 
 
-_FULL_MATRIX_MAX_QUBITS = 6
-
-
-def full_matrix(circuit: Circuit) -> np.ndarray:
-    """Ordered product of tensor-embedded gate matrices (later gates on the left)."""
-    if circuit.n_qubits > _FULL_MATRIX_MAX_QUBITS:
-        raise ValueError(f"full_matrix is limited to {_FULL_MATRIX_MAX_QUBITS} qubits")
-    total = np.eye(2 ** circuit.n_qubits, dtype=complex)
-    for gate in circuit.gates:
-        total = linalg.embed_on_wires(gate.matrix(), gate.wires, circuit.n_qubits) @ total
-    return total
-
-
 # --- circuit file format -------------------------------------------------
 
 def is_finite_number(value) -> bool:

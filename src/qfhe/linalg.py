@@ -6,12 +6,11 @@ Conventions used everywhere in this package:
 - all angles are radians; the IR keeps them canonical in [0, 2*pi).
 
 Everything here is double precision. Gates are contracted with the wire axes
-of a state (``apply_to_wires``); the dense 2^n x 2^n embeddings
-(``embed_on_wires``, ``apply_to_density``) remain as the test oracles. On a
-2-core Xeon with one BLAS thread, 200 random gates take about 9 ms on a pure
-n=12 state and about 0.4 s on a density n=7 state, where the eigenvalue check
-of each DensityState construction takes nearly all of it. The exhaustive key
-loops in the analysis layer cap useful n well below that anyway.
+of a state (``apply_to_wires``), never embedded into a 2^n x 2^n operator.
+On a 2-core Xeon with one BLAS thread, 200 random gates take about 9 ms on a
+pure n=12 state and about 0.4 s on a density n=7 state, where the eigenvalue
+check of each DensityState construction takes nearly all of it. The 4^n key
+loop of ``analysis.verify_security`` caps useful n well below that anyway.
 """
 from __future__ import annotations
 
@@ -48,7 +47,7 @@ def canonical_angle(theta: float) -> float:
     r = math.fmod(theta, TAU)
     if r < 0.0:
         r += TAU
-    if r >= TAU:  # fmod rounding can land exactly on 2*pi
+    if r >= TAU or r == 0.0:  # fmod rounding can land exactly on 2*pi; -0.0 is 0.0
         r = 0.0
     return r
 
@@ -112,39 +111,9 @@ def gate_matrix(kind: str, params: tuple[float, ...] = ()) -> np.ndarray:
     return spec.build(*params)
 
 
-def _check_bits(bits: str, name: str) -> None:
-    if not all(c in "01" for c in bits):
-        raise ValueError(f"{name} must be a string of 0/1, got {bits!r}")
-
-
-def pauli_operator(x_bits: str, z_bits: str) -> np.ndarray:
-    """Tensor product X^a Z^b indexed by equal-length bit strings.
-
-    Qubit 0 is the most significant factor; on each qubit Z applies first.
-    It is a signed permutation: with a, b read as integers, (X^a Z^b)[i ^ a, i]
-    = (-1)^popcount(b & i) and every other entry is 0.
-    """
-    _check_bits(x_bits, "x_bits")
-    _check_bits(z_bits, "z_bits")
-    if len(x_bits) != len(z_bits):
-        raise ValueError(f"bit string lengths differ: {len(x_bits)} vs {len(z_bits)}")
-    n = len(x_bits)
-    a, b = int(x_bits or "0", 2), int(z_bits or "0", 2)
-    index = np.arange(1 << n)
-    op = np.zeros((1 << n, 1 << n), dtype=complex)
-    op[index ^ a, index] = (-1) ** sum((index & b) >> q & 1 for q in range(n))
-    return op
-
-
 def all_bit_strings(n: int):
     """All length-n bit strings in lexicographic order."""
     return [format(i, f"0{n}b") if n else "" for i in range(2 ** n)]
-
-
-def pauli_basis(n: int):
-    """Yield ((a, b), X^a Z^b) one at a time, in the (a, b) order of ``qotp.all_keys``."""
-    bit_strings = all_bit_strings(n)
-    return (((a, b), pauli_operator(a, b)) for a in bit_strings for b in bit_strings)
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -215,14 +184,6 @@ def is_unitary(mat: np.ndarray, atol: float = ATOL_STATE) -> bool:
     return bool(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= atol)
 
 
-def apply_to_density(unitary: np.ndarray, rho: DensityState) -> DensityState:
-    """Conjugation rho -> U rho U^dagger."""
-    unitary = np.asarray(unitary, dtype=complex)
-    if unitary.shape != rho.matrix.shape:
-        raise ValueError(f"operator shape {unitary.shape} does not match state dim {rho.matrix.shape}")
-    return DensityState(rho.n_qubits, unitary @ rho.matrix @ unitary.conj().T)
-
-
 def _checked_operator(unitary, wires, n_qubits: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """The operator as a complex array and the wires as a tuple; ValueError unless they fit."""
     unitary = np.asarray(unitary, dtype=complex)
@@ -235,21 +196,6 @@ def _checked_operator(unitary, wires, n_qubits: int) -> tuple[np.ndarray, tuple[
     if unitary.shape != (2 ** k, 2 ** k):
         raise ValueError(f"operator shape {unitary.shape} does not match {k} wire(s)")
     return unitary, wires
-
-
-def embed_on_wires(unitary: np.ndarray, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Tensor-embed a k-qubit operator onto the named wires of an n-qubit register."""
-    unitary, wires = _checked_operator(unitary, wires, n_qubits)
-    k = len(wires)
-    if k == n_qubits and wires == tuple(range(n_qubits)):
-        return unitary
-    others = [q for q in range(n_qubits) if q not in wires]
-    full = np.kron(unitary, np.eye(2 ** (n_qubits - k), dtype=complex))
-    order = list(wires) + others  # axis position -> qubit label
-    perm = [order.index(q) for q in range(n_qubits)]
-    tensor = full.reshape((2,) * (2 * n_qubits))
-    tensor = tensor.transpose(perm + [n_qubits + p for p in perm])
-    return tensor.reshape(2 ** n_qubits, 2 ** n_qubits)
 
 
 def _apply_on_axes(op: np.ndarray, axes: tuple[int, ...], flat: np.ndarray, m: int) -> np.ndarray:

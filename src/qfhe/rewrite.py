@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import circuits, linalg, qotp
 from .circuits import Circuit, Gate
-from .linalg import DensityState, canonical_angle
+from .linalg import DensityState
 from .qotp import QotpKey
 
 
@@ -48,10 +48,21 @@ class RewriteResult:
 
 
 def _negate_if(theta: float, active: int) -> tuple[float, int]:
-    """Canonical (-1)^active * theta and whether canonicalization wrapped (one sign flip)."""
+    """Canonical (-1)^active * theta and the number of 2*pi wraps (each one sign flip).
+
+    A tiny theta negates to an angle that rounds to 0.0 without a wrap.
+    """
     if not active or theta == 0.0:
         return theta, 0
-    return canonical_angle(-theta), 1
+    return circuits._canon_with_wraps(-theta)
+
+
+#: ZYZ angles of the fixed single-qubit kinds, which rewrite as u
+_LIFTED = {
+    kind: circuits.euler_decompose(spec.build()).as_tuple()
+    for kind, spec in linalg.GATE_SPECS.items()
+    if len(spec.wires) == 1 and not spec.parity
+}
 
 
 def rewrite_gate(key: QotpKey, gate: Gate) -> RewriteResult:
@@ -78,9 +89,9 @@ def rewrite_gate(key: QotpKey, gate: Gate) -> RewriteResult:
     j = int(key.x_bits[wire])
     k = int(key.z_bits[wire])
     kind, params = gate.kind, gate.params
-    if not linalg.GATE_SPECS[kind].parity:
+    if kind in _LIFTED:
         # named gates lift through the ZYZ form; the general rule covers them
-        kind, params = "u", circuits.euler_decompose(gate.matrix()).as_tuple()
+        kind, params = "u", _LIFTED[kind]
     angles: list[float] = []
     flips = 0
     for theta, (x_weight, z_weight) in zip(params, linalg.GATE_SPECS[kind].parity):

@@ -1,0 +1,90 @@
+"""Dense slow oracles the tests compare the package's fast paths against.
+
+Each builds full 2^n x 2^n matrices: Pauli operators one at a time, gates
+tensor-embedded into the whole register, circuits as the product of those
+embeddings. The package itself works on wire axes and sign tables instead,
+so nothing here is imported by ``src/qfhe``.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from qfhe.circuits import Circuit
+from qfhe.linalg import DensityState, _checked_operator, all_bit_strings
+
+
+def _check_bits(bits: str, name: str) -> None:
+    if not all(c in "01" for c in bits):
+        raise ValueError(f"{name} must be a string of 0/1, got {bits!r}")
+
+
+def pauli_operator(x_bits: str, z_bits: str) -> np.ndarray:
+    """Tensor product X^a Z^b indexed by equal-length bit strings.
+
+    Qubit 0 is the most significant factor; on each qubit Z applies first.
+    It is a signed permutation: with a, b read as integers, (X^a Z^b)[i ^ a, i]
+    = (-1)^popcount(b & i) and every other entry is 0.
+    """
+    _check_bits(x_bits, "x_bits")
+    _check_bits(z_bits, "z_bits")
+    if len(x_bits) != len(z_bits):
+        raise ValueError(f"bit string lengths differ: {len(x_bits)} vs {len(z_bits)}")
+    n = len(x_bits)
+    a, b = int(x_bits or "0", 2), int(z_bits or "0", 2)
+    index = np.arange(1 << n)
+    op = np.zeros((1 << n, 1 << n), dtype=complex)
+    op[index ^ a, index] = (-1) ** sum((index & b) >> q & 1 for q in range(n))
+    return op
+
+
+def pauli_basis(n: int):
+    """Yield ((a, b), X^a Z^b) one at a time, in the (a, b) order of ``qotp.all_keys``."""
+    bit_strings = all_bit_strings(n)
+    return (((a, b), pauli_operator(a, b)) for a in bit_strings for b in bit_strings)
+
+
+def pauli_table(operator: np.ndarray) -> dict[tuple[str, str], complex]:
+    """tr((X^a Z^b)^dagger U) / 2^n for every (a, b), one dense product and trace each."""
+    dim = operator.shape[0]
+    return {key: complex(np.trace(p.conj().T @ operator)) / dim for key, p in pauli_basis(dim.bit_length() - 1)}
+
+
+def pauli_conjugates(operator: np.ndarray) -> list[np.ndarray]:
+    """X^a Z^b U (X^a Z^b)^dagger for every (a, b), as dense products."""
+    return [p @ operator @ p.conj().T for _, p in pauli_basis(operator.shape[0].bit_length() - 1)]
+
+
+def apply_to_density(unitary: np.ndarray, rho: DensityState) -> DensityState:
+    """Conjugation rho -> U rho U^dagger."""
+    unitary = np.asarray(unitary, dtype=complex)
+    if unitary.shape != rho.matrix.shape:
+        raise ValueError(f"operator shape {unitary.shape} does not match state dim {rho.matrix.shape}")
+    return DensityState(rho.n_qubits, unitary @ rho.matrix @ unitary.conj().T)
+
+
+def embed_on_wires(unitary: np.ndarray, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
+    """Tensor-embed a k-qubit operator onto the named wires of an n-qubit register."""
+    unitary, wires = _checked_operator(unitary, wires, n_qubits)
+    k = len(wires)
+    if k == n_qubits and wires == tuple(range(n_qubits)):
+        return unitary
+    others = [q for q in range(n_qubits) if q not in wires]
+    full = np.kron(unitary, np.eye(2 ** (n_qubits - k), dtype=complex))
+    order = list(wires) + others  # axis position -> qubit label
+    perm = [order.index(q) for q in range(n_qubits)]
+    tensor = full.reshape((2,) * (2 * n_qubits))
+    tensor = tensor.transpose(perm + [n_qubits + p for p in perm])
+    return tensor.reshape(2 ** n_qubits, 2 ** n_qubits)
+
+
+_FULL_MATRIX_MAX_QUBITS = 6
+
+
+def full_matrix(circuit: Circuit) -> np.ndarray:
+    """Ordered product of tensor-embedded gate matrices (later gates on the left)."""
+    if circuit.n_qubits > _FULL_MATRIX_MAX_QUBITS:
+        raise ValueError(f"full_matrix is limited to {_FULL_MATRIX_MAX_QUBITS} qubits")
+    total = np.eye(2 ** circuit.n_qubits, dtype=complex)
+    for gate in circuit.gates:
+        total = embed_on_wires(gate.matrix(), gate.wires, circuit.n_qubits) @ total
+    return total

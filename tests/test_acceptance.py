@@ -13,7 +13,6 @@ from qfhe import (
     OperatorNotPermitted,
     QotpKey,
     Scheme,
-    apply_to_density,
     average_over_keys,
     check_appendix_identities,
     classify_key_independent,
@@ -21,12 +20,10 @@ from qfhe import (
     encrypt,
     euler_decompose,
     evaluate,
-    full_matrix,
     gate_matrix,
     keygen,
     maximally_mixed,
     pauli_decompose,
-    pauli_operator,
     rewrite_circuit,
     rewrite_gate,
     scheme_evaluate,
@@ -38,6 +35,8 @@ from qfhe.cli import main
 from qfhe.linalg import all_bit_strings
 from qfhe.qotp import VARIANT_HY
 from qfhe.rng import RandomSource
+
+from oracles import apply_to_density, full_matrix, pauli_operator
 
 
 def _verdict(number: int, label: str, ok: bool):

@@ -1,10 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from qfhe import (
     Circuit,
+    PauliCoefficients,
     PureState,
     average_over_keys,
     check_appendix_identities,
@@ -12,14 +14,15 @@ from qfhe import (
     gate_matrix,
     maximally_mixed,
     pauli_decompose,
-    pauli_operator,
     trace_distance,
     verify_security,
 )
-from qfhe.analysis import check_u_rewrite_endpoints
+from qfhe.analysis import CLASSIFY_TOL, _phase_adjusted_distance, check_u_rewrite_endpoints
 from qfhe.cli import main
-from qfhe.linalg import all_bit_strings
+from qfhe.linalg import ATOL_EXACT, all_bit_strings, canonical_angle
 from qfhe.rng import RandomSource
+
+from oracles import pauli_basis, pauli_conjugates, pauli_operator, pauli_table
 
 
 # --- key averaging -------------------------------------------------------
@@ -41,7 +44,7 @@ def test_average_fixed_point():
 
 def test_average_universality():
     rng = RandomSource(10)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for _ in range(10):
             sigma = rng.density_state(n) if rng.integer(0, 2) else rng.pure_state(n).to_density()
             assert trace_distance(average_over_keys(sigma), maximally_mixed(n)) <= 1e-10
@@ -121,6 +124,47 @@ def test_decompose_reconstruct_and_parseval():
         assert coeffs.weight_sum() == pytest.approx(1.0, abs=1e-9)
 
 
+PHASES = (1, -1, 1j, -1j)
+
+
+def _oracle_inputs(seed):
+    """The 1x1 phases, then per n <= 3 Haar unitaries and every exact phase-Pauli."""
+    rng = RandomSource(seed)
+    yield from (phase * np.eye(1) for phase in PHASES)
+    for n in (1, 2, 3):
+        yield from (rng.unitary(2 ** n) for _ in range(4))
+        yield from (phase * p for _, p in pauli_basis(n) for phase in PHASES)
+
+
+def _bytes(values) -> bytes:
+    # the sign of every zero part counts
+    return b"".join(struct.pack("<dd", v.real, v.imag) for v in values)
+
+
+def test_decompose_equals_the_dense_trace_loop():
+    for u in _oracle_inputs(61):
+        table, oracle = pauli_decompose(u).table, pauli_table(u)
+        assert list(table) == list(oracle)
+        assert _bytes(table.values()) == _bytes(oracle.values())
+
+
+def test_reconstruct_partial_tables_match_the_dense_sum():
+    rng = RandomSource(63)
+    for n in (0, 1, 2, 3):
+        for _ in range(5):
+            table = {key: complex(*rng.angles(2)) for key, _ in pauli_basis(n) if rng.integer(0, 2)}
+            dense = sum(
+                (coeff * pauli_operator(*key) for key, coeff in table.items()),
+                np.zeros((2 ** n, 2 ** n), dtype=complex),
+            )
+            assert np.max(np.abs(PauliCoefficients(n, table).reconstruct() - dense)) <= ATOL_EXACT
+
+
+def test_reconstruct_rejects_a_key_that_is_not_n_bits():
+    with pytest.raises(KeyError):
+        PauliCoefficients(1, {("2", "0"): 1.0}).reconstruct()
+
+
 def test_decompose_rejects_bad_dim():
     with pytest.raises(ValueError):
         pauli_decompose(np.eye(3))
@@ -162,6 +206,19 @@ def test_classify_h_negative():
             devs.append(np.max(np.abs(conj - phase * h)))
     assert max(devs) > 1e-3  # independent conjugation oracle
     assert not classify_key_independent(h).key_independent
+
+
+def test_classify_equals_the_dense_conjugate_loop():
+    for u in _oracle_inputs(62):
+        result = classify_key_independent(u)
+        max_dev = max(_phase_adjusted_distance(c, u) for c in pauli_conjugates(u))
+        assert struct.pack("<d", result.max_deviation) == struct.pack("<d", max_dev)
+        assert result.key_independent == (max_dev <= CLASSIFY_TOL)
+        witness = None
+        if result.key_independent:
+            (a, b), coeff = max(pauli_table(u).items(), key=lambda item: abs(item[1]))
+            witness = (a, b, canonical_angle(math.atan2(coeff.imag, coeff.real)))
+        assert result.witness == witness
 
 
 def test_classify_cnot_negative():

@@ -12,9 +12,7 @@ from qfhe import (
     CircuitFormatError,
     Gate,
     PureState,
-    apply_to_density,
     euler_decompose,
-    full_matrix,
     gate_matrix,
     parse_circuit,
     serialize_circuit,
@@ -22,6 +20,8 @@ from qfhe import (
     trace_distance,
 )
 from qfhe.rng import RandomSource
+
+from oracles import apply_to_density, full_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -203,6 +203,14 @@ def test_long_circuit_drift():
     rho = simulate(circuit, rng.density_state(4)).matrix
     assert abs(np.trace(rho) - 1.0) <= DRIFT_TOL
     assert np.max(np.abs(rho - rho.conj().T)) <= DRIFT_TOL
+
+
+def test_negative_zero_angle_serializes_as_zero():
+    # -0.0 and 0.0 are the same circuit, so they get the same document
+    doc = '{"qubits": 1, "gates": [{"kind": "rz", "theta": -0.0, "wire": 0}]}'
+    out = serialize_circuit(parse_circuit(doc))
+    assert out == serialize_circuit(parse_circuit(doc.replace("-0.0", "0.0")))
+    assert b'"theta": 0.0' in out
 
 
 # --- full_matrix ---------------------------------------------------------

@@ -9,21 +9,20 @@ from qfhe import (
     DensityState,
     PureState,
     QotpKey,
-    apply_to_density,
     apply_to_wires,
     canonical_angle,
     decrypt,
     encrypt,
-    full_matrix,
     gate_matrix,
     maximally_mixed,
-    pauli_operator,
     simulate,
     trace_distance,
 )
-from qfhe.linalg import ATOL_EXACT, GATE_SPECS, all_bit_strings, embed_on_wires, pauli_basis
+from qfhe.linalg import ATOL_EXACT, GATE_SPECS, all_bit_strings
 from qfhe.qotp import all_keys
 from qfhe.rng import RandomSource
+
+from oracles import apply_to_density, embed_on_wires, full_matrix, pauli_basis, pauli_operator
 
 TAU = 2 * math.pi
 

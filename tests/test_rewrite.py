@@ -9,14 +9,11 @@ from qfhe import (
     OperatorNotPermitted,
     QotpKey,
     Scheme,
-    apply_to_density,
     decrypt,
     encrypt,
     evaluate,
-    full_matrix,
     gate_matrix,
     keygen,
-    pauli_operator,
     rewrite_circuit,
     rewrite_gate,
     scheme_evaluate,
@@ -26,6 +23,8 @@ from qfhe import (
 from qfhe.linalg import rotation_y, rotation_z
 from qfhe.qotp import VARIANT_HY
 from qfhe.rng import RandomSource
+
+from oracles import apply_to_density, full_matrix, pauli_operator
 
 
 def _twin(kind, params, j, k):
@@ -105,6 +104,20 @@ def test_rewrite_u_values():
     alpha, beta, gamma, delta = half.params
     assert (alpha, beta, delta) == (0.5, 1.0, 3.0)
     assert gamma == pytest.approx(2 * math.pi - 2.0)
+
+
+@pytest.mark.parametrize("theta", [1e-17, 4e-16, 1e-3])
+def test_phase_flips_count_wraps_for_tiny_angles(theta):
+    # negating a tiny angle can round to 0.0 without wrapping past 2*pi
+    gates = [Gate.rz(theta, 0), Gate.ry(theta, 0)]
+    gates += [Gate.u(*(theta if i == p else 0.5 for i in range(4)), 0) for p in range(4)]
+    for gate in gates:
+        for j in (0, 1):
+            for k in (0, 1):
+                mask = pauli_operator(str(j), str(k))
+                twin, flips = _twin(gate.kind, gate.params, j, k)
+                err = twin.matrix() @ mask - (-1) ** flips * mask @ gate.matrix()
+                assert np.max(np.abs(err)) <= 1e-12, (gate, j, k)
 
 
 # --- cnot rule -----------------------------------------------------------
