@@ -102,6 +102,7 @@ def average_over_keys(sigma: DensityState) -> DensityState:
     The key bits are independent, so the average is n one-wire twirls: each
     averages ``qotp.encrypt`` over the four keys with bits on that wire only.
     """
+    linalg._require_density(sigma)
     n = sigma.n_qubits
     if n > _MAX_QUBITS_AVERAGE:
         raise ValueError(f"key averaging is limited to {_MAX_QUBITS_AVERAGE} qubits, got {n}")
@@ -119,6 +120,7 @@ def verify_security(circuit: Circuit, sigma: DensityState, tol: float) -> Securi
     over every key and reports the trace distances to the mixed state.
     """
     _check_tolerance(tol)
+    linalg._require_density(sigma)
     n = circuit.n_qubits
     if n != sigma.n_qubits:
         raise ValueError(f"circuit has {n} qubit(s), state has {sigma.n_qubits}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -19,6 +20,16 @@ from .linalg import TAU, canonical_angle
 
 class CircuitFormatError(ValueError):
     """Raised when a circuit document fails to parse or validate."""
+
+
+def _as_index(value, name: str) -> int:
+    """value as an int; ValueError for bools, floats, strings and other non-integers."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -33,7 +44,7 @@ class Gate:
         spec = linalg.GATE_SPECS.get(self.kind)
         if spec is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        wires = tuple(int(w) for w in self.wires)
+        wires = tuple(_as_index(w, "wire") for w in self.wires)
         if len(wires) != len(spec.wires):
             raise ValueError(f"gate {self.kind!r} takes {len(spec.wires)} wire(s), got {wires}")
         if any(w < 0 for w in wires):
@@ -78,12 +89,14 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        n = _as_index(self.n_qubits, "n_qubits")
+        if n < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {n}")
         gates = tuple(self.gates)
         for i, g in enumerate(gates):
-            if any(w >= self.n_qubits for w in g.wires):
-                raise ValueError(f"gate {i} ({g.kind}) uses wire out of range for {self.n_qubits} qubits")
+            if any(w >= n for w in g.wires):
+                raise ValueError(f"gate {i} ({g.kind}) uses wire out of range for {n} qubits")
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "gates", gates)
 
     def __len__(self) -> int:
@@ -161,14 +174,15 @@ def euler_decompose(u: np.ndarray) -> EulerAngles:
 
 
 def simulate(circuit: Circuit, state):
-    """Apply the circuit's gates left to right to a pure or density state."""
+    """Apply the circuit's gates left to right to a pure or density state; check only the result."""
     if not isinstance(state, (linalg.PureState, linalg.DensityState)):
         raise TypeError(f"expected PureState or DensityState, got {type(state).__name__}")
     if state.n_qubits != circuit.n_qubits:
         raise ValueError(f"circuit has {circuit.n_qubits} qubit(s), state has {state.n_qubits}")
-    for gate in circuit.gates:
-        state = linalg.apply_to_wires(gate.matrix(), gate.wires, state)
-    return state
+    if not circuit.gates:
+        return state
+    # Gate and Circuit have checked every wire and each matrix has its kind's shape
+    return linalg._evolve(state, ((g.matrix(), g.wires) for g in circuit.gates))
 
 
 # --- circuit file format -------------------------------------------------

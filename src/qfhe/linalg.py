@@ -6,11 +6,11 @@ Conventions used everywhere in this package:
 - all angles are radians; the IR keeps them canonical in [0, 2*pi).
 
 Everything here is double precision. Gates are contracted with the wire axes
-of a state (``apply_to_wires``), never embedded into a 2^n x 2^n operator.
-On a 2-core Xeon with one BLAS thread, 200 random gates take about 9 ms on a
-pure n=12 state and about 0.4 s on a density n=7 state, where the eigenvalue
-check of each DensityState construction takes nearly all of it. The 4^n key
-loop of ``analysis.verify_security`` caps useful n well below that anyway.
+of a state, never embedded into a 2^n x 2^n operator, and a state is checked
+once per gate sequence, not per gate. On a 2-core Xeon with one BLAS thread,
+200 random gates take about 7 ms on a pure n=12 state and 70 ms on a density
+n=7 state. The 4^n key loop of ``analysis.verify_security`` caps useful n
+well below that anyway.
 """
 from __future__ import annotations
 
@@ -222,28 +222,48 @@ def _apply_on_axes(op: np.ndarray, axes: tuple[int, ...], flat: np.ndarray, m: i
     return out.transpose(sorted(range(m), key=perm.__getitem__)).reshape(-1)
 
 
+def _evolve(state, ops):
+    """Apply (operator, wires) pairs in order to a checked state, then check the result.
+
+    The one apply loop. It runs on the raw array and trusts each pair: a
+    complex 2^k x 2^k operator on k distinct in-range wires. A density matrix
+    gets U on its row axes and U* on its column axes.
+    """
+    n = state.n_qubits
+    if isinstance(state, PureState):
+        flat = state.amplitudes
+        for op, wires in ops:
+            flat = _apply_on_axes(op, wires, flat, n)
+        return PureState(n, flat)
+    flat = state.matrix.reshape(-1)
+    for op, wires in ops:
+        flat = _apply_on_axes(op, wires, flat, 2 * n)
+        flat = _apply_on_axes(op.conj(), tuple(n + w for w in wires), flat, 2 * n)
+    return DensityState(n, flat.reshape(2 ** n, 2 ** n))
+
+
 def apply_to_wires(unitary: np.ndarray, wires, state):
     """Apply a k-qubit operator to the named wires of a state.
 
-    Accepts a PureState or DensityState and returns the same kind. This is
-    the one gate-application kernel: every gate of ``circuits.simulate``,
-    the QOTP masks included, goes through it. The operator is contracted
-    with the wire axes of the state, never embedded into a 2^n x 2^n matrix:
-    a density matrix gets U on its row axes and U* on its column axes.
+    Accepts a PureState or DensityState and returns the same kind. The
+    operator is contracted with the wire axes of the state, never embedded
+    into a 2^n x 2^n matrix. This is the checked entry to the apply loop
+    that ``circuits.simulate`` runs for whole circuits.
     """
     if not isinstance(state, (PureState, DensityState)):
         raise TypeError(f"expected PureState or DensityState, got {type(state).__name__}")
-    n = state.n_qubits
-    unitary, wires = _checked_operator(unitary, wires, n)
-    if isinstance(state, PureState):
-        return PureState(n, _apply_on_axes(unitary, wires, state.amplitudes, n))
-    rows = _apply_on_axes(unitary, wires, state.matrix.reshape(-1), 2 * n)
-    both = _apply_on_axes(unitary.conj(), tuple(n + w for w in wires), rows, 2 * n)
-    return DensityState(n, both.reshape(2 ** n, 2 ** n))
+    return _evolve(state, [_checked_operator(unitary, wires, state.n_qubits)])
+
+
+def _require_density(state) -> None:
+    if not isinstance(state, DensityState):
+        raise TypeError(f"expected DensityState, got {type(state).__name__}")
 
 
 def trace_distance(rho: DensityState, sigma: DensityState) -> float:
     """(1/2) * sum |eigenvalues(rho - sigma)|."""
+    _require_density(rho)
+    _require_density(sigma)
     if rho.n_qubits != sigma.n_qubits:
         raise ValueError(f"qubit counts differ: {rho.n_qubits} vs {sigma.n_qubits}")
     eigs = np.linalg.eigvalsh(rho.matrix - sigma.matrix)

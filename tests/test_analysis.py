@@ -91,6 +91,17 @@ def test_verify_security_size_guard():
         verify_security(Circuit(4), maximally_mixed(4), 1e-9)
 
 
+@pytest.mark.parametrize("call", [
+    lambda psi: verify_security(Circuit(1), psi, 1e-9),
+    average_over_keys,
+    lambda psi: trace_distance(psi, maximally_mixed(1)),
+    lambda psi: trace_distance(maximally_mixed(1), psi),
+], ids=["verify_security", "average_over_keys", "trace_distance_first", "trace_distance_second"])
+def test_density_inputs_reject_a_pure_state(call):
+    with pytest.raises(TypeError, match="expected DensityState, got PureState"):
+        call(PureState.basis(1, 0))
+
+
 # --- Pauli decomposition -------------------------------------------------
 
 def test_decompose_x():

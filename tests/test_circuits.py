@@ -52,6 +52,30 @@ def test_circuit_rejects_wire_out_of_range():
         Circuit(1, (Gate.named("x", 1),))
 
 
+@pytest.mark.parametrize(
+    "wire", [1.5, 1.0, "1", True, np.True_, None],
+    ids=["float", "integral_float", "str", "bool", "numpy_bool", "none"],
+)
+def test_gate_rejects_non_integer_wires(wire):
+    with pytest.raises(ValueError, match="wire must be an integer"):
+        Gate("x", (wire,))
+
+
+@pytest.mark.parametrize(
+    "n", [2.5, 2.0, "2", True, None], ids=["float", "integral_float", "str", "bool", "none"]
+)
+def test_circuit_rejects_non_integer_qubit_counts(n):
+    with pytest.raises(ValueError, match="n_qubits must be an integer"):
+        Circuit(n)
+
+
+def test_numpy_integers_become_ints():
+    gate = Gate.cnot(np.int64(1), np.uint8(0))
+    circuit = Circuit(np.int32(2), (gate,))
+    assert gate.wires == (1, 0) and all(type(w) is int for w in gate.wires)
+    assert type(circuit.n_qubits) is int and circuit.n_qubits == 2
+
+
 # --- parsing and serialization ------------------------------------------
 
 def test_parse_minimal_document():

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfhe import (
+    Circuit,
     DensityState,
     PureState,
     QotpKey,
@@ -18,8 +19,8 @@ from qfhe import (
     simulate,
     trace_distance,
 )
-from qfhe.linalg import ATOL_EXACT, GATE_SPECS, all_bit_strings
-from qfhe.qotp import all_keys
+from qfhe.linalg import ATOL_EXACT, GATE_SPECS, _evolve, all_bit_strings
+from qfhe.qotp import _mask, all_keys
 from qfhe.rng import RandomSource
 
 from oracles import apply_to_density, embed_on_wires, full_matrix, pauli_basis, pauli_operator
@@ -274,6 +275,57 @@ def test_simulate_matches_full_matrix(n, seed, n_gates):
     rng = RandomSource(seed)
     circuit = rng.circuit(n, n_gates)
     _assert_matches_dense(lambda s: simulate(circuit, s), full_matrix(circuit), rng, n)
+
+
+# --- the unchecked apply loop --------------------------------------------
+
+def _fold(circuit, state):
+    """The circuit applied one checked apply_to_wires call at a time."""
+    for gate in circuit.gates:
+        state = apply_to_wires(gate.matrix(), gate.wires, state)
+    return state
+
+
+def _raw(state):
+    return state.amplitudes if isinstance(state, PureState) else state.matrix
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_simulate_equals_gate_by_gate_apply(n):
+    rng = RandomSource(60 + n)
+    for _ in range(4):
+        circuit = rng.circuit(n, rng.integer(1, 40))
+        for state in (rng.pure_state(n), rng.density_state(n)):
+            assert np.array_equal(_raw(simulate(circuit, state)), _raw(_fold(circuit, state)))
+            for variant in sorted(MASK_GATES):
+                key = QotpKey(n, rng.bit_string(n), rng.bit_string(n), variant)
+                mask = _mask(key, state)
+                unmask = Circuit(n, mask.gates[::-1])
+                assert np.array_equal(_raw(encrypt(key, state)), _raw(_fold(mask, state)))
+                assert np.array_equal(_raw(decrypt(key, state)), _raw(_fold(unmask, state)))
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+def test_simulate_checks_one_state_per_run(monkeypatch, kind):
+    rng = RandomSource(70)
+    circuit = rng.circuit(3, 30)
+    state = rng.pure_state(3) if kind == "pure" else rng.density_state(3)
+    checks = []
+    check = type(state).__post_init__
+    monkeypatch.setattr(type(state), "__post_init__", lambda self: (checks.append(self), check(self)))
+    simulate(circuit, state)
+    assert len(checks) == 1
+    assert simulate(Circuit(3), state) is state
+    assert len(checks) == 1
+
+
+def test_end_of_run_check_catches_a_non_unitary():
+    # the loop trusts its pairs, so only the final construction can notice
+    rng = RandomSource(71)
+    x, double = gate_matrix("x"), 2 * np.eye(2, dtype=complex)
+    for state in (rng.pure_state(2), rng.density_state(2)):
+        with pytest.raises(ValueError, match="is not 1 within"):
+            _evolve(state, [(x, (0,)), (double, (1,)), (x, (1,))])
 
 
 def test_trace_distance_examples():
