@@ -2,7 +2,6 @@
 
 from .analysis import (
     ClassifyResult,
-    PauliCoefficients,
     SecurityReport,
     average_over_keys,
     check_appendix_identities,
@@ -47,7 +46,6 @@ __all__ = [
     "DensityState",
     "Gate",
     "OperatorNotPermitted",
-    "PauliCoefficients",
     "PureState",
     "QotpKey",
     "RandomSource",

@@ -8,11 +8,11 @@ Three families of checks, all numerical at desk scale:
 - the commutation identities every rewrite rule rests on.
 
 No Pauli operator is built as a matrix. Column i of X^a Z^b holds
-S[b, i] = (-1)^popcount(b & i) in row i ^ a, so decomposing, conjugating and
-reconstructing are gathers and scatters with one sign table. Key averaging
-runs n one-wire twirls of ``qotp.encrypt``, since the key bits are
-independent. Only ``verify_security`` still loops over all 4^n keys. Sizes
-are hard-guarded rather than silently slow.
+S[b, i] = (-1)^popcount(b & i) in row i ^ a, so decomposing and conjugating
+are gathers with one sign table. Key averaging runs n one-wire twirls of
+``qotp.encrypt``, since the key bits are independent. Only
+``verify_security`` still loops over all 4^n keys. Sizes are hard-guarded
+rather than silently slow.
 """
 from __future__ import annotations
 
@@ -36,32 +36,6 @@ CLASSIFY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class PauliCoefficients:
-    """Expansion coefficients of an operator in the X^a Z^b basis."""
-
-    n_qubits: int
-    table: dict[tuple[str, str], complex]
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of coeff * X^a Z^b in table order; a table may hold any subset of the keys.
-
-        KeyError for a key that is not a pair of n-bit strings.
-        """
-        bits = linalg.all_bit_strings(self.n_qubits)
-        position = {(a, b): (i, j) for i, a in enumerate(bits) for j, b in enumerate(bits)}
-        signs, idx = _pauli_signs(self.n_qubits), np.arange(len(bits))
-        total = np.zeros((len(bits), len(bits)), dtype=complex)
-        for key, coeff in self.table.items():
-            a, b = position[key]
-            total[idx ^ a, idx] += coeff * signs[b]
-        return total
-
-    def weight_sum(self) -> float:
-        """Sum of squared magnitudes; 1 for unitary sources."""
-        return float(sum(abs(c) ** 2 for c in self.table.values()))
-
-
-@dataclass(frozen=True)
 class ClassifyResult:
     """Outcome of the key-independence decision for one unitary."""
 
@@ -75,7 +49,6 @@ class SecurityReport:
     """Worst-case distances of the key-averaged outputs from totally mixed."""
 
     n_qubits: int
-    states_tested: int
     worst_encrypt_distance: float
     worst_evaluate_distance: float
     tolerance: float
@@ -141,7 +114,6 @@ def verify_security(circuit: Circuit, sigma: DensityState, tol: float) -> Securi
     d_eval = linalg.trace_distance(eval_avg, mixed)
     return SecurityReport(
         n_qubits=n,
-        states_tested=1,
         worst_encrypt_distance=d_enc,
         worst_evaluate_distance=d_eval,
         tolerance=tol,
@@ -149,8 +121,11 @@ def verify_security(circuit: Circuit, sigma: DensityState, tol: float) -> Securi
     )
 
 
-def pauli_decompose(operator: np.ndarray) -> PauliCoefficients:
-    """Coefficients tr((X^a Z^b)^dagger U) / 2^n of the Pauli-basis expansion."""
+def pauli_decompose(operator: np.ndarray) -> np.ndarray:
+    """Coefficients c[a, b] = tr((X^a Z^b)^dagger U) / 2^n of the Pauli-basis expansion.
+
+    a and b index the 2^n bit strings with qubit 0 as the most significant bit.
+    """
     operator = np.asarray(operator, dtype=complex)
     if operator.ndim != 2 or operator.shape[0] != operator.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {operator.shape}")
@@ -163,10 +138,7 @@ def pauli_decompose(operator: np.ndarray) -> PauliCoefficients:
     # v[a, i] = U[i ^ a, i]; the reduction sums over i in np.trace's order
     idx = np.arange(dim)
     v = operator[idx ^ idx[:, None], idx]
-    coeffs = (v[:, None, :] * _pauli_signs(n)).sum(axis=2) / dim
-    bits = linalg.all_bit_strings(n)
-    table = {(bits[a], bits[b]): complex(coeffs[a, b]) for a in range(dim) for b in range(dim)}
-    return PauliCoefficients(n, table)
+    return (v[:, None, :] * _pauli_signs(n)).sum(axis=2) / dim
 
 
 def _phase_adjusted_distance(candidate: np.ndarray, reference: np.ndarray) -> float:
@@ -209,8 +181,8 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
     by_conjugation = max_dev <= tol
 
     coeffs = pauli_decompose(operator)
-    magnitudes = sorted((abs(c) for c in coeffs.table.values()), reverse=True)
-    second = magnitudes[1] if len(magnitudes) > 1 else 0.0
+    magnitudes = np.abs(coeffs)
+    second = float(np.sort(magnitudes, axis=None)[-2]) if dim > 1 else 0.0
     by_decomposition = second <= tol
 
     if by_conjugation != by_decomposition:
@@ -221,8 +193,11 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
 
     witness = None
     if by_conjugation:
-        (a, b), coeff = max(coeffs.table.items(), key=lambda item: abs(item[1]))
-        witness = (a, b, canonical_angle(math.atan2(coeff.imag, coeff.real)))
+        # argmax takes the first maximum in row-major (a, b) order
+        a, b = divmod(int(np.argmax(magnitudes)), dim)
+        coeff = coeffs[a, b]
+        bits = linalg.all_bit_strings(n)
+        witness = (bits[a], bits[b], canonical_angle(math.atan2(coeff.imag, coeff.real)))
     return ClassifyResult(by_conjugation, witness, max_dev)
 
 

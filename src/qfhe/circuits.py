@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -22,14 +21,11 @@ class CircuitFormatError(ValueError):
     """Raised when a circuit document fails to parse or validate."""
 
 
-def _as_index(value, name: str) -> int:
-    """value as an int; ValueError for bools, floats, strings and other non-integers."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def _as_angle(value) -> float:
+    """value as a canonical angle; ValueError for strings, bools, complex numbers and other non-reals."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return canonical_angle(float(value))
+    raise ValueError(f"gate parameters must be real numbers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,14 +40,14 @@ class Gate:
         spec = linalg.GATE_SPECS.get(self.kind)
         if spec is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        wires = tuple(_as_index(w, "wire") for w in self.wires)
+        wires = tuple(linalg._as_index(w, "wire") for w in self.wires)
         if len(wires) != len(spec.wires):
             raise ValueError(f"gate {self.kind!r} takes {len(spec.wires)} wire(s), got {wires}")
         if any(w < 0 for w in wires):
             raise ValueError(f"negative wire index in {wires}")
         if len(set(wires)) != len(wires):
             raise ValueError(f"gate {self.kind!r} needs distinct wires, got {wires}")
-        params = tuple(canonical_angle(float(p)) for p in self.params)
+        params = tuple(_as_angle(p) for p in self.params)
         if len(params) != len(spec.params):
             raise ValueError(f"gate {self.kind!r} takes {len(spec.params)} parameter(s), got {len(params)}")
         object.__setattr__(self, "wires", wires)
@@ -89,7 +85,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        n = _as_index(self.n_qubits, "n_qubits")
+        n = linalg._as_index(self.n_qubits, "n_qubits")
         if n < 1:
             raise ValueError(f"n_qubits must be >= 1, got {n}")
         gates = tuple(self.gates)
@@ -103,29 +99,6 @@ class Circuit:
         return len(self.gates)
 
 
-@dataclass(frozen=True)
-class EulerAngles:
-    """ZYZ parameters (alpha, beta, gamma, delta), canonical in [0, 2*pi)."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta"):
-            v = float(getattr(self, name))
-            if not (0.0 <= v < TAU):
-                raise ValueError(f"{name}={v} outside [0, 2*pi)")
-            object.__setattr__(self, name, v)
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.alpha, self.beta, self.gamma, self.delta)
-
-    def matrix(self) -> np.ndarray:
-        return linalg.single_qubit_unitary(*self.as_tuple())
-
-
 _DEGENERATE_EPS = 1e-12
 
 
@@ -135,12 +108,13 @@ def _canon_with_wraps(theta: float) -> tuple[float, int]:
     return r, round((r - theta) / TAU)
 
 
-def euler_decompose(u: np.ndarray) -> EulerAngles:
-    """ZYZ decomposition of a 2x2 unitary, global phase included.
+def euler_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
+    """ZYZ angles (alpha, beta, gamma, delta) of a 2x2 unitary, global phase included.
 
-    gamma lands in [0, pi]; when the matrix is diagonal or antidiagonal
-    within 1e-12 only one of beta+delta / beta-delta is determined, and the
-    tie is broken by delta := 0 with the residual z-rotation folded into beta.
+    alpha, beta and delta are canonical in [0, 2*pi) and gamma lands in
+    [0, pi]; when the matrix is diagonal or antidiagonal within 1e-12 only one
+    of beta+delta / beta-delta is determined, and the tie is broken by
+    delta := 0 with the residual z-rotation folded into beta.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
@@ -170,7 +144,7 @@ def euler_decompose(u: np.ndarray) -> EulerAngles:
     beta, wraps_b = _canon_with_wraps(beta)
     delta, wraps_d = _canon_with_wraps(delta)
     alpha = canonical_angle(alpha + math.pi * (wraps_b + wraps_d))
-    return EulerAngles(alpha, beta, gamma, delta)
+    return alpha, beta, gamma, delta
 
 
 def simulate(circuit: Circuit, state):
@@ -236,7 +210,7 @@ def _gate_from_json(obj, index: int, n_qubits: int) -> Gate:
             angles = euler_decompose(mat)
         except ValueError as exc:
             fail(str(exc))
-        return Gate("u", (get_wire("wire"),), angles.as_tuple())
+        return Gate("u", (get_wire("wire"),), angles)
     spec = linalg.GATE_SPECS.get(kind)
     if spec is None:
         fail(f"unknown gate kind {kind!r}")

@@ -75,11 +75,8 @@ def _load_key(path: str) -> QotpKey:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise CliError(EXIT_PARSE, f"{path}: key file must hold an object")
-    n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise CliError(EXIT_PARSE, f"{path}: 'n' must be an integer")
     try:
-        return QotpKey(n, doc.get("x_bits"), doc.get("z_bits"), doc.get("variant", "xz"))
+        return QotpKey(doc.get("n"), doc.get("x_bits"), doc.get("z_bits"), doc.get("variant", "xz"))
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"{path}: invalid key file: {exc}") from exc
 
@@ -194,7 +191,6 @@ def _cmd_verify_security(args) -> int:
     if args.format == "json":
         doc = {
             "n_qubits": report.n_qubits,
-            "states_tested": report.states_tested,
             "worst_encrypt_distance": report.worst_encrypt_distance,
             "worst_evaluate_distance": report.worst_evaluate_distance,
             "tolerance": report.tolerance,
@@ -202,7 +198,7 @@ def _cmd_verify_security(args) -> int:
         }
         sys.stdout.write(_dump(doc).decode("utf-8"))
     else:
-        print(f"security check: n={report.n_qubits} states={report.states_tested}")
+        print(f"security check: n={report.n_qubits}")
         print(f"  worst encrypt distance   {report.worst_encrypt_distance:.6e}")
         print(f"  worst evaluate distance  {report.worst_evaluate_distance:.6e}")
         print(f"  tolerance                {report.tolerance:.6e}")

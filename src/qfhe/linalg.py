@@ -15,6 +15,7 @@ well below that anyway.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -111,6 +112,16 @@ def gate_matrix(kind: str, params: tuple[float, ...] = ()) -> np.ndarray:
     return spec.build(*params)
 
 
+def _as_index(value, name: str) -> int:
+    """value as an int; ValueError for bools, floats, strings and other non-integers."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def all_bit_strings(n: int):
     """All length-n bit strings in lexicographic order."""
     return [format(i, f"0{n}b") if n else "" for i in range(2 ** n)]
@@ -130,17 +141,16 @@ class PureState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        n = _as_index(self.n_qubits, "n_qubits")
         vec = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if vec.shape[0] != 2 ** self.n_qubits:
-            raise ValueError(
-                f"expected {2 ** self.n_qubits} amplitudes for {self.n_qubits} qubits, "
-                f"got {vec.shape[0]}"
-            )
+        if vec.shape[0] != 2 ** n:
+            raise ValueError(f"expected {2 ** n} amplitudes for {n} qubits, got {vec.shape[0]}")
         _check_finite(vec)
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > ATOL_STATE:
             raise ValueError(f"statevector norm {norm} is not 1 within {ATOL_STATE}")
         vec.setflags(write=False)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", vec)
 
     @classmethod
@@ -161,8 +171,9 @@ class DensityState:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        n = _as_index(self.n_qubits, "n_qubits")
         mat = np.array(self.matrix, dtype=complex)
-        dim = 2 ** self.n_qubits
+        dim = 2 ** n
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
         _check_finite(mat)
@@ -174,14 +185,15 @@ class DensityState:
         if np.min(np.linalg.eigvalsh(mat)) < -ATOL_STATE:
             raise ValueError(f"matrix has eigenvalues below -{ATOL_STATE}")
         mat.setflags(write=False)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", mat)
 
 
-def is_unitary(mat: np.ndarray, atol: float = ATOL_STATE) -> bool:
+def is_unitary(mat: np.ndarray) -> bool:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return False
-    return bool(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= atol)
+    return bool(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= ATOL_STATE)
 
 
 def _checked_operator(unitary, wires, n_qubits: int) -> tuple[np.ndarray, tuple[int, ...]]:

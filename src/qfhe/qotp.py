@@ -29,13 +29,15 @@ class QotpKey:
     variant: str = VARIANT_XZ
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        n = linalg._as_index(self.n_qubits, "n_qubits")
+        if n < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {n}")
         for name, bits in (("x_bits", self.x_bits), ("z_bits", self.z_bits)):
-            if len(bits) != self.n_qubits or not all(c in "01" for c in bits):
-                raise ValueError(f"{name} must be a {self.n_qubits}-bit string, got {bits!r}")
+            if len(bits) != n or not all(c in "01" for c in bits):
+                raise ValueError(f"{name} must be a {n}-bit string, got {bits!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        object.__setattr__(self, "n_qubits", n)
 
 
 def keygen(n_qubits: int, rng: RandomSource, variant: str = VARIANT_XZ) -> QotpKey:

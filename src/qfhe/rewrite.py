@@ -59,7 +59,7 @@ def _negate_if(theta: float, active: int) -> tuple[float, int]:
 
 #: ZYZ angles of the fixed single-qubit kinds, which rewrite as u
 _LIFTED = {
-    kind: circuits.euler_decompose(spec.build()).as_tuple()
+    kind: circuits.euler_decompose(spec.build())
     for kind, spec in linalg.GATE_SPECS.items()
     if len(spec.wires) == 1 and not spec.parity
 }

@@ -8,16 +8,17 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .linalg import GATE_SPECS, DensityState, PureState, canonical_angle
+from .linalg import GATE_SPECS, DensityState, PureState, _as_index, canonical_angle
 
 
 class RandomSource:
     """Deterministic random stream; identical seeds yield identical draws."""
 
     def __init__(self, seed: int):
-        if not 0 <= int(seed) < 2 ** 64:
+        seed = _as_index(seed, "seed")
+        if not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {seed!r}")
-        self.seed = int(seed)
+        self.seed = seed
         self._gen = np.random.default_rng(self.seed)
 
     def bit_string(self, n: int) -> str:

@@ -6,7 +6,6 @@ import pytest
 
 from qfhe import (
     Circuit,
-    PauliCoefficients,
     PureState,
     average_over_keys,
     check_appendix_identities,
@@ -106,23 +105,24 @@ def test_density_inputs_reject_a_pure_state(call):
 
 def test_decompose_x():
     coeffs = pauli_decompose(gate_matrix("x"))
-    assert coeffs.table[("1", "0")] == pytest.approx(1.0)
-    assert sum(abs(c) for (a, b), c in coeffs.table.items() if (a, b) != ("1", "0")) <= 1e-12
+    assert coeffs.shape == (2, 2)
+    assert coeffs[1, 0] == pytest.approx(1.0)
+    assert np.sum(np.abs(coeffs)) - abs(coeffs[1, 0]) <= 1e-12
 
 
 def test_decompose_y():
     # Y = i XZ
     assert np.max(np.abs(gate_matrix("y") - 1j * pauli_operator("1", "1"))) <= 1e-15
     coeffs = pauli_decompose(gate_matrix("y"))
-    assert coeffs.table[("1", "1")] == pytest.approx(1j)
+    assert coeffs[1, 1] == pytest.approx(1j)
 
 
 def test_decompose_h():
     coeffs = pauli_decompose(gate_matrix("h"))
-    assert coeffs.table[("1", "0")] == pytest.approx(1 / math.sqrt(2))
-    assert coeffs.table[("0", "1")] == pytest.approx(1 / math.sqrt(2))
-    assert abs(coeffs.table[("0", "0")]) <= 1e-12
-    assert abs(coeffs.table[("1", "1")]) <= 1e-12
+    assert coeffs[1, 0] == pytest.approx(1 / math.sqrt(2))
+    assert coeffs[0, 1] == pytest.approx(1 / math.sqrt(2))
+    assert abs(coeffs[0, 0]) <= 1e-12
+    assert abs(coeffs[1, 1]) <= 1e-12
 
 
 def test_decompose_reconstruct_and_parseval():
@@ -131,8 +131,10 @@ def test_decompose_reconstruct_and_parseval():
         n = 1 + rng.integer(0, 3)
         u = rng.unitary(2 ** n)
         coeffs = pauli_decompose(u)
-        assert np.max(np.abs(coeffs.reconstruct() - u)) <= 1e-12
-        assert coeffs.weight_sum() == pytest.approx(1.0, abs=1e-9)
+        # pauli_basis runs in the row-major (a, b) order of the coefficient array
+        rebuilt = sum(c * p for c, (_, p) in zip(coeffs.reshape(-1), pauli_basis(n)))
+        assert np.max(np.abs(rebuilt - u)) <= ATOL_EXACT
+        assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(1.0, abs=1e-9)
 
 
 PHASES = (1, -1, 1j, -1j)
@@ -154,26 +156,10 @@ def _bytes(values) -> bytes:
 
 def test_decompose_equals_the_dense_trace_loop():
     for u in _oracle_inputs(61):
-        table, oracle = pauli_decompose(u).table, pauli_table(u)
-        assert list(table) == list(oracle)
-        assert _bytes(table.values()) == _bytes(oracle.values())
-
-
-def test_reconstruct_partial_tables_match_the_dense_sum():
-    rng = RandomSource(63)
-    for n in (0, 1, 2, 3):
-        for _ in range(5):
-            table = {key: complex(*rng.angles(2)) for key, _ in pauli_basis(n) if rng.integer(0, 2)}
-            dense = sum(
-                (coeff * pauli_operator(*key) for key, coeff in table.items()),
-                np.zeros((2 ** n, 2 ** n), dtype=complex),
-            )
-            assert np.max(np.abs(PauliCoefficients(n, table).reconstruct() - dense)) <= ATOL_EXACT
-
-
-def test_reconstruct_rejects_a_key_that_is_not_n_bits():
-    with pytest.raises(KeyError):
-        PauliCoefficients(1, {("2", "0"): 1.0}).reconstruct()
+        coeffs, oracle = pauli_decompose(u), pauli_table(u)
+        bits = all_bit_strings(coeffs.shape[0].bit_length() - 1)
+        assert [(a, b) for a in bits for b in bits] == list(oracle)
+        assert _bytes(coeffs.reshape(-1)) == _bytes(oracle.values())
 
 
 def test_decompose_rejects_bad_dim():
@@ -241,7 +227,7 @@ def test_classify_random_non_paulis_negative():
     count = 0
     while count < 50:
         u = rng.unitary(2 ** (1 + rng.integer(0, 2)))
-        coeffs = sorted(abs(c) for c in pauli_decompose(u).table.values())
+        coeffs = np.sort(np.abs(pauli_decompose(u)), axis=None)
         if coeffs[-2] <= 1e-6:  # rejection-sample: keep only clear non-Paulis
             continue
         assert not classify_key_independent(u).key_independent
@@ -255,9 +241,7 @@ def test_classify_rejects_invalid_tolerance(tol):
 
 
 def test_zero_qubit_operator(tmp_path, capsys):
-    coeffs = pauli_decompose(np.eye(1))
-    assert coeffs.table == {("", ""): 1}
-    assert np.array_equal(coeffs.reconstruct(), [[1]])
+    assert np.array_equal(pauli_decompose(np.eye(1)), [[1]])
     assert classify_key_independent(np.eye(1)).witness == ("", "", 0.0)
     path = tmp_path / "u.json"
     path.write_text("[[[1, 0]]]")

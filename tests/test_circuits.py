@@ -19,6 +19,7 @@ from qfhe import (
     simulate,
     trace_distance,
 )
+from qfhe.linalg import single_qubit_unitary
 from qfhe.rng import RandomSource
 
 from oracles import apply_to_density, full_matrix
@@ -67,6 +68,23 @@ def test_gate_rejects_non_integer_wires(wire):
 def test_circuit_rejects_non_integer_qubit_counts(n):
     with pytest.raises(ValueError, match="n_qubits must be an integer"):
         Circuit(n)
+
+
+@pytest.mark.parametrize(
+    "theta", ["1.5", True, np.True_, 1.5 + 0j, np.complex128(1.5), None],
+    ids=["str", "bool", "numpy_bool", "complex", "numpy_complex", "none"],
+)
+def test_gate_rejects_non_real_params(theta):
+    with pytest.raises(ValueError, match="gate parameters must be real numbers"):
+        Gate.rz(theta, 0)
+
+
+@pytest.mark.parametrize(
+    "theta", [1, 1.5, np.int64(1), np.float32(1.5), np.float64(1.5)],
+    ids=["int", "float", "numpy_int", "numpy_float32", "numpy_float64"],
+)
+def test_gate_accepts_real_params(theta):
+    assert Gate.rz(theta, 0).params == (float(theta),)
 
 
 def test_numpy_integers_become_ints():
@@ -261,18 +279,17 @@ def test_full_matrix_size_guard():
 # --- ZYZ decomposition ---------------------------------------------------
 
 def test_euler_identity():
-    assert euler_decompose(np.eye(2)).as_tuple() == (0.0, 0.0, 0.0, 0.0)
+    assert euler_decompose(np.eye(2)) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_euler_rz_fixed_point():
-    angles = euler_decompose(gate_matrix("rz", (1.3,)))
-    assert angles.alpha == 0.0 and angles.gamma == 0.0 and angles.delta == 0.0
-    assert angles.beta == pytest.approx(1.3, abs=1e-12)
+    alpha, beta, gamma, delta = euler_decompose(gate_matrix("rz", (1.3,)))
+    assert alpha == 0.0 and gamma == 0.0 and delta == 0.0
+    assert beta == pytest.approx(1.3, abs=1e-12)
 
 
 def test_euler_hadamard():
-    angles = euler_decompose(gate_matrix("h"))
-    assert angles.as_tuple() == (math.pi / 2, 0.0, math.pi / 2, math.pi)
+    assert euler_decompose(gate_matrix("h")) == (math.pi / 2, 0.0, math.pi / 2, math.pi)
 
 
 def test_euler_rejects_non_unitary():
@@ -287,15 +304,17 @@ def test_euler_random_reconstruction():
     for _ in range(100):
         u = rng.unitary(2)
         angles = euler_decompose(u)
-        assert np.max(np.abs(angles.matrix() - u)) <= 1e-9
-        assert 0.0 <= angles.gamma <= math.pi + 1e-12
+        assert np.max(np.abs(single_qubit_unitary(*angles) - u)) <= 1e-9
+        alpha, beta, gamma, delta = angles
+        assert all(0.0 <= angle < 2 * math.pi for angle in (alpha, beta, delta))
+        assert 0.0 <= gamma <= math.pi
 
 
 def test_euler_degenerate_cases_pin_delta():
     rng = RandomSource(13)
     for _ in range(20):
         theta = rng.angle()
-        diag = euler_decompose(gate_matrix("rz", (theta,)))
-        assert diag.delta == 0.0 and diag.gamma == 0.0
-        anti = euler_decompose(gate_matrix("x") @ gate_matrix("rz", (theta,)))
-        assert anti.delta == 0.0 and anti.gamma == pytest.approx(math.pi)
+        _, _, gamma, delta = euler_decompose(gate_matrix("rz", (theta,)))
+        assert delta == 0.0 and gamma == 0.0
+        _, _, gamma, delta = euler_decompose(gate_matrix("x") @ gate_matrix("rz", (theta,)))
+        assert delta == 0.0 and gamma == pytest.approx(math.pi)

@@ -5,13 +5,18 @@ their imports are the re-exported API, and so are ``from __future__`` imports.
 
 Every single-underscore name that a module of ``src/qfhe`` defines at top level
 is read somewhere in ``src/qfhe``, ``tests`` or ``scripts``.
+
+The package's ``__all__`` lists exactly the public names it binds, once each.
 """
 from __future__ import annotations
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import qfhe
 
 ROOT = Path(__file__).resolve().parent.parent
 ALL_SOURCES = sorted(path for folder in ("src/qfhe", "tests", "scripts") for path in (ROOT / folder).rglob("*.py"))
@@ -101,3 +106,12 @@ def test_detector_flags_a_dead_private_name():
     assert dead_private_names({"m": module}, [module, reader]) == [
         "m line 1: _dead", "m line 2: _a", "m line 11: _dead2"
     ]
+
+
+def test_all_lists_exactly_the_bound_public_names():
+    assert len(qfhe.__all__) == len(set(qfhe.__all__))
+    bound = {
+        name for name, value in vars(qfhe).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(qfhe.__all__) == bound

@@ -425,3 +425,33 @@ def test_states_are_immutable():
     state = PureState.basis(1, 0)
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
+
+
+# --- one integer rule ----------------------------------------------------
+
+#: each constructor with its integer argument given as a function of that value
+INTEGER_ARGUMENTS = {
+    "PureState": (lambda n: PureState(n, [0, 1]), "n_qubits"),
+    "DensityState": (lambda n: DensityState(n, np.diag([1.0, 0.0])), "n_qubits"),
+    "QotpKey": (lambda n: QotpKey(n, "1", "0"), "n_qubits"),
+    "RandomSource": (RandomSource, "seed"),
+}
+
+
+@pytest.mark.parametrize("constructor", INTEGER_ARGUMENTS)
+@pytest.mark.parametrize(
+    "value", [1.5, 1.0, "1", True, np.True_, None],
+    ids=["float", "integral_float", "str", "bool", "numpy_bool", "none"],
+)
+def test_integer_arguments_reject_non_integers(constructor, value):
+    build, name = INTEGER_ARGUMENTS[constructor]
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        build(value)
+
+
+@pytest.mark.parametrize("constructor", INTEGER_ARGUMENTS)
+@pytest.mark.parametrize("value", [np.int64(1), np.uint8(1)], ids=["int64", "uint8"])
+def test_integer_arguments_accept_numpy_integers(constructor, value):
+    build, name = INTEGER_ARGUMENTS[constructor]
+    made = build(value)
+    assert type(getattr(made, name)) is int and getattr(made, name) == 1
