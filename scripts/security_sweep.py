@@ -27,8 +27,7 @@ def main() -> int:
             sigma = rng.density_state(n) if rng.integer(0, 2) else rng.pure_state(n).to_density()
             worst_enc = max(worst_enc, trace_distance(average_over_keys(sigma), maximally_mixed(n)))
         worst_eval = 0.0
-        n_circuits = args.circuits if n < 3 else max(1, args.circuits // 5)
-        for _ in range(n_circuits):
+        for _ in range(args.circuits):
             circuit = rng.circuit(n, 6)
             report = verify_security(circuit, rng.pure_state(n).to_density(), args.tol)
             worst_eval = max(worst_eval, report.worst_evaluate_distance)

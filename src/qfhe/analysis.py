@@ -10,9 +10,10 @@ Three families of checks, all numerical at desk scale:
 No Pauli operator is built as a matrix. Column i of X^a Z^b holds
 S[b, i] = (-1)^popcount(b & i) in row i ^ a, so decomposing and conjugating
 are gathers with one sign table. Key averaging runs n one-wire twirls of
-``qotp.encrypt``, since the key bits are independent. Only
-``verify_security`` still loops over all 4^n keys. Sizes are hard-guarded
-rather than silently slow.
+``qotp.encrypt``, since the key bits are independent. ``verify_security``
+runs all 4^n keys at once as one stack of density matrices: each gate's
+rewrite depends on two key bits only, so four ``rewrite_gate`` calls give
+every key's twin. Sizes are hard-guarded rather than silently slow.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, qotp, rewrite
-from .circuits import Circuit
+from .circuits import Circuit, Gate
 from .linalg import DensityState, canonical_angle
 from .rng import RandomSource
 
@@ -33,6 +34,12 @@ _MAX_QUBITS_CLASSIFY = 3
 
 #: default tolerance separating exact phase-Paulis from everything else
 CLASSIFY_TOL = 1e-8
+
+#: one wire's xz mask X^x Z^z, at index 2x + z
+_MASKS = np.array([
+    np.linalg.matrix_power(linalg.gate_matrix("x"), x) @ np.linalg.matrix_power(linalg.gate_matrix("z"), z)
+    for x in (0, 1) for z in (0, 1)
+])
 
 
 @dataclass(frozen=True)
@@ -46,11 +53,16 @@ class ClassifyResult:
 
 @dataclass(frozen=True)
 class SecurityReport:
-    """Worst-case distances of the key-averaged outputs from totally mixed."""
+    """Distances of the key-averaged outputs from totally mixed, and the worst decryption error.
+
+    worst_decrypt_distance is the largest trace distance, over every key, of
+    the decrypted evaluation from C sigma C^dagger.
+    """
 
     n_qubits: int
     worst_encrypt_distance: float
     worst_evaluate_distance: float
+    worst_decrypt_distance: float
     tolerance: float
     passed: bool
 
@@ -69,6 +81,11 @@ def _pauli_signs(n: int) -> np.ndarray:
     return 1 - 2 * parity
 
 
+def _single_wire_bits(n: int, wire: int, bit: int) -> str:
+    """The n-bit string that is 0 except for the given bit on the given wire."""
+    return ("0" * wire + str(bit)).ljust(n, "0")
+
+
 def average_over_keys(sigma: DensityState) -> DensityState:
     """Uniform average of X^a Z^b sigma Z^b X^a over all 4^n key pairs.
 
@@ -80,17 +97,72 @@ def average_over_keys(sigma: DensityState) -> DensityState:
     if n > _MAX_QUBITS_AVERAGE:
         raise ValueError(f"key averaging is limited to {_MAX_QUBITS_AVERAGE} qubits, got {n}")
     for wire in range(n):
-        on_wire = [("0" * wire + bit).ljust(n, "0") for bit in "01"]
+        on_wire = [_single_wire_bits(n, wire, bit) for bit in (0, 1)]
         keys = [qotp.QotpKey(n, a, b) for a in on_wire for b in on_wire]
         sigma = DensityState(n, sum(qotp.encrypt(key, sigma).matrix for key in keys) / 4)
     return sigma
 
 
+def _key_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """x[k, w] and z[k, w]: the key bits of wire w for key k, in ``qotp.all_keys`` order."""
+    key = np.arange(4 ** n)
+    shifts = np.arange(n - 1, -1, -1)
+    return (key[:, None] >> n + shifts) & 1, (key[:, None] >> shifts) & 1
+
+
+def _twin_stack(gate: Gate, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Every key's rewrite of the gate, folded into one (4^n, 2^k, 2^k) stack on its wires.
+
+    The rewrite reads two key bits: x and z of the wire, or for cnot x of
+    the control and z of the target. So it runs once per value of those
+    bits, and each key picks its entry from the four.
+    """
+    n = x.shape[1]
+    x_wire, z_wire = gate.wires[0], gate.wires[-1]
+    k = len(gate.wires)
+    table = []
+    for x_bit in (0, 1):
+        for z_bit in (0, 1):
+            key = qotp.QotpKey(n, _single_wire_bits(n, x_wire, x_bit), _single_wire_bits(n, z_wire, z_bit))
+            twin = np.eye(1 << k, dtype=complex).reshape(-1)
+            for g in rewrite.rewrite_gate(key, gate).gates:
+                # the replacement's row axes are the first k of the 2k
+                twin = linalg._apply_on_axes(g.matrix(), tuple(map(gate.wires.index, g.wires)), twin, 2 * k)
+            table.append(twin.reshape(1 << k, 1 << k))
+    return np.array(table)[2 * x[:, x_wire] + z[:, z_wire]]
+
+
+def _evolve_keys(stack: np.ndarray, n: int, ops) -> np.ndarray:
+    """Run (operator stack, wires) pairs on a stack of density matrices, one per key.
+
+    Every result is then checked with DensityState's invariants.
+    """
+    stack = linalg._conjugate(stack, n, ops)
+    linalg._check_density(stack)
+    return stack
+
+
+def _key_stacks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ciphertext, evaluated ciphertext and its decryption under every key, as (4^n, 2^n, 2^n) stacks.
+
+    Key k is ``qotp.all_keys(n)[k]``. Decryption runs the mask stacks again
+    in reverse wire order: X^a Z^b conjugated twice is the identity map.
+    """
+    n = circuit.n_qubits
+    x, z = _key_bits(n)
+    masks = [(_MASKS[2 * x[:, w] + z[:, w]], (w,)) for w in range(n)]
+    stack = np.broadcast_to(sigma.matrix, (len(x), *sigma.matrix.shape))
+    cipher = _evolve_keys(stack, n, masks)
+    evaluated = _evolve_keys(cipher, n, ((_twin_stack(g, x, z), g.wires) for g in circuit.gates))
+    return cipher, evaluated, _evolve_keys(evaluated, n, masks[::-1])
+
+
 def verify_security(circuit: Circuit, sigma: DensityState, tol: float) -> SecurityReport:
-    """Brute-force check that both encryption and evaluation hide the state.
+    """Exhaustive check that encryption and evaluation hide the state and evaluation is correct.
 
     Averages encrypt(key, sigma) and evaluate(key, C, encrypt(key, sigma))
-    over every key and reports the trace distances to the mixed state.
+    over every key and reports the trace distances to the mixed state, and
+    the worst distance of any key's decrypted evaluation from C sigma C^dagger.
     """
     _check_tolerance(tol)
     linalg._require_density(sigma)
@@ -99,25 +171,21 @@ def verify_security(circuit: Circuit, sigma: DensityState, tol: float) -> Securi
         raise ValueError(f"circuit has {n} qubit(s), state has {sigma.n_qubits}")
     if n > _MAX_QUBITS_EVALUATE:
         raise ValueError(f"security verification is limited to {_MAX_QUBITS_EVALUATE} qubits, got {n}")
-    dim = 2 ** n
-    enc_total = np.zeros((dim, dim), dtype=complex)
-    eval_total = np.zeros((dim, dim), dtype=complex)
-    keys = qotp.all_keys(n)
-    for key in keys:
-        cipher = qotp.encrypt(key, sigma)
-        enc_total += cipher.matrix
-        eval_total += rewrite.evaluate(key, circuit, cipher).matrix
+    cipher, evaluated, decrypted = _key_stacks(circuit, sigma)
+    expected = linalg._evolve(sigma, ((g.matrix(), g.wires) for g in circuit.gates))
     mixed = linalg.maximally_mixed(n)
-    enc_avg = DensityState(n, enc_total / len(keys))
-    eval_avg = DensityState(n, eval_total / len(keys))
+    enc_avg = DensityState(n, cipher.sum(axis=0) / len(cipher))
+    eval_avg = DensityState(n, evaluated.sum(axis=0) / len(evaluated))
     d_enc = linalg.trace_distance(enc_avg, mixed)
     d_eval = linalg.trace_distance(eval_avg, mixed)
+    d_dec = float(np.max(linalg._trace_distances(decrypted, expected.matrix)))
     return SecurityReport(
         n_qubits=n,
         worst_encrypt_distance=d_enc,
         worst_evaluate_distance=d_eval,
+        worst_decrypt_distance=d_dec,
         tolerance=tol,
-        passed=d_enc <= tol and d_eval <= tol,
+        passed=d_enc <= tol and d_eval <= tol and d_dec <= tol,
     )
 
 

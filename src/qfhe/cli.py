@@ -193,6 +193,7 @@ def _cmd_verify_security(args) -> int:
             "n_qubits": report.n_qubits,
             "worst_encrypt_distance": report.worst_encrypt_distance,
             "worst_evaluate_distance": report.worst_evaluate_distance,
+            "worst_decrypt_distance": report.worst_decrypt_distance,
             "tolerance": report.tolerance,
             "pass": report.passed,
         }
@@ -201,6 +202,7 @@ def _cmd_verify_security(args) -> int:
         print(f"security check: n={report.n_qubits}")
         print(f"  worst encrypt distance   {report.worst_encrypt_distance:.6e}")
         print(f"  worst evaluate distance  {report.worst_evaluate_distance:.6e}")
+        print(f"  worst decrypt distance   {report.worst_decrypt_distance:.6e}")
         print(f"  tolerance                {report.tolerance:.6e}")
         print(f"  result                   {'PASS' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_FAIL

@@ -7,10 +7,11 @@ Conventions used everywhere in this package:
 
 Everything here is double precision. Gates are contracted with the wire axes
 of a state, never embedded into a 2^n x 2^n operator, and a state is checked
-once per gate sequence, not per gate. On a 2-core Xeon with one BLAS thread,
-200 random gates take about 7 ms on a pure n=12 state and 70 ms on a density
-n=7 state. The 4^n key loop of ``analysis.verify_security`` caps useful n
-well below that anyway.
+once per gate sequence, not per gate. The same kernel runs a stack of density
+matrices with one operator per stack entry, which is how
+``analysis.verify_security`` moves all 4^n keys at once. On a 2-core Xeon with
+one BLAS thread, 200 random gates take about 7 ms on a pure n=12 state and
+70 ms on a density n=7 state.
 """
 from __future__ import annotations
 
@@ -133,6 +134,19 @@ def _check_finite(arr: np.ndarray) -> None:
         raise ValueError("entries must be finite")
 
 
+def _check_density(mat: np.ndarray) -> None:
+    """DensityState's invariants on one matrix, or on each matrix of a (B, d, d) stack."""
+    _check_finite(mat)
+    if np.max(np.abs(mat - mat.conj().mT)) > ATOL_STATE:
+        raise ValueError(f"matrix is not Hermitian within {ATOL_STATE}")
+    tr = np.trace(mat, axis1=-2, axis2=-1).real
+    tr = tr.reshape(-1)[np.argmax(np.abs(tr - 1.0))]
+    if abs(tr - 1.0) > ATOL_STATE:
+        raise ValueError(f"trace {tr} is not 1 within {ATOL_STATE}")
+    if np.min(np.linalg.eigvalsh(mat)) < -ATOL_STATE:
+        raise ValueError(f"matrix has eigenvalues below -{ATOL_STATE}")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized n-qubit statevector."""
@@ -155,8 +169,8 @@ class PureState:
 
     @classmethod
     def basis(cls, n_qubits: int, index: int = 0) -> "PureState":
-        vec = np.zeros(2 ** n_qubits, dtype=complex)
-        vec[index] = 1.0
+        vec = np.zeros(2 ** _as_index(n_qubits, "n_qubits"), dtype=complex)
+        vec[_as_index(index, "index")] = 1.0
         return cls(n_qubits, vec)
 
     def to_density(self) -> "DensityState":
@@ -176,14 +190,7 @@ class DensityState:
         dim = 2 ** n
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
-        _check_finite(mat)
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL_STATE:
-            raise ValueError(f"matrix is not Hermitian within {ATOL_STATE}")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > ATOL_STATE:
-            raise ValueError(f"trace {tr} is not 1 within {ATOL_STATE}")
-        if np.min(np.linalg.eigvalsh(mat)) < -ATOL_STATE:
-            raise ValueError(f"matrix has eigenvalues below -{ATOL_STATE}")
+        _check_density(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", mat)
@@ -213,33 +220,56 @@ def _checked_operator(unitary, wires, n_qubits: int) -> tuple[np.ndarray, tuple[
 def _apply_on_axes(op: np.ndarray, axes: tuple[int, ...], flat: np.ndarray, m: int) -> np.ndarray:
     """Apply a 2^k x 2^k operator to the given axes of the (2,)*m view of flat.
 
-    Axis axes[i] carries the operator's i-th tensor factor. Returns a new
-    C-contiguous array of 2^m entries. Ascending contiguous axes take one
-    matmul on a (2^lo, 2^k, rest) reshape, which copies nothing on the way
-    in. That matmul issues one gemm per batch entry, so once the batch
-    outnumbers the columns each entry covers, and for any other axes, the
-    axes are gathered in front, multiplied in one gemm and scattered back.
+    flat holds 2^m entries, optionally after one leading axis of B entries (a
+    stack of states); op is either shared, (2^k, 2^k), or one per stack entry,
+    (B, 2^k, 2^k). Axis axes[i] carries the operator's i-th tensor factor.
+    Returns a new C-contiguous array of flat's shape. Ascending contiguous
+    axes take one matmul on a (2^lo, 2^k, rest) reshape per stack entry, which
+    copies nothing on the way in. That matmul issues one gemm per batch and
+    stack entry, so once those outnumber the columns each gemm covers (unless
+    the batch is a single entry), and for any other axes, the axes are
+    gathered in front, multiplied in one gemm per stack entry and scattered
+    back.
     """
     k = len(axes)
+    lead = flat.shape[:-1]
     lo = axes[0] if axes else 0
     if axes == tuple(range(lo, lo + k)):
         batch, rest = 1 << lo, 1 << (m - lo - k)
         if rest == 1:
-            return (flat.reshape(batch, 1 << k) @ op.T).reshape(-1)
-        if batch <= rest:
-            return np.matmul(op, flat.reshape(batch, 1 << k, rest)).reshape(-1)
+            return (flat.reshape(lead + (batch, 1 << k)) @ op.mT).reshape(flat.shape)
+        if batch == 1 or batch * (flat.size >> m) <= rest:
+            if op.ndim == 3:
+                op = op[:, None]  # the same operator for every batch entry of a stack entry
+            return np.matmul(op, flat.reshape(lead + (batch, 1 << k, rest))).reshape(flat.shape)
     perm = [*axes, *(a for a in range(m) if a not in axes)]
-    gathered = flat.reshape((2,) * m).transpose(perm)
-    out = (op @ gathered.reshape(1 << k, -1)).reshape(gathered.shape)
-    return out.transpose(sorted(range(m), key=perm.__getitem__)).reshape(-1)
+    back = sorted(range(m), key=perm.__getitem__)
+    if lead:  # the stack axis stays in front
+        perm, back = [0, *(a + 1 for a in perm)], [0, *(a + 1 for a in back)]
+    gathered = flat.reshape(lead + (2,) * m).transpose(perm)
+    out = (op @ gathered.reshape(lead + (1 << k, -1))).reshape(gathered.shape)
+    return out.transpose(back).reshape(flat.shape)
+
+
+def _conjugate(mats: np.ndarray, n: int, ops) -> np.ndarray:
+    """U rho U^dagger for each (operator, wires) pair in order, unchecked.
+
+    mats is one 2^n x 2^n density matrix or a (B, 2^n, 2^n) stack; each
+    operator is shared or one per stack entry, as in ``_apply_on_axes``.
+    U acts on the row axes and U* on the column axes.
+    """
+    flat = mats.reshape(*mats.shape[:-2], -1)
+    for op, wires in ops:
+        flat = _apply_on_axes(op, wires, flat, 2 * n)
+        flat = _apply_on_axes(op.conj(), tuple(n + w for w in wires), flat, 2 * n)
+    return flat.reshape(mats.shape)
 
 
 def _evolve(state, ops):
     """Apply (operator, wires) pairs in order to a checked state, then check the result.
 
     The one apply loop. It runs on the raw array and trusts each pair: a
-    complex 2^k x 2^k operator on k distinct in-range wires. A density matrix
-    gets U on its row axes and U* on its column axes.
+    complex 2^k x 2^k operator on k distinct in-range wires.
     """
     n = state.n_qubits
     if isinstance(state, PureState):
@@ -247,11 +277,7 @@ def _evolve(state, ops):
         for op, wires in ops:
             flat = _apply_on_axes(op, wires, flat, n)
         return PureState(n, flat)
-    flat = state.matrix.reshape(-1)
-    for op, wires in ops:
-        flat = _apply_on_axes(op, wires, flat, 2 * n)
-        flat = _apply_on_axes(op.conj(), tuple(n + w for w in wires), flat, 2 * n)
-    return DensityState(n, flat.reshape(2 ** n, 2 ** n))
+    return DensityState(n, _conjugate(state.matrix, n, ops))
 
 
 def apply_to_wires(unitary: np.ndarray, wires, state):
@@ -278,12 +304,18 @@ def trace_distance(rho: DensityState, sigma: DensityState) -> float:
     _require_density(sigma)
     if rho.n_qubits != sigma.n_qubits:
         raise ValueError(f"qubit counts differ: {rho.n_qubits} vs {sigma.n_qubits}")
-    eigs = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return 0.5 * float(np.sum(np.abs(eigs)))
+    return float(_trace_distances(rho.matrix, sigma.matrix))
+
+
+def _trace_distances(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """(1/2) * sum |eigenvalues(rho - sigma)| of two matrices, or per entry of two stacks."""
+    eigs = np.linalg.eigvalsh(rho - sigma)
+    return 0.5 * np.sum(np.abs(eigs), axis=-1)
 
 
 def maximally_mixed(n_qubits: int) -> DensityState:
     """The totally mixed state I / 2^n."""
+    n_qubits = _as_index(n_qubits, "n_qubits")
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     dim = 2 ** n_qubits

@@ -42,6 +42,7 @@ class QotpKey:
 
 def keygen(n_qubits: int, rng: RandomSource, variant: str = VARIANT_XZ) -> QotpKey:
     """Draw 2n uniform key bits from the given source."""
+    n_qubits = linalg._as_index(n_qubits, "n_qubits")
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     return QotpKey(n_qubits, rng.bit_string(n_qubits), rng.bit_string(n_qubits), variant)

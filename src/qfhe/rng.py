@@ -43,14 +43,16 @@ class RandomSource:
         return q * (d / np.abs(d))
 
     def pure_state(self, n_qubits: int) -> PureState:
+        n_qubits = _as_index(n_qubits, "n_qubits")
         dim = 2 ** n_qubits
         vec = self._gen.normal(size=dim) + 1j * self._gen.normal(size=dim)
         return PureState(n_qubits, vec / np.linalg.norm(vec))
 
     def density_state(self, n_qubits: int, rank: int | None = None) -> DensityState:
         """Random mixed state from a uniformly weighted ensemble of pure states."""
+        n_qubits = _as_index(n_qubits, "n_qubits")
         dim = 2 ** n_qubits
-        rank = dim if rank is None else rank
+        rank = dim if rank is None else _as_index(rank, "rank")
         probs = self._gen.dirichlet(np.ones(rank))
         mat = np.zeros((dim, dim), dtype=complex)
         for p in probs:

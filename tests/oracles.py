@@ -1,15 +1,18 @@
-"""Dense slow oracles the tests compare the package's fast paths against.
+"""Slow oracles the tests compare the package's fast paths against.
 
-Each builds full 2^n x 2^n matrices: Pauli operators one at a time, gates
+Most build full 2^n x 2^n matrices: Pauli operators one at a time, gates
 tensor-embedded into the whole register, circuits as the product of those
-embeddings. The package itself works on wire axes and sign tables instead,
-so nothing here is imported by ``src/qfhe``.
+embeddings. ``verify_security_loop`` visits the 4^n keys one at a time. The
+package itself works on wire axes, sign tables and key stacks instead, so
+nothing here is imported by ``src/qfhe``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from qfhe.circuits import Circuit
+from qfhe import linalg, qotp, rewrite
+from qfhe.analysis import _MAX_QUBITS_EVALUATE, SecurityReport, _check_tolerance
+from qfhe.circuits import Circuit, simulate
 from qfhe.linalg import DensityState, _checked_operator, all_bit_strings
 
 
@@ -88,3 +91,44 @@ def full_matrix(circuit: Circuit) -> np.ndarray:
     for gate in circuit.gates:
         total = embed_on_wires(gate.matrix(), gate.wires, circuit.n_qubits) @ total
     return total
+
+
+def verify_security_loop(circuit: Circuit, sigma: DensityState, tol: float) -> SecurityReport:
+    """``analysis.verify_security`` one key at a time: encrypt, evaluate and decrypt per key.
+
+    Averages encrypt(key, sigma) and evaluate(key, C, encrypt(key, sigma))
+    over every key and reports the trace distances to the mixed state, and
+    the worst distance of any key's decrypted evaluation from C sigma C^dagger.
+    """
+    _check_tolerance(tol)
+    linalg._require_density(sigma)
+    n = circuit.n_qubits
+    if n != sigma.n_qubits:
+        raise ValueError(f"circuit has {n} qubit(s), state has {sigma.n_qubits}")
+    if n > _MAX_QUBITS_EVALUATE:
+        raise ValueError(f"security verification is limited to {_MAX_QUBITS_EVALUATE} qubits, got {n}")
+    dim = 2 ** n
+    enc_total = np.zeros((dim, dim), dtype=complex)
+    eval_total = np.zeros((dim, dim), dtype=complex)
+    expected = simulate(circuit, sigma)
+    d_dec = 0.0
+    keys = qotp.all_keys(n)
+    for key in keys:
+        cipher = qotp.encrypt(key, sigma)
+        enc_total += cipher.matrix
+        evaluated = rewrite.evaluate(key, circuit, cipher)
+        eval_total += evaluated.matrix
+        d_dec = max(d_dec, linalg.trace_distance(qotp.decrypt(key, evaluated), expected))
+    mixed = linalg.maximally_mixed(n)
+    enc_avg = DensityState(n, enc_total / len(keys))
+    eval_avg = DensityState(n, eval_total / len(keys))
+    d_enc = linalg.trace_distance(enc_avg, mixed)
+    d_eval = linalg.trace_distance(eval_avg, mixed)
+    return SecurityReport(
+        n_qubits=n,
+        worst_encrypt_distance=d_enc,
+        worst_evaluate_distance=d_eval,
+        worst_decrypt_distance=d_dec,
+        tolerance=tol,
+        passed=d_enc <= tol and d_eval <= tol and d_dec <= tol,
+    )

@@ -10,18 +10,29 @@ from qfhe import (
     average_over_keys,
     check_appendix_identities,
     classify_key_independent,
+    decrypt,
+    encrypt,
+    evaluate,
     gate_matrix,
     maximally_mixed,
     pauli_decompose,
+    rewrite,
     trace_distance,
     verify_security,
 )
-from qfhe.analysis import CLASSIFY_TOL, _phase_adjusted_distance, check_u_rewrite_endpoints
+from qfhe.analysis import (
+    CLASSIFY_TOL,
+    _evolve_keys,
+    _key_stacks,
+    _phase_adjusted_distance,
+    check_u_rewrite_endpoints,
+)
 from qfhe.cli import main
-from qfhe.linalg import ATOL_EXACT, all_bit_strings, canonical_angle
+from qfhe.linalg import ATOL_EXACT, GATE_SPECS, all_bit_strings, canonical_angle
+from qfhe.qotp import all_keys
 from qfhe.rng import RandomSource
 
-from oracles import pauli_basis, pauli_conjugates, pauli_operator, pauli_table
+from oracles import pauli_basis, pauli_conjugates, pauli_operator, pauli_table, verify_security_loop
 
 
 # --- key averaging -------------------------------------------------------
@@ -88,6 +99,54 @@ def test_verify_security_zero_tolerance_fails():
 def test_verify_security_size_guard():
     with pytest.raises(ValueError):
         verify_security(Circuit(4), maximally_mixed(4), 1e-9)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_security_matches_the_per_key_loop(n, mixed):
+    rng = RandomSource(2)
+    circuit = rng.circuit(n, 30)
+    # on one qubit a drawn cnot becomes x
+    assert {g.kind for g in circuit.gates} == set(GATE_SPECS) - ({"cnot"} if n == 1 else set())
+    sigma = rng.density_state(n) if mixed else rng.pure_state(n).to_density()
+    cipher, evaluated, decrypted = _key_stacks(circuit, sigma)
+    keys = all_keys(n)
+    assert cipher.shape == evaluated.shape == decrypted.shape == (len(keys), 2 ** n, 2 ** n)
+    for k, key in enumerate(keys):
+        want_cipher = encrypt(key, sigma)
+        want_evaluated = evaluate(key, circuit, want_cipher)
+        assert np.max(np.abs(cipher[k] - want_cipher.matrix)) <= ATOL_EXACT
+        assert np.max(np.abs(evaluated[k] - want_evaluated.matrix)) <= ATOL_EXACT
+        assert np.max(np.abs(decrypted[k] - decrypt(key, want_evaluated).matrix)) <= ATOL_EXACT
+    for tol in (1e-9, 0.0):
+        got, want = verify_security(circuit, sigma, tol), verify_security_loop(circuit, sigma, tol)
+        for name in ("worst_encrypt_distance", "worst_evaluate_distance", "worst_decrypt_distance"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= ATOL_EXACT
+        assert got.passed == want.passed
+
+
+def test_a_key_ignoring_evaluator_fails_only_the_decrypt_check(monkeypatch):
+    # every twin the plain gate: the evaluate average is C (I/2^n) C^dagger = I/2^n,
+    # so only decrypting each key's result can notice
+    rng = RandomSource(41)
+    circuit = rng.circuit(2, 12)
+    sigma = rng.pure_state(2).to_density()
+    monkeypatch.setattr(rewrite, "rewrite_gate", lambda key, gate: rewrite.RewriteResult((gate,), 0))
+    report = verify_security(circuit, sigma, 1e-9)
+    assert report.worst_encrypt_distance <= 1e-9
+    assert report.worst_evaluate_distance <= 1e-9
+    assert report.worst_decrypt_distance > 0.1
+    assert not report.passed
+
+
+def test_the_key_batch_checks_every_key():
+    keys = 16
+    stack = np.repeat(maximally_mixed(2).matrix[None], keys, axis=0)
+    ops = np.repeat(np.eye(2, dtype=complex)[None], keys, axis=0)
+    assert np.array_equal(_evolve_keys(stack, 2, [(ops, (1,))]), stack)
+    ops[5] = 2 * np.eye(2)
+    with pytest.raises(ValueError, match="trace 4.0 is not 1 within"):
+        _evolve_keys(stack, 2, [(ops, (1,))])
 
 
 @pytest.mark.parametrize("call", [

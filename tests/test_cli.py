@@ -196,7 +196,9 @@ def test_verify_security_pass(tmp_path, capsys):
     circ = write(tmp_path / "c.json", json.dumps({"qubits": 1, "gates": []}))
     state = write(tmp_path / "s.json", pure_state_doc(np.array([1.0, 0.0])))
     assert main(["verify-security", "--circuit", circ, "--state", state]) == 0
-    assert "PASS" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "PASS" in out
+    assert "  worst decrypt distance   " in out
 
 
 def test_verify_security_json_format(tmp_path, capsys):
@@ -206,6 +208,7 @@ def test_verify_security_json_format(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is True
     assert doc["worst_encrypt_distance"] <= 1e-10
+    assert doc["worst_decrypt_distance"] <= 1e-10
 
 
 def test_verify_security_zero_tol_fails(tmp_path):

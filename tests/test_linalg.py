@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,11 +16,12 @@ from qfhe import (
     decrypt,
     encrypt,
     gate_matrix,
+    keygen,
     maximally_mixed,
     simulate,
     trace_distance,
 )
-from qfhe.linalg import ATOL_EXACT, GATE_SPECS, _evolve, all_bit_strings
+from qfhe.linalg import ATOL_EXACT, GATE_SPECS, _apply_on_axes, _evolve, all_bit_strings
 from qfhe.qotp import _mask, all_keys
 from qfhe.rng import RandomSource
 
@@ -241,6 +243,22 @@ def test_kernel_operators_on_any_wire_set():
     _check_gate(np.array([[1j]]), (), 3, rng)
 
 
+@pytest.mark.parametrize("m", [3, 6])
+def test_kernel_stack_equals_each_entry_on_its_own(m):
+    # a (B, d, d) operator stack applies entry b to state b; a shared operator to every state
+    rng = np.random.default_rng(m)
+    states = rng.normal(size=(5, 2 ** m)) + 1j * rng.normal(size=(5, 2 ** m))
+    for k in (1, 2):
+        for axes in itertools.permutations(range(m), k):
+            ops = rng.normal(size=(5, 2 ** k, 2 ** k)) + 1j * rng.normal(size=(5, 2 ** k, 2 ** k))
+            stacked = _apply_on_axes(ops, axes, states, m)
+            shared = _apply_on_axes(ops[0], axes, states, m)
+            assert stacked.shape == shared.shape == states.shape
+            for b in range(len(states)):
+                assert np.max(np.abs(stacked[b] - _apply_on_axes(ops[b], axes, states[b], m))) <= ATOL_EXACT
+                assert np.max(np.abs(shared[b] - _apply_on_axes(ops[0], axes, states[b], m))) <= ATOL_EXACT
+
+
 @settings(deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(GATE_SPECS)), st.data())
 def test_kernel_matches_dense_oracle(n, seed, kind, data):
@@ -455,3 +473,23 @@ def test_integer_arguments_accept_numpy_integers(constructor, value):
     build, name = INTEGER_ARGUMENTS[constructor]
     made = build(value)
     assert type(getattr(made, name)) is int and getattr(made, name) == 1
+
+
+#: helpers that take an integer beside the constructors, with the name they report
+INTEGER_HELPERS = {
+    "keygen": (lambda v: keygen(v, RandomSource(0)), "n_qubits"),
+    "pure_state": (lambda v: RandomSource(0).pure_state(v), "n_qubits"),
+    "density_state": (lambda v: RandomSource(0).density_state(v), "n_qubits"),
+    "density_state_rank": (lambda v: RandomSource(0).density_state(1, v), "rank"),
+    "maximally_mixed": (maximally_mixed, "n_qubits"),
+    "basis_n_qubits": (lambda v: PureState.basis(v, 0), "n_qubits"),
+    "basis_index": (lambda v: PureState.basis(1, v), "index"),
+}
+
+
+@pytest.mark.parametrize("helper", INTEGER_HELPERS)
+@pytest.mark.parametrize("value", [1.0, 1.5, "1", True], ids=["integral_float", "float", "str", "bool"])
+def test_integer_helpers_reject_non_integers(helper, value):
+    call, name = INTEGER_HELPERS[helper]
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call(value)
