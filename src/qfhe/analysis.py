@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, qotp, rewrite
-from .circuits import Circuit, Gate
+from .circuits import Circuit, Gate, simulate
 from .linalg import DensityState, canonical_angle
 from .rng import RandomSource
 
@@ -34,13 +34,6 @@ _MAX_QUBITS_CLASSIFY = 3
 
 #: default tolerance separating exact phase-Paulis from everything else
 CLASSIFY_TOL = 1e-8
-
-#: one wire's xz mask X^x Z^z, at index 2x + z
-_MASKS = np.array([
-    np.linalg.matrix_power(linalg.gate_matrix("x"), x) @ np.linalg.matrix_power(linalg.gate_matrix("z"), z)
-    for x in (0, 1) for z in (0, 1)
-])
-
 
 @dataclass(frozen=True)
 class ClassifyResult:
@@ -110,6 +103,20 @@ def _key_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (key[:, None] >> n + shifts) & 1, (key[:, None] >> shifts) & 1
 
 
+def _fold(gates, wires: tuple[int, ...]) -> np.ndarray:
+    """The gates, applied in order, as one 2^k x 2^k operator on the k given wires."""
+    k = len(wires)
+    op = np.eye(1 << k, dtype=complex).reshape(-1)
+    for g in gates:
+        # the operator's row axes are the first k of the 2k
+        op = linalg._apply_on_axes(g.matrix(), tuple(map(wires.index, g.wires)), op, 2 * k)
+    return op.reshape(1 << k, 1 << k)
+
+
+#: one wire's xz mask, at index 2x + z for key bits x and z
+_MASKS = np.array([_fold(qotp._mask(qotp.QotpKey(1, x, z), None).gates, (0,)) for x in "01" for z in "01"])
+
+
 def _twin_stack(gate: Gate, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Every key's rewrite of the gate, folded into one (4^n, 2^k, 2^k) stack on its wires.
 
@@ -119,16 +126,11 @@ def _twin_stack(gate: Gate, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
     n = x.shape[1]
     x_wire, z_wire = gate.wires[0], gate.wires[-1]
-    k = len(gate.wires)
     table = []
     for x_bit in (0, 1):
         for z_bit in (0, 1):
             key = qotp.QotpKey(n, _single_wire_bits(n, x_wire, x_bit), _single_wire_bits(n, z_wire, z_bit))
-            twin = np.eye(1 << k, dtype=complex).reshape(-1)
-            for g in rewrite.rewrite_gate(key, gate).gates:
-                # the replacement's row axes are the first k of the 2k
-                twin = linalg._apply_on_axes(g.matrix(), tuple(map(gate.wires.index, g.wires)), twin, 2 * k)
-            table.append(twin.reshape(1 << k, 1 << k))
+            table.append(_fold(rewrite.rewrite_gate(key, gate).gates, gate.wires))
     return np.array(table)[2 * x[:, x_wire] + z[:, z_wire]]
 
 
@@ -172,7 +174,7 @@ def verify_security(circuit: Circuit, sigma: DensityState, tol: float) -> Securi
     if n > _MAX_QUBITS_EVALUATE:
         raise ValueError(f"security verification is limited to {_MAX_QUBITS_EVALUATE} qubits, got {n}")
     cipher, evaluated, decrypted = _key_stacks(circuit, sigma)
-    expected = linalg._evolve(sigma, ((g.matrix(), g.wires) for g in circuit.gates))
+    expected = simulate(circuit, sigma)
     mixed = linalg.maximally_mixed(n)
     enc_avg = DensityState(n, cipher.sum(axis=0) / len(cipher))
     eval_avg = DensityState(n, evaluated.sum(axis=0) / len(evaluated))

@@ -137,7 +137,7 @@ def _check_finite(arr: np.ndarray) -> None:
 def _check_density(mat: np.ndarray) -> None:
     """DensityState's invariants on one matrix, or on each matrix of a (B, d, d) stack."""
     _check_finite(mat)
-    if np.max(np.abs(mat - mat.conj().mT)) > ATOL_STATE:
+    if np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))) > ATOL_STATE:
         raise ValueError(f"matrix is not Hermitian within {ATOL_STATE}")
     tr = np.trace(mat, axis1=-2, axis2=-1).real
     tr = tr.reshape(-1)[np.argmax(np.abs(tr - 1.0))]
@@ -237,7 +237,7 @@ def _apply_on_axes(op: np.ndarray, axes: tuple[int, ...], flat: np.ndarray, m: i
     if axes == tuple(range(lo, lo + k)):
         batch, rest = 1 << lo, 1 << (m - lo - k)
         if rest == 1:
-            return (flat.reshape(lead + (batch, 1 << k)) @ op.mT).reshape(flat.shape)
+            return (flat.reshape(lead + (batch, 1 << k)) @ op.swapaxes(-1, -2)).reshape(flat.shape)
         if batch == 1 or batch * (flat.size >> m) <= rest:
             if op.ndim == 3:
                 op = op[:, None]  # the same operator for every batch entry of a stack entry
