@@ -9,11 +9,11 @@ Three families of checks, all numerical at desk scale:
 
 No Pauli operator is built as a matrix. Column i of X^a Z^b holds
 S[b, i] = (-1)^popcount(b & i) in row i ^ a, so decomposing and conjugating
-are gathers with one sign table. Key averaging runs n one-wire twirls of
-``qotp.encrypt``, since the key bits are independent. ``verify_security``
-runs all 4^n keys at once as one stack of density matrices: each gate's
-rewrite depends on two key bits only, so four ``rewrite_gate`` calls give
-every key's twin. Sizes are hard-guarded rather than silently slow.
+are gathers with one sign table. Key averaging is n one-wire twirls, each a
+stack of the four one-wire masks through the kernel. ``verify_security``
+runs all 4^n keys as one stack of density matrices: each gate's rewrite
+depends on two key bits only, so four ``rewrite_gate`` calls give every
+key's twin. Sizes are hard-guarded rather than silently slow.
 """
 from __future__ import annotations
 
@@ -74,26 +74,22 @@ def _pauli_signs(n: int) -> np.ndarray:
     return 1 - 2 * parity
 
 
-def _single_wire_bits(n: int, wire: int, bit: int) -> str:
-    """The n-bit string that is 0 except for the given bit on the given wire."""
-    return ("0" * wire + str(bit)).ljust(n, "0")
-
-
 def average_over_keys(sigma: DensityState) -> DensityState:
     """Uniform average of X^a Z^b sigma Z^b X^a over all 4^n key pairs.
 
     The key bits are independent, so the average is n one-wire twirls: each
-    averages ``qotp.encrypt`` over the four keys with bits on that wire only.
+    runs the wire's four masks as one stack through the kernel and averages
+    it. Only the result is checked, as a DensityState.
     """
     linalg._require_density(sigma)
     n = sigma.n_qubits
     if n > _MAX_QUBITS_AVERAGE:
         raise ValueError(f"key averaging is limited to {_MAX_QUBITS_AVERAGE} qubits, got {n}")
+    mat = sigma.matrix
     for wire in range(n):
-        on_wire = [_single_wire_bits(n, wire, bit) for bit in (0, 1)]
-        keys = [qotp.QotpKey(n, a, b) for a in on_wire for b in on_wire]
-        sigma = DensityState(n, sum(qotp.encrypt(key, sigma).matrix for key in keys) / 4)
-    return sigma
+        stack = np.broadcast_to(mat, (len(_MASKS), *mat.shape))
+        mat = linalg._conjugate(stack, n, [(_MASKS, (wire,))]).sum(axis=0) / len(_MASKS)
+    return DensityState(n, mat)
 
 
 def _key_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,9 +123,9 @@ def _twin_stack(gate: Gate, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     n = x.shape[1]
     x_wire, z_wire = gate.wires[0], gate.wires[-1]
     table = []
-    for x_bit in (0, 1):
-        for z_bit in (0, 1):
-            key = qotp.QotpKey(n, _single_wire_bits(n, x_wire, x_bit), _single_wire_bits(n, z_wire, z_bit))
+    for x_bit in "01":
+        for z_bit in "01":
+            key = qotp.QotpKey(n, x_bit * n, z_bit * n)
             table.append(_fold(rewrite.rewrite_gate(key, gate).gates, gate.wires))
     return np.array(table)[2 * x[:, x_wire] + z[:, z_wire]]
 

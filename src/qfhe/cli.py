@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, circuits, qotp, rewrite
 from .circuits import CircuitFormatError
-from .linalg import DensityState, PureState
+from .linalg import ATOL_EXACT, DensityState, PureState
 from .qotp import QotpKey
 from .rng import RandomSource
 
@@ -28,8 +28,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_SEMANTIC = 2
 EXIT_PARSE = 3
-
-IDENTITY_TOL = 1e-12
 
 
 class CliError(Exception):
@@ -233,13 +231,13 @@ def _cmd_classify(args) -> int:
 
 def _cmd_check_identities(args) -> int:
     report = analysis.check_appendix_identities(args.samples, RandomSource(args.seed))
-    ok = all(err <= IDENTITY_TOL for err in report.values())
+    ok = all(err <= ATOL_EXACT for err in report.values())
     if args.format == "json":
-        sys.stdout.write(_dump({"identities": report, "tolerance": IDENTITY_TOL, "pass": ok}).decode("utf-8"))
+        sys.stdout.write(_dump({"identities": report, "tolerance": ATOL_EXACT, "pass": ok}).decode("utf-8"))
     else:
         for name, err in report.items():
             print(f"{name:<22} {err:.6e}")
-        print(f"result: {'PASS' if ok else 'FAIL'} (tolerance {IDENTITY_TOL:.0e})")
+        print(f"result: {'PASS' if ok else 'FAIL'} (tolerance {ATOL_EXACT:.0e})")
     return EXIT_OK if ok else EXIT_FAIL
 
 

@@ -169,8 +169,12 @@ class PureState:
 
     @classmethod
     def basis(cls, n_qubits: int, index: int = 0) -> "PureState":
-        vec = np.zeros(2 ** _as_index(n_qubits, "n_qubits"), dtype=complex)
-        vec[_as_index(index, "index")] = 1.0
+        dim = 2 ** _as_index(n_qubits, "n_qubits")
+        index = _as_index(index, "index")
+        if not 0 <= index < dim:
+            raise ValueError(f"index must be in [0, {dim}), got {index}")
+        vec = np.zeros(dim, dtype=complex)
+        vec[index] = 1.0
         return cls(n_qubits, vec)
 
     def to_density(self) -> "DensityState":

@@ -33,7 +33,7 @@ class QotpKey:
         if n < 1:
             raise ValueError(f"n_qubits must be >= 1, got {n}")
         for name, bits in (("x_bits", self.x_bits), ("z_bits", self.z_bits)):
-            if len(bits) != n or not all(c in "01" for c in bits):
+            if not isinstance(bits, str) or len(bits) != n or not all(c in "01" for c in bits):
                 raise ValueError(f"{name} must be a {n}-bit string, got {bits!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")

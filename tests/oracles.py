@@ -2,7 +2,8 @@
 
 Most build full 2^n x 2^n matrices: Pauli operators one at a time, gates
 tensor-embedded into the whole register, circuits as the product of those
-embeddings. ``verify_security_loop`` visits the 4^n keys one at a time. The
+embeddings. ``verify_security_loop`` visits the 4^n keys one at a time, and
+``average_over_keys_loop`` averages ``qotp.encrypt`` over one-wire keys. The
 package itself works on wire axes, sign tables and key stacks instead, so
 nothing here is imported by ``src/qfhe``.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from qfhe import linalg, qotp, rewrite
-from qfhe.analysis import _MAX_QUBITS_EVALUATE, SecurityReport, _check_tolerance
+from qfhe.analysis import _MAX_QUBITS_AVERAGE, _MAX_QUBITS_EVALUATE, SecurityReport, _check_tolerance
 from qfhe.circuits import Circuit, simulate
 from qfhe.linalg import DensityState, _checked_operator, all_bit_strings
 
@@ -132,3 +133,20 @@ def verify_security_loop(circuit: Circuit, sigma: DensityState, tol: float) -> S
         tolerance=tol,
         passed=d_enc <= tol and d_eval <= tol and d_dec <= tol,
     )
+
+
+def average_over_keys_loop(sigma: DensityState) -> DensityState:
+    """``analysis.average_over_keys`` as n one-wire twirls of ``qotp.encrypt``.
+
+    Each twirl averages four encryptions, under the keys whose bits are 0
+    except on the one wire, and checks every state on the way.
+    """
+    linalg._require_density(sigma)
+    n = sigma.n_qubits
+    if n > _MAX_QUBITS_AVERAGE:
+        raise ValueError(f"key averaging is limited to {_MAX_QUBITS_AVERAGE} qubits, got {n}")
+    for wire in range(n):
+        on_wire = [("0" * wire + bit).ljust(n, "0") for bit in "01"]
+        keys = [qotp.QotpKey(n, a, b) for a in on_wire for b in on_wire]
+        sigma = DensityState(n, sum(qotp.encrypt(key, sigma).matrix for key in keys) / 4)
+    return sigma

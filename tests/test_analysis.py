@@ -6,6 +6,7 @@ import pytest
 
 from qfhe import (
     Circuit,
+    analysis,
     PureState,
     average_over_keys,
     check_appendix_identities,
@@ -16,6 +17,7 @@ from qfhe import (
     gate_matrix,
     maximally_mixed,
     pauli_decompose,
+    qotp,
     rewrite,
     trace_distance,
     verify_security,
@@ -32,7 +34,14 @@ from qfhe.linalg import ATOL_EXACT, GATE_SPECS, all_bit_strings, canonical_angle
 from qfhe.qotp import all_keys
 from qfhe.rng import RandomSource
 
-from oracles import pauli_basis, pauli_conjugates, pauli_operator, pauli_table, verify_security_loop
+from oracles import (
+    average_over_keys_loop,
+    pauli_basis,
+    pauli_conjugates,
+    pauli_operator,
+    pauli_table,
+    verify_security_loop,
+)
 
 
 # --- key averaging -------------------------------------------------------
@@ -63,6 +72,26 @@ def test_average_universality():
 def test_average_size_guard():
     with pytest.raises(ValueError):
         average_over_keys(maximally_mixed(5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_average_matches_the_per_wire_encrypt_loop(n):
+    rng = RandomSource(30 + n)
+    states = [PureState.basis(n, i).to_density() for i in range(2 ** n)]
+    states += [rng.pure_state(n).to_density() for _ in range(5)]
+    states += [rng.density_state(n) for _ in range(5)]
+    for sigma in states:
+        assert np.array_equal(average_over_keys(sigma).matrix, average_over_keys_loop(sigma).matrix)
+
+
+def test_average_checks_only_its_result(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qotp, "encrypt", lambda *args: calls.append("encrypt"))
+    monkeypatch.setattr(qotp, "QotpKey", lambda *args: calls.append("QotpKey"))
+    monkeypatch.setattr(analysis, "DensityState", lambda *args: calls.append("DensityState") or args)
+    sigma = RandomSource(3).density_state(3)
+    assert average_over_keys(sigma)[0] == 3
+    assert calls == ["DensityState"]
 
 
 # --- security verification ----------------------------------------------

@@ -101,6 +101,7 @@ MALFORMED = [
     ("encrypt-key", '{"n": true, "x_bits": "1", "z_bits": "0", "variant": "xz"}'),
     ("encrypt-key", '{"n": 1.0, "x_bits": "1", "z_bits": "0", "variant": "xz"}'),
     ("encrypt-key", '{"n": ' + HUGER + ', "x_bits": "1", "z_bits": "0"}'),
+    ("encrypt-key", '{"n": 2, "x_bits": ["01", "0"], "z_bits": "00", "variant": "xz"}'),
     ("encrypt-state", '{"qubits": 1, "kind": "pure", "data": [[2, 0], [0, 0]]}'),
     ("encrypt-state", '{"qubits": 1, "kind": "pure", "data": [[' + HUGE + ', 0], [0, 0]]}'),
     ("encrypt-state", '{"qubits": 1000000000000, "kind": "pure", "data": [[1, 0], [0, 0]]}'),

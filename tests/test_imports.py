@@ -7,6 +7,9 @@ Every single-underscore name that a module of ``src/qfhe`` defines at top level
 is read somewhere in ``src/qfhe``, ``tests`` or ``scripts``.
 
 The package's ``__all__`` lists exactly the public names it binds, once each.
+
+No module of ``src/qfhe`` or ``scripts`` reads a name that numpy 2 added, since
+``pyproject.toml`` declares ``numpy>=1.24``.
 """
 from __future__ import annotations
 
@@ -115,3 +118,48 @@ def test_all_lists_exactly_the_bound_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(qfhe.__all__) == bound
+
+
+#: names numpy 2 added, by the module that holds them; "" holds ndarray attributes
+NUMPY2_ONLY = {
+    "": {"mT"},
+    "numpy": {
+        "concat", "permute_dims", "matrix_transpose", "vecdot", "astype", "bitwise_count",
+        "unstack", "isdtype", "cumulative_sum", "bool", "trapezoid",
+    },
+    "numpy.linalg": {"matrix_transpose", "vecdot", "vector_norm", "matrix_norm", "svdvals"},
+}
+
+
+def numpy2_names(tree: ast.Module) -> list[str]:
+    """Reads of NUMPY2_ONLY names: attributes of np, numpy, np.linalg or any array, and imports."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = ast.unparse(node.value)
+            if owner == "np" or owner.startswith("np."):
+                owner = "numpy" + owner[2:]
+            if node.attr in NUMPY2_ONLY[""] or node.attr in NUMPY2_ONLY.get(owner, ()):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"line {node.lineno}: {node.module}.{alias.name}" for alias in node.names
+                      if alias.name in NUMPY2_ONLY.get(node.module, ())]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_SOURCES if not p.is_relative_to(ROOT / "tests")], ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_no_numpy2_only_names(path):
+    assert not numpy2_names(ast.parse(path.read_text(), str(path)))
+
+
+def test_detector_flags_numpy2_names():
+    tree = ast.parse(
+        "import numpy as np\nimport numpy\nfrom numpy import concat, stack\nfrom numpy.linalg import svdvals, norm\n"
+        "a.mT\nnp.concat\nnumpy.bool\nnp.linalg.vecdot\nnp.linalg.norm\nnp.bool_\nlinalg.vecdot\nx.astype\nnp.swapaxes\n"
+    )
+    assert numpy2_names(tree) == [
+        "line 3: numpy.concat", "line 4: numpy.linalg.svdvals",
+        "line 5: a.mT", "line 6: np.concat", "line 7: numpy.bool", "line 8: np.linalg.vecdot",
+    ]

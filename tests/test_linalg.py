@@ -439,6 +439,14 @@ def test_states_copy_the_callers_array():
     assert vec.flags.writeable and rho.flags.writeable
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_basis_rejects_an_index_out_of_range(n):
+    assert np.array_equal(PureState.basis(n, 2 ** n - 1).amplitudes, np.eye(2 ** n)[-1])
+    for index in (-1, 2 ** n):
+        with pytest.raises(ValueError, match=rf"index must be in \[0, {2 ** n}\), got {index}"):
+            PureState.basis(n, index)
+
+
 def test_states_are_immutable():
     state = PureState.basis(1, 0)
     with pytest.raises(ValueError):

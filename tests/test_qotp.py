@@ -43,6 +43,15 @@ def test_key_validation():
         QotpKey(2, "01", "01", "yz")
 
 
+@pytest.mark.parametrize("bits", [["01", "0"], ("0", "1"), [0, 1], b"01"], ids=["strings", "tuple", "ints", "bytes"])
+def test_key_bits_must_be_strings(bits):
+    # ["01", "0"] passes a per-item check, and "01" would read as 0 in the mask but 1 in rewrite_gate
+    with pytest.raises(ValueError, match="x_bits must be a 2-bit string"):
+        QotpKey(2, bits, "00")
+    with pytest.raises(ValueError, match="z_bits must be a 2-bit string"):
+        QotpKey(2, "00", bits)
+
+
 def test_identity_key_is_noop():
     sigma = RandomSource(1).density_state(2)
     key = QotpKey(2, "00", "00")
