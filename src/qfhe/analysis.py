@@ -11,9 +11,9 @@ No Pauli operator is built as a matrix. Column i of X^a Z^b holds
 S[b, i] = (-1)^popcount(b & i) in row i ^ a, so decomposing and conjugating
 are gathers with one sign table. Key averaging is n one-wire twirls, each a
 stack of the four one-wire masks through the kernel. ``verify_security``
-runs all 4^n keys as one stack of density matrices: each gate's rewrite
-depends on two key bits only, so four ``rewrite_gate`` calls give every
-key's twin. Sizes are hard-guarded rather than silently slow.
+runs all 4^n keys as one stack of density matrices: ``rewrite.twin`` reads
+two key bits only, so its four entries give every key's twin of a gate.
+Sizes are hard-guarded rather than silently slow.
 """
 from __future__ import annotations
 
@@ -114,20 +114,13 @@ _MASKS = np.array([_fold(qotp._mask(qotp.QotpKey(1, x, z), None).gates, (0,)) fo
 
 
 def _twin_stack(gate: Gate, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Every key's rewrite of the gate, folded into one (4^n, 2^k, 2^k) stack on its wires.
+    """Every key's twin of the gate, folded into one (4^n, 2^k, 2^k) stack on its wires.
 
-    The rewrite reads two key bits: x and z of the wire, or for cnot x of
-    the control and z of the target. So it runs once per value of those
-    bits, and each key picks its entry from the four.
+    The twin reads x of the gate's first wire and z of its last, so its four
+    entries are folded once and each key picks its own.
     """
-    n = x.shape[1]
-    x_wire, z_wire = gate.wires[0], gate.wires[-1]
-    table = []
-    for x_bit in "01":
-        for z_bit in "01":
-            key = qotp.QotpKey(n, x_bit * n, z_bit * n)
-            table.append(_fold(rewrite.rewrite_gate(key, gate).gates, gate.wires))
-    return np.array(table)[2 * x[:, x_wire] + z[:, z_wire]]
+    table = np.array([_fold(rewrite.twin(gate, j, k).gates, gate.wires) for j in (0, 1) for k in (0, 1)])
+    return table[2 * x[:, gate.wires[0]] + z[:, gate.wires[-1]]]
 
 
 def _evolve_keys(stack: np.ndarray, n: int, ops) -> np.ndarray:

@@ -85,9 +85,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        n = linalg._as_index(self.n_qubits, "n_qubits")
-        if n < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n}")
+        n = linalg._as_qubit_count(self.n_qubits)
         gates = tuple(self.gates)
         for i, g in enumerate(gates):
             if any(w >= n for w in g.wires):

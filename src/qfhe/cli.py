@@ -107,8 +107,8 @@ def _load_state(path: str):
     n = doc.get("qubits")
     kind = doc.get("kind")
     data = doc.get("data")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise CliError(EXIT_PARSE, f"{path}: 'qubits' must be a non-negative integer")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise CliError(EXIT_PARSE, f"{path}: 'qubits' must be a positive integer")
     if kind not in ("pure", "density"):
         raise CliError(EXIT_PARSE, f"{path}: 'kind' must be 'pure' or 'density'")
     try:

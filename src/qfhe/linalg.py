@@ -78,8 +78,8 @@ class GateSpec:
 
     ``parity[i]`` holds the weights (x, z) of the wire's key bits whose parity
     negates parameter i when the mask X^x Z^z moves past the gate. Kinds with
-    no parity column (the fixed single-qubit gates) are rewritten as ``u``;
-    cnot has its own rule.
+    no parity column have their own rule in ``rewrite.twin``: the Paulis are
+    their own twins, h is rewritten as ``u``, and cnot gains corrections.
     """
 
     wires: tuple[str, ...]
@@ -123,6 +123,14 @@ def _as_index(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _as_qubit_count(value) -> int:
+    """value as a qubit count: an integer >= 1, else ValueError."""
+    n = _as_index(value, "n_qubits")
+    if n < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n}")
+    return n
+
+
 def all_bit_strings(n: int):
     """All length-n bit strings in lexicographic order."""
     return [format(i, f"0{n}b") if n else "" for i in range(2 ** n)]
@@ -155,7 +163,7 @@ class PureState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n = _as_index(self.n_qubits, "n_qubits")
+        n = _as_qubit_count(self.n_qubits)
         vec = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if vec.shape[0] != 2 ** n:
             raise ValueError(f"expected {2 ** n} amplitudes for {n} qubits, got {vec.shape[0]}")
@@ -169,7 +177,7 @@ class PureState:
 
     @classmethod
     def basis(cls, n_qubits: int, index: int = 0) -> "PureState":
-        dim = 2 ** _as_index(n_qubits, "n_qubits")
+        dim = 2 ** _as_qubit_count(n_qubits)
         index = _as_index(index, "index")
         if not 0 <= index < dim:
             raise ValueError(f"index must be in [0, {dim}), got {index}")
@@ -189,7 +197,7 @@ class DensityState:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n = _as_index(self.n_qubits, "n_qubits")
+        n = _as_qubit_count(self.n_qubits)
         mat = np.array(self.matrix, dtype=complex)
         dim = 2 ** n
         if mat.shape != (dim, dim):
@@ -319,8 +327,6 @@ def _trace_distances(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def maximally_mixed(n_qubits: int) -> DensityState:
     """The totally mixed state I / 2^n."""
-    n_qubits = _as_index(n_qubits, "n_qubits")
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    n_qubits = _as_qubit_count(n_qubits)
     dim = 2 ** n_qubits
     return DensityState(n_qubits, np.eye(dim, dtype=complex) / dim)

@@ -29,9 +29,7 @@ class QotpKey:
     variant: str = VARIANT_XZ
 
     def __post_init__(self):
-        n = linalg._as_index(self.n_qubits, "n_qubits")
-        if n < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n}")
+        n = linalg._as_qubit_count(self.n_qubits)
         for name, bits in (("x_bits", self.x_bits), ("z_bits", self.z_bits)):
             if not isinstance(bits, str) or len(bits) != n or not all(c in "01" for c in bits):
                 raise ValueError(f"{name} must be a {n}-bit string, got {bits!r}")
@@ -42,9 +40,7 @@ class QotpKey:
 
 def keygen(n_qubits: int, rng: RandomSource, variant: str = VARIANT_XZ) -> QotpKey:
     """Draw 2n uniform key bits from the given source."""
-    n_qubits = linalg._as_index(n_qubits, "n_qubits")
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    n_qubits = linalg._as_qubit_count(n_qubits)
     return QotpKey(n_qubits, rng.bit_string(n_qubits), rng.bit_string(n_qubits), variant)
 
 

@@ -1,14 +1,14 @@
 """Key-dependent circuit rewriting and homomorphic evaluation.
 
-Each source gate is replaced by a twin chosen from the key bits of the wires
-it touches, so that running the rewritten circuit on a QOTP ciphertext equals
-encrypting the plaintext result. Single-qubit gates map to exactly one gate;
-cnot maps to at most three.
+Each source gate is replaced by a twin, so that running the rewritten circuit
+on a QOTP ciphertext equals encrypting the plaintext result. ``twin`` is the
+one rule: it reads the mask's x bit on the gate's first wire and its z bit on
+the last. Single-qubit gates map to exactly one gate; cnot maps to at most three.
 
 Density-matrix semantics are blind to global phase, but the matrix-level test
-oracles are not: every dropped (-1) factor -- the cnot sign and each angle
-negation that wraps past zero during canonicalization -- is counted in
-RewriteResult.phase_flips so the exact sign can be reconstructed.
+oracles are not: every dropped (-1) factor -- the cnot sign, a Pauli's sign
+and each angle negation that wraps past zero during canonicalization -- is
+counted in RewriteResult.phase_flips so the exact sign can be reconstructed.
 """
 from __future__ import annotations
 
@@ -57,48 +57,48 @@ def _negate_if(theta: float, active: int) -> tuple[float, int]:
     return circuits._canon_with_wraps(-theta)
 
 
-#: ZYZ angles of the fixed single-qubit kinds, which rewrite as u
-_LIFTED = {
-    kind: circuits.euler_decompose(spec.build())
-    for kind, spec in linalg.GATE_SPECS.items()
-    if len(spec.wires) == 1 and not spec.parity
-}
+#: the Paulis are their own twins; moving X^x Z^z past one drops (-1)^(x*w_x + z*w_z)
+_PAULI_SIGNS = {"x": (0, 1), "y": (1, 1), "z": (1, 0)}
+
+#: ZYZ angles of h, the one fixed gate that is not its own twin: it rewrites as u
+_LIFTED = {"h": circuits.euler_decompose(linalg.gate_matrix("h"))}
 
 
-def rewrite_gate(key: QotpKey, gate: Gate) -> RewriteResult:
-    """Rewrite one gate against the key bits of the wires it touches.
+def twin(gate: Gate, x: int, z: int) -> RewriteResult:
+    """The gate's twin under mask bits x, of its first wire, and z, of its last.
 
-    cnot becomes Z^m on the control, X^j on the target, then cnot, and drops
-    (-1)^(j*m). A single-qubit gate keeps its kind and negates each angle by
-    the parity column of its GateSpec; gates without one lift to u first.
+    cnot becomes Z^z on the control, X^x on the target, then cnot, and drops
+    (-1)^(x*z). A Pauli is its own twin and drops its sign. Any other
+    single-qubit gate keeps its kind, h lifted to u first, and negates each
+    angle by the parity column of its GateSpec.
     """
-    if key.variant != qotp.VARIANT_XZ:
-        raise ValueError(f"circuit rewriting requires the xz key variant, got {key.variant!r}")
     if gate.kind == "cnot":
         control, target = gate.wires
-        j = int(key.x_bits[control])
-        m = int(key.z_bits[target])
         gates: list[Gate] = []
-        if m:
+        if z:
             gates.append(Gate.named("z", control))
-        if j:
+        if x:
             gates.append(Gate.named("x", target))
         gates.append(gate)
-        return RewriteResult(tuple(gates), j * m)
-    wire = gate.wires[0]
-    j = int(key.x_bits[wire])
-    k = int(key.z_bits[wire])
-    kind, params = gate.kind, gate.params
-    if kind in _LIFTED:
-        # named gates lift through the ZYZ form; the general rule covers them
-        kind, params = "u", _LIFTED[kind]
+        return RewriteResult(tuple(gates), x * z)
+    if gate.kind in _PAULI_SIGNS:
+        x_weight, z_weight = _PAULI_SIGNS[gate.kind]
+        return RewriteResult((gate,), (x_weight & x) ^ (z_weight & z))
+    kind, params = ("u", _LIFTED[gate.kind]) if gate.kind in _LIFTED else (gate.kind, gate.params)
     angles: list[float] = []
     flips = 0
     for theta, (x_weight, z_weight) in zip(params, linalg.GATE_SPECS[kind].parity):
-        theta, flip = _negate_if(theta, (x_weight & j) ^ (z_weight & k))
+        theta, flip = _negate_if(theta, (x_weight & x) ^ (z_weight & z))
         angles.append(theta)
         flips += flip
     return RewriteResult((Gate(kind, gate.wires, tuple(angles)),), flips)
+
+
+def rewrite_gate(key: QotpKey, gate: Gate) -> RewriteResult:
+    """The gate's twin under the key: ``twin`` with the key's bits on the gate's wires."""
+    if key.variant != qotp.VARIANT_XZ:
+        raise ValueError(f"circuit rewriting requires the xz key variant, got {key.variant!r}")
+    return twin(gate, int(key.x_bits[gate.wires[0]]), int(key.z_bits[gate.wires[-1]]))
 
 
 def rewrite_circuit(key: QotpKey, circuit: Circuit) -> Circuit:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .linalg import GATE_SPECS, DensityState, PureState, _as_index, canonical_angle
+from .linalg import GATE_SPECS, DensityState, PureState, _as_index, _as_qubit_count, canonical_angle
 
 
 class RandomSource:
@@ -43,14 +43,14 @@ class RandomSource:
         return q * (d / np.abs(d))
 
     def pure_state(self, n_qubits: int) -> PureState:
-        n_qubits = _as_index(n_qubits, "n_qubits")
+        n_qubits = _as_qubit_count(n_qubits)
         dim = 2 ** n_qubits
         vec = self._gen.normal(size=dim) + 1j * self._gen.normal(size=dim)
         return PureState(n_qubits, vec / np.linalg.norm(vec))
 
     def density_state(self, n_qubits: int, rank: int | None = None) -> DensityState:
         """Random mixed state from a uniformly weighted ensemble of pure states."""
-        n_qubits = _as_index(n_qubits, "n_qubits")
+        n_qubits = _as_qubit_count(n_qubits)
         dim = 2 ** n_qubits
         rank = dim if rank is None else _as_index(rank, "rank")
         probs = self._gen.dirichlet(np.ones(rank))

@@ -2,7 +2,8 @@
 
 Most build full 2^n x 2^n matrices: Pauli operators one at a time, gates
 tensor-embedded into the whole register, circuits as the product of those
-embeddings. ``verify_security_loop`` visits the 4^n keys one at a time, and
+embeddings, and ``twin_error`` checks one gate's rewrite rule against them
+under every key. ``verify_security_loop`` visits the 4^n keys one at a time, and
 ``average_over_keys_loop`` averages ``qotp.encrypt`` over one-wire keys. The
 package itself works on wire axes, sign tables and key stacks instead, so
 nothing here is imported by ``src/qfhe``.
@@ -13,7 +14,7 @@ import numpy as np
 
 from qfhe import linalg, qotp, rewrite
 from qfhe.analysis import _MAX_QUBITS_AVERAGE, _MAX_QUBITS_EVALUATE, SecurityReport, _check_tolerance
-from qfhe.circuits import Circuit, simulate
+from qfhe.circuits import Circuit, Gate, simulate
 from qfhe.linalg import DensityState, _checked_operator, all_bit_strings
 
 
@@ -92,6 +93,29 @@ def full_matrix(circuit: Circuit) -> np.ndarray:
     for gate in circuit.gates:
         total = embed_on_wires(gate.matrix(), gate.wires, circuit.n_qubits) @ total
     return total
+
+
+#: one gate of every kind on wire 0, or wires (0, 1) for cnot, with fixed angles that are not special
+KIND_GATES = tuple(
+    Gate(kind, tuple(range(len(spec.wires))), tuple(0.3 + 0.7 * i for i in range(len(spec.params))))
+    for kind, spec in linalg.GATE_SPECS.items()
+)
+
+
+def twin_error(gate: Gate, n_qubits: int) -> float:
+    """Worst entry of T P - (-1)^f P G over every key on n qubits, from dense matrices.
+
+    P is the key's mask X^a Z^b, G the gate, and T the twin that
+    ``rewrite.rewrite_gate`` gives under the key, with f its phase_flips.
+    """
+    worst = 0.0
+    gate_matrix = full_matrix(Circuit(n_qubits, (gate,)))
+    for key in qotp.all_keys(n_qubits):
+        result = rewrite.rewrite_gate(key, gate)
+        mask = pauli_operator(key.x_bits, key.z_bits)
+        lhs = full_matrix(Circuit(n_qubits, result.gates)) @ mask
+        worst = max(worst, float(np.max(np.abs(lhs - (-1) ** result.phase_flips * mask @ gate_matrix))))
+    return worst
 
 
 def verify_security_loop(circuit: Circuit, sigma: DensityState, tol: float) -> SecurityReport:

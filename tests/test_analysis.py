@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -6,6 +7,7 @@ import pytest
 
 from qfhe import (
     Circuit,
+    Gate,
     analysis,
     PureState,
     average_over_keys,
@@ -35,11 +37,13 @@ from qfhe.qotp import all_keys
 from qfhe.rng import RandomSource
 
 from oracles import (
+    KIND_GATES,
     average_over_keys_loop,
     pauli_basis,
     pauli_conjugates,
     pauli_operator,
     pauli_table,
+    twin_error,
     verify_security_loop,
 )
 
@@ -160,12 +164,55 @@ def test_a_key_ignoring_evaluator_fails_only_the_decrypt_check(monkeypatch):
     rng = RandomSource(41)
     circuit = rng.circuit(2, 12)
     sigma = rng.pure_state(2).to_density()
-    monkeypatch.setattr(rewrite, "rewrite_gate", lambda key, gate: rewrite.RewriteResult((gate,), 0))
+    monkeypatch.setattr(rewrite, "twin", lambda gate, x, z: rewrite.RewriteResult((gate,), 0))
     report = verify_security(circuit, sigma, 1e-9)
     assert report.worst_encrypt_distance <= 1e-9
     assert report.worst_evaluate_distance <= 1e-9
     assert report.worst_decrypt_distance > 0.1
     assert not report.passed
+
+
+def _flip(weights, bit):
+    return tuple(w ^ (i == bit) for i, w in enumerate(weights))
+
+
+def _passes_security():
+    """verify_security on one gate of every kind: every single-qubit gate on wire 0, cnot on (0, 1)."""
+    sigma = RandomSource(5).pure_state(2).to_density()
+    return verify_security(Circuit(2, KIND_GATES), sigma, 1e-9).passed
+
+
+@pytest.mark.parametrize("bit", [0, 1], ids=["x_weight", "z_weight"])
+@pytest.mark.parametrize("kind,index", [
+    (kind, i) for kind, spec in GATE_SPECS.items() for i in range(len(spec.parity))
+], ids=str)
+def test_each_parity_weight_mutant_fails_the_table(monkeypatch, kind, index, bit):
+    spec = GATE_SPECS[kind]
+    parity = list(spec.parity)
+    parity[index] = _flip(parity[index], bit)
+    monkeypatch.setitem(GATE_SPECS, kind, dataclasses.replace(spec, parity=tuple(parity)))
+    (gate,) = [g for g in KIND_GATES if g.kind == kind]
+    assert twin_error(gate, 2) > ATOL_EXACT
+    # u's alpha is a global phase: a blind spot of the security check, not of the table
+    assert _passes_security() == (kind == "u" and index == 0)
+
+
+@pytest.mark.parametrize("bit", [0, 1], ids=["x_weight", "z_weight"])
+@pytest.mark.parametrize("kind", sorted(rewrite._PAULI_SIGNS))
+def test_each_pauli_sign_mutant_fails_only_the_table(monkeypatch, kind, bit):
+    monkeypatch.setitem(rewrite._PAULI_SIGNS, kind, _flip(rewrite._PAULI_SIGNS[kind], bit))
+    assert twin_error(Gate.named(kind, 0), 2) > ATOL_EXACT
+    # a wrong sign is a global phase, which the security check cannot see
+    assert _passes_security()
+
+
+def test_dropping_the_cnot_correction_fails_the_table_and_the_security_check(monkeypatch):
+    twin = rewrite.twin
+    monkeypatch.setattr(
+        rewrite, "twin", lambda g, x, z: rewrite.RewriteResult((g,), 0) if g.kind == "cnot" else twin(g, x, z)
+    )
+    assert twin_error(Gate.cnot(0, 1), 2) > ATOL_EXACT
+    assert not _passes_security()
 
 
 def test_the_key_batch_checks_every_key():

@@ -106,6 +106,8 @@ MALFORMED = [
     ("encrypt-state", '{"qubits": 1, "kind": "pure", "data": [[' + HUGE + ', 0], [0, 0]]}'),
     ("encrypt-state", '{"qubits": 1000000000000, "kind": "pure", "data": [[1, 0], [0, 0]]}'),
     ("encrypt-state", '{"qubits": 1000000000000, "kind": "density", "data": [[[1, 0]]]}'),
+    ("encrypt-state", '{"qubits": 0, "kind": "pure", "data": [[1, 0]]}'),
+    ("encrypt-state", '{"qubits": 0, "kind": "density", "data": [[[1, 0]]]}'),
     ("encrypt-state", None),  # missing file
     ("simulate-circuit", '{"qubits": 1, "gates": [{"kind": "rz", "theta": ' + HUGE + ', "wire": 0}]}'),
     ("simulate-circuit", '{"qubits": 1, "gates": [{"kind": "mat2", "entries": [[' + HUGE

@@ -421,6 +421,24 @@ def test_states_accept_non_contiguous_arrays():
     assert np.array_equal(out.amplitudes, padded[::2][[2, 3, 0, 1]])
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("make", [
+    lambda n: PureState(n, [1]),
+    lambda n: DensityState(n, [[1]]),
+    PureState.basis,
+    maximally_mixed,
+    lambda n: QotpKey(n, "", ""),
+    lambda n: keygen(n, RandomSource(0)),
+    Circuit,
+    lambda n: RandomSource(0).pure_state(n),
+    lambda n: RandomSource(0).density_state(n),
+], ids=["PureState", "DensityState", "basis", "maximally_mixed", "QotpKey", "keygen", "Circuit",
+        "random_pure_state", "random_density_state"])
+def test_constructors_require_at_least_one_qubit(make, n):
+    with pytest.raises(ValueError, match=f"n_qubits must be >= 1, got {n}"):
+        make(n)
+
+
 def test_density_rejects_negative_eigenvalues():
     with pytest.raises(ValueError):
         DensityState(1, np.diag([1.5, -0.5]))

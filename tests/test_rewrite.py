@@ -20,18 +20,19 @@ from qfhe import (
     simulate,
     trace_distance,
 )
-from qfhe.linalg import rotation_y, rotation_z
-from qfhe.qotp import VARIANT_HY
+from qfhe.linalg import ATOL_EXACT, rotation_y, rotation_z
+from qfhe.qotp import VARIANT_HY, all_keys
+from qfhe.rewrite import RewriteResult, twin
 from qfhe.rng import RandomSource
 
-from oracles import apply_to_density, full_matrix, pauli_operator
+from oracles import KIND_GATES, apply_to_density, full_matrix, pauli_operator, twin_error
 
 
 def _twin(kind, params, j, k):
-    """The single gate rewrite_gate returns for a one-qubit gate under key bits (j, k)."""
-    result = rewrite_gate(QotpKey(1, str(j), str(k)), Gate(kind, (0,), params))
-    (twin,) = result.gates
-    return twin, result.phase_flips
+    """The single gate twin returns for a one-qubit gate under key bits (j, k)."""
+    result = twin(Gate(kind, (0,), params), j, k)
+    (gate,) = result.gates
+    return gate, result.phase_flips
 
 
 # --- single-rule angle rewrites -----------------------------------------
@@ -157,6 +158,27 @@ def test_rewrite_cnot_uses_only_control_x_and_target_z_bits():
     assert [g.kind for g in result.gates] == ["cnot"]
 
 
+# --- the rewrite table ---------------------------------------------------
+
+@pytest.mark.parametrize("gate", KIND_GATES, ids=lambda g: g.kind)
+def test_twin_table_matches_rewrite_gate_and_the_dense_oracle(gate):
+    # x of the first wire and z of the last: for cnot, the control's x and the target's z
+    for key in all_keys(2):
+        x, z = int(key.x_bits[gate.wires[0]]), int(key.z_bits[gate.wires[-1]])
+        assert rewrite_gate(key, gate) == twin(gate, x, z)
+    assert twin_error(gate, 2) <= ATOL_EXACT
+
+
+def test_paulis_are_their_own_twins():
+    # moving X^j Z^k past X drops (-1)^k, past Y (-1)^(j+k), past Z (-1)^j
+    signs = {"x": lambda j, k: k, "y": lambda j, k: j ^ k, "z": lambda j, k: j}
+    for kind, sign in signs.items():
+        gate = Gate.named(kind, 0)
+        for j in (0, 1):
+            for k in (0, 1):
+                assert twin(gate, j, k) == RewriteResult((gate,), sign(j, k))
+
+
 # --- whole-circuit rewriting --------------------------------------------
 
 def test_all_zero_key_is_identity_rewrite():
@@ -164,12 +186,13 @@ def test_all_zero_key_is_identity_rewrite():
     circuit = rng.circuit(3, 12)
     key = QotpKey(3, "000", "000")
     rewritten = rewrite_circuit(key, circuit)
+    assert "h" in {g.kind for g in circuit.gates}
     for src, dst in zip(circuit.gates, rewritten.gates):
-        if src.kind in ("rz", "ry", "u", "cnot"):
-            assert src == dst
-        else:
-            assert dst.kind == "u"  # named gates lift to the general form
+        if src.kind == "h":
+            assert dst.kind == "u"  # h alone lifts to the general form
             assert np.max(np.abs(dst.matrix() - src.matrix())) <= 1e-9
+        else:
+            assert src == dst
     assert len(rewritten) == len(circuit)
 
 
