@@ -8,21 +8,24 @@ Three families of checks, all numerical at desk scale:
 - the commutation identities every rewrite rule rests on.
 
 No Pauli operator is built as a matrix. Column i of X^a Z^b holds
-S[b, i] = (-1)^popcount(b & i) in row i ^ a, so decomposing and conjugating
-are gathers with one sign table. Key averaging is n one-wire twirls, each a
-stack of the four one-wire masks through the kernel. ``verify_security``
-runs all 4^n keys as one stack of density matrices: ``rewrite.twin`` reads
-two key bits only, so its four entries give every key's twin of a gate.
-Sizes are hard-guarded rather than silently slow.
+S[b, i] = (-1)^popcount(b & i) in row i ^ a, so decomposing is a gather
+with one sign table, and conjugating by masks is one signed gather,
+``_pauli_conjugates``. Key averaging (n one-wire twirls of four masks), the
+classifier and the key stack's encryption and decryption all use it.
+``verify_security`` runs all 4^n keys as one stack of density matrices, and
+the twins go through the gate kernel: ``rewrite.twin`` reads two key bits
+only, so its four entries give every key's twin of a gate. Sizes are
+hard-guarded rather than silently slow.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, qotp, rewrite
+from . import linalg, rewrite
 from .circuits import Circuit, Gate, simulate
 from .linalg import DensityState, canonical_angle
 from .rng import RandomSource
@@ -65,38 +68,50 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 
+@functools.lru_cache(maxsize=None)
 def _pauli_signs(n: int) -> np.ndarray:
-    """S[b, i] = (-1)^popcount(b & i): column i of X^a Z^b holds S[b, i] in row i ^ a."""
+    """S[b, i] = (-1)^popcount(b & i): column i of X^a Z^b holds S[b, i] in row i ^ a. Read-only."""
     idx = np.arange(1 << n)
     parity = np.zeros((1 << n, 1 << n), dtype=int)
     for q in range(n):
         parity ^= (idx[:, None] & idx) >> q & 1
-    return 1 - 2 * parity
+    signs = 1 - 2 * parity
+    signs.setflags(write=False)
+    return signs
+
+
+def _pauli_conjugates(mats: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """X^a Z^b M (X^a Z^b)^dagger for each key (a[k], b[k]), as a (K, 2^n, 2^n) stack.
+
+    Entry (r, c) is S[b, r] S[b, c] M[r ^ a, c ^ a]: a signed permutation of
+    M, so exact. mats is one shared matrix or one matrix per key. The inverse
+    mask Z^b X^a = +-X^a Z^b gives the same stack.
+    """
+    rows = np.arange(1 << n) ^ a[:, None]
+    signs = _pauli_signs(n)[b]
+    mats = np.broadcast_to(mats, (len(a), 1 << n, 1 << n))
+    gathered = mats[np.arange(len(a))[:, None, None], rows[:, :, None], rows[:, None, :]]
+    gathered *= signs[:, :, None] * signs[:, None, :]
+    return gathered
 
 
 def average_over_keys(sigma: DensityState) -> DensityState:
     """Uniform average of X^a Z^b sigma Z^b X^a over all 4^n key pairs.
 
     The key bits are independent, so the average is n one-wire twirls: each
-    runs the wire's four masks as one stack through the kernel and averages
-    it. Only the result is checked, as a DensityState.
+    conjugates by the wire's four masks at once and averages the stack. Only
+    the result is checked, as a DensityState.
     """
     linalg._require_density(sigma)
     n = sigma.n_qubits
     if n > _MAX_QUBITS_AVERAGE:
         raise ValueError(f"key averaging is limited to {_MAX_QUBITS_AVERAGE} qubits, got {n}")
     mat = sigma.matrix
+    a, b = divmod(np.arange(4), 2)
     for wire in range(n):
-        stack = np.broadcast_to(mat, (len(_MASKS), *mat.shape))
-        mat = linalg._conjugate(stack, n, [(_MASKS, (wire,))]).sum(axis=0) / len(_MASKS)
+        shift = n - 1 - wire
+        mat = _pauli_conjugates(mat, a << shift, b << shift, n).sum(axis=0) / 4
     return DensityState(n, mat)
-
-
-def _key_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """x[k, w] and z[k, w]: the key bits of wire w for key k, in ``qotp.all_keys`` order."""
-    key = np.arange(4 ** n)
-    shifts = np.arange(n - 1, -1, -1)
-    return (key[:, None] >> n + shifts) & 1, (key[:, None] >> shifts) & 1
 
 
 def _fold(gates, wires: tuple[int, ...]) -> np.ndarray:
@@ -109,43 +124,34 @@ def _fold(gates, wires: tuple[int, ...]) -> np.ndarray:
     return op.reshape(1 << k, 1 << k)
 
 
-#: one wire's xz mask, at index 2x + z for key bits x and z
-_MASKS = np.array([_fold(qotp._mask(qotp.QotpKey(1, x, z), None).gates, (0,)) for x in "01" for z in "01"])
+def _twin_stack(gate: Gate, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Every key's twin of the gate, folded into one (K, 2^k, 2^k) stack on its wires.
 
-
-def _twin_stack(gate: Gate, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Every key's twin of the gate, folded into one (4^n, 2^k, 2^k) stack on its wires.
-
-    The twin reads x of the gate's first wire and z of its last, so its four
-    entries are folded once and each key picks its own.
+    Key k masks with X^a[k] Z^b[k]. The twin reads the x bit of the gate's
+    first wire and the z bit of its last, so its four entries are folded
+    once and each key picks its own by those two bits of a[k] and b[k].
     """
     table = np.array([_fold(rewrite.twin(gate, j, k).gates, gate.wires) for j in (0, 1) for k in (0, 1)])
-    return table[2 * x[:, gate.wires[0]] + z[:, gate.wires[-1]]]
-
-
-def _evolve_keys(stack: np.ndarray, n: int, ops) -> np.ndarray:
-    """Run (operator stack, wires) pairs on a stack of density matrices, one per key.
-
-    Every result is then checked with DensityState's invariants.
-    """
-    stack = linalg._conjugate(stack, n, ops)
-    linalg._check_density(stack)
-    return stack
+    x = a >> (n - 1 - gate.wires[0]) & 1
+    z = b >> (n - 1 - gate.wires[-1]) & 1
+    return table[2 * x + z]
 
 
 def _key_stacks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ciphertext, evaluated ciphertext and its decryption under every key, as (4^n, 2^n, 2^n) stacks.
 
-    Key k is ``qotp.all_keys(n)[k]``. Decryption runs the mask stacks again
-    in reverse wire order: X^a Z^b conjugated twice is the identity map.
+    Key k masks with X^a Z^b for (a, b) = divmod(k, 2^n), the order of
+    ``qotp.all_keys``. Encryption and decryption are exact signed
+    permutations, so checking the decrypted stack checks the evaluated one,
+    and sigma was checked when it was built: only the decryption is checked.
     """
     n = circuit.n_qubits
-    x, z = _key_bits(n)
-    masks = [(_MASKS[2 * x[:, w] + z[:, w]], (w,)) for w in range(n)]
-    stack = np.broadcast_to(sigma.matrix, (len(x), *sigma.matrix.shape))
-    cipher = _evolve_keys(stack, n, masks)
-    evaluated = _evolve_keys(cipher, n, ((_twin_stack(g, x, z), g.wires) for g in circuit.gates))
-    return cipher, evaluated, _evolve_keys(evaluated, n, masks[::-1])
+    a, b = divmod(np.arange(4 ** n), 2 ** n)
+    cipher = _pauli_conjugates(sigma.matrix, a, b, n)
+    evaluated = linalg._conjugate(cipher, n, ((_twin_stack(g, a, b, n), g.wires) for g in circuit.gates))
+    decrypted = _pauli_conjugates(evaluated, a, b, n)
+    linalg._check_density(decrypted)
+    return cipher, evaluated, decrypted
 
 
 def verify_security(circuit: Circuit, sigma: DensityState, tol: float) -> SecurityReport:
@@ -221,8 +227,7 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
     """
     _check_tolerance(tol)
     operator = np.asarray(operator, dtype=complex)
-    if not linalg.is_unitary(operator):
-        raise ValueError("matrix is not unitary within 1e-9")
+    linalg._check_unitary(operator)
     dim = operator.shape[0]
     n = dim.bit_length() - 1
     if 2 ** n != dim:
@@ -230,13 +235,12 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
     if n > _MAX_QUBITS_CLASSIFY:
         raise ValueError(f"classification is limited to {_MAX_QUBITS_CLASSIFY} qubits, got {n}")
 
-    # X^a Z^b U (X^a Z^b)^dagger, entry (r, c): S[b, r] S[b, c] U[r ^ a, c ^ a]
-    signs, idx = _pauli_signs(n), np.arange(dim)
-    conjugates = (
-        np.outer(signs[b], signs[b]) * operator[np.ix_(idx ^ a, idx ^ a)]
-        for a in range(dim) for b in range(dim)
+    # one a at a time with every b keeps the stack at 8^n entries
+    idx = np.arange(dim)
+    max_dev = max(
+        _phase_adjusted_distance(c, operator)
+        for a in range(dim) for c in _pauli_conjugates(operator, np.full(dim, a), idx, n)
     )
-    max_dev = max(_phase_adjusted_distance(c, operator) for c in conjugates)
     by_conjugation = max_dev <= tol
 
     coeffs = pauli_decompose(operator)
@@ -330,26 +334,3 @@ def check_appendix_identities(samples: int, rng: RandomSource) -> dict[str, floa
     )
     return report
 
-
-def check_u_rewrite_endpoints(samples: int, rng: RandomSource) -> float:
-    """Worst error of the single-qubit rewrite identity with raw (uncanonicalized) angles.
-
-    Checks X^j Z^k U(a,b,g,d) = U(a, (-1)^j b, (-1)^{k+j} g, (-1)^j d) X^j Z^k
-    over all key bits and sampled parameter quadruples.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    X = linalg.gate_matrix("x")
-    Z = linalg.gate_matrix("z")
-    worst = 0.0
-    for _ in range(samples):
-        a, b, g, d = rng.angles(4)
-        u = linalg.single_qubit_unitary(a, b, g, d)
-        for j in (0, 1):
-            for k in (0, 1):
-                mask = _pow(X, j) @ _pow(Z, k)
-                twin = linalg.single_qubit_unitary(
-                    a, (-1) ** j * b, (-1) ** ((k + j) % 2) * g, (-1) ** j * d
-                )
-                worst = max(worst, float(np.max(np.abs(mask @ u - twin @ mask))))
-    return worst

@@ -117,8 +117,7 @@ def euler_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not linalg.is_unitary(u):
-        raise ValueError("matrix is not unitary within 1e-9")
+    linalg._check_unitary(u)
     a00, a01 = u[0, 0], u[0, 1]
     a10, a11 = u[1, 0], u[1, 1]
     c, s = abs(a00), abs(a10)
@@ -249,7 +248,11 @@ def _gate_to_json(gate: Gate) -> dict:
     return {"kind": gate.kind, **dict(zip(spec.params, gate.params)), **dict(zip(spec.wires, gate.wires))}
 
 
+def canonical_json(doc) -> bytes:
+    """The one output format of every document: UTF-8, indent 2, shortest round-trip floats, final newline."""
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
 def serialize_circuit(circuit: Circuit) -> bytes:
     """Canonical UTF-8 document: fixed key order, shortest round-trip floats."""
-    doc = {"qubits": circuit.n_qubits, "gates": [_gate_to_json(g) for g in circuit.gates]}
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return canonical_json({"qubits": circuit.n_qubits, "gates": [_gate_to_json(g) for g in circuit.gates]})

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import analysis, circuits, qotp, rewrite
-from .circuits import CircuitFormatError
+from .circuits import CircuitFormatError, canonical_json
 from .linalg import ATOL_EXACT, DensityState, PureState
 from .qotp import QotpKey
 from .rng import RandomSource
@@ -34,10 +34,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _dump(doc) -> bytes:
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
 def _write_file(path: str, data: bytes) -> None:
@@ -66,7 +62,7 @@ def _load_json(path: str):
 # --- file formats --------------------------------------------------------
 
 def _key_to_bytes(key: QotpKey) -> bytes:
-    return _dump({"n": key.n_qubits, "x_bits": key.x_bits, "z_bits": key.z_bits, "variant": key.variant})
+    return canonical_json({"n": key.n_qubits, "x_bits": key.x_bits, "z_bits": key.z_bits, "variant": key.variant})
 
 
 def _load_key(path: str) -> QotpKey:
@@ -85,8 +81,8 @@ def _pairs(values: np.ndarray) -> list:
 
 def _state_to_bytes(state) -> bytes:
     if isinstance(state, PureState):
-        return _dump({"qubits": state.n_qubits, "kind": "pure", "data": _pairs(state.amplitudes)})
-    return _dump({"qubits": state.n_qubits, "kind": "density", "data": [_pairs(row) for row in state.matrix]})
+        return canonical_json({"qubits": state.n_qubits, "kind": "pure", "data": _pairs(state.amplitudes)})
+    return canonical_json({"qubits": state.n_qubits, "kind": "density", "data": [_pairs(row) for row in state.matrix]})
 
 
 def _parse_pair(entry, where: str) -> complex:
@@ -195,7 +191,7 @@ def _cmd_verify_security(args) -> int:
             "tolerance": report.tolerance,
             "pass": report.passed,
         }
-        sys.stdout.write(_dump(doc).decode("utf-8"))
+        sys.stdout.write(canonical_json(doc).decode("utf-8"))
     else:
         print(f"security check: n={report.n_qubits}")
         print(f"  worst encrypt distance   {report.worst_encrypt_distance:.6e}")
@@ -218,7 +214,7 @@ def _cmd_classify(args) -> int:
             ),
             "max_deviation": result.max_deviation,
         }
-        sys.stdout.write(_dump(doc).decode("utf-8"))
+        sys.stdout.write(canonical_json(doc).decode("utf-8"))
     elif result.key_independent:
         a, b, theta = result.witness
         print(f"key-independent: a={a} b={b} theta={theta!r}")
@@ -233,7 +229,7 @@ def _cmd_check_identities(args) -> int:
     report = analysis.check_appendix_identities(args.samples, RandomSource(args.seed))
     ok = all(err <= ATOL_EXACT for err in report.values())
     if args.format == "json":
-        sys.stdout.write(_dump({"identities": report, "tolerance": ATOL_EXACT, "pass": ok}).decode("utf-8"))
+        sys.stdout.write(canonical_json({"identities": report, "tolerance": ATOL_EXACT, "pass": ok}).decode("utf-8"))
     else:
         for name, err in report.items():
             print(f"{name:<22} {err:.6e}")

@@ -136,15 +136,24 @@ def all_bit_strings(n: int):
     return [format(i, f"0{n}b") if n else "" for i in range(2 ** n)]
 
 
-def _check_finite(arr: np.ndarray) -> None:
-    # isfinite tests both parts of a complex entry, in any memory layout
-    if not np.isfinite(arr).all():
-        raise ValueError("entries must be finite")
+#: bound on the real and on the imaginary part (|z| itself can overflow) of each
+#: entry under check: far above any valid entry, far below sqrt(float max) =
+#: 1.3e154, so norms, traces and U^dagger U cannot overflow. NaN and inf fail it.
+MAX_ENTRY_PART = 1e100
+
+
+def _entries_bounded(arr: np.ndarray) -> bool:
+    return bool((np.abs(arr.real) <= MAX_ENTRY_PART).all() and (np.abs(arr.imag) <= MAX_ENTRY_PART).all())
+
+
+def _check_entries(arr: np.ndarray) -> None:
+    if not _entries_bounded(arr):
+        raise ValueError(f"entries must be finite, with real and imaginary parts at most {MAX_ENTRY_PART:g}")
 
 
 def _check_density(mat: np.ndarray) -> None:
     """DensityState's invariants on one matrix, or on each matrix of a (B, d, d) stack."""
-    _check_finite(mat)
+    _check_entries(mat)
     if np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))) > ATOL_STATE:
         raise ValueError(f"matrix is not Hermitian within {ATOL_STATE}")
     tr = np.trace(mat, axis1=-2, axis2=-1).real
@@ -167,7 +176,7 @@ class PureState:
         vec = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if vec.shape[0] != 2 ** n:
             raise ValueError(f"expected {2 ** n} amplitudes for {n} qubits, got {vec.shape[0]}")
-        _check_finite(vec)
+        _check_entries(vec)
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > ATOL_STATE:
             raise ValueError(f"statevector norm {norm} is not 1 within {ATOL_STATE}")
@@ -210,9 +219,15 @@ class DensityState:
 
 def is_unitary(mat: np.ndarray) -> bool:
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not _entries_bounded(mat):
         return False
     return bool(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= ATOL_STATE)
+
+
+def _check_unitary(mat: np.ndarray) -> None:
+    if not is_unitary(mat):
+        # the literal: f"{ATOL_STATE}" renders 1e-09
+        raise ValueError("matrix is not unitary within 1e-9")
 
 
 def _checked_operator(unitary, wires, n_qubits: int) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -26,13 +26,12 @@ from qfhe import (
 )
 from qfhe.analysis import (
     CLASSIFY_TOL,
-    _evolve_keys,
     _key_stacks,
+    _pauli_conjugates,
     _phase_adjusted_distance,
-    check_u_rewrite_endpoints,
 )
 from qfhe.cli import main
-from qfhe.linalg import ATOL_EXACT, GATE_SPECS, all_bit_strings, canonical_angle
+from qfhe.linalg import ATOL_EXACT, GATE_SPECS, all_bit_strings, canonical_angle, single_qubit_unitary
 from qfhe.qotp import all_keys
 from qfhe.rng import RandomSource
 
@@ -215,14 +214,20 @@ def test_dropping_the_cnot_correction_fails_the_table_and_the_security_check(mon
     assert not _passes_security()
 
 
-def test_the_key_batch_checks_every_key():
-    keys = 16
-    stack = np.repeat(maximally_mixed(2).matrix[None], keys, axis=0)
-    ops = np.repeat(np.eye(2, dtype=complex)[None], keys, axis=0)
-    assert np.array_equal(_evolve_keys(stack, 2, [(ops, (1,))]), stack)
-    ops[5] = 2 * np.eye(2)
+def test_the_key_batch_checks_every_key(monkeypatch):
+    # x is its own twin, so the doubled key's decryption has trace exactly 4
+    circuit, sigma = Circuit(2, (Gate.named("x", 1),)), maximally_mixed(2)
+    assert verify_security(circuit, sigma, 1e-9).passed
+    twin_stack = analysis._twin_stack
+
+    def doubled(gate, a, b, n):
+        stack = twin_stack(gate, a, b, n).copy()
+        stack[5] *= 2
+        return stack
+
+    monkeypatch.setattr(analysis, "_twin_stack", doubled)
     with pytest.raises(ValueError, match="trace 4.0 is not 1 within"):
-        _evolve_keys(stack, 2, [(ops, (1,))])
+        verify_security(circuit, sigma, 1e-9)
 
 
 @pytest.mark.parametrize("call", [
@@ -234,6 +239,25 @@ def test_the_key_batch_checks_every_key():
 def test_density_inputs_reject_a_pure_state(call):
     with pytest.raises(TypeError, match="expected DensityState, got PureState"):
         call(PureState.basis(1, 0))
+
+
+# --- Pauli conjugation ---------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_conjugates_equal_the_dense_products(n):
+    rng = np.random.default_rng(70 + n)
+    dim = 2 ** n
+    a, b = divmod(np.arange(4 ** n), dim)
+    shape = (len(a), dim, dim)
+    shared = rng.normal(size=shape[1:]) + 1j * rng.normal(size=shape[1:])
+    per_key = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got_shared, got_per_key = _pauli_conjugates(shared, a, b, n), _pauli_conjugates(per_key, a, b, n)
+    assert got_shared.shape == got_per_key.shape == shape
+    bits = all_bit_strings(n)
+    for k in range(len(a)):
+        p = pauli_operator(bits[a[k]], bits[b[k]])
+        assert np.max(np.abs(got_shared[k] - p @ shared @ p.conj().T)) <= ATOL_EXACT
+        assert np.max(np.abs(got_per_key[k] - p @ per_key[k] @ p.conj().T)) <= ATOL_EXACT
 
 
 # --- Pauli decomposition -------------------------------------------------
@@ -424,4 +448,15 @@ def test_single_sample_still_passes():
 
 
 def test_u_rewrite_endpoints():
-    assert check_u_rewrite_endpoints(100, RandomSource(11)) <= 1e-12
+    # X^j Z^k U(a,b,g,d) = U(a, (-1)^j b, (-1)^{k+j} g, (-1)^j d) X^j Z^k, with raw (uncanonicalized) angles
+    rng = RandomSource(11)
+    worst = 0.0
+    for _ in range(100):
+        a, b, g, d = rng.angles(4)
+        u = single_qubit_unitary(a, b, g, d)
+        for j in (0, 1):
+            for k in (0, 1):
+                mask = pauli_operator(str(j), str(k))
+                twin = single_qubit_unitary(a, (-1) ** j * b, (-1) ** ((k + j) % 2) * g, (-1) ** j * d)
+                worst = max(worst, float(np.max(np.abs(mask @ u - twin @ mask))))
+    assert worst <= 1e-12

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,23 +119,49 @@ MALFORMED = [
 ]
 
 
-def test_malformed_inputs_exit_3(tmp_path):
+def _run_on(tmp_path, command, i, text) -> int:
+    """Run the command with document text (None: no file) as its input of that kind."""
     key = write(tmp_path / "key.json", json.dumps({"n": 1, "x_bits": "1", "z_bits": "0", "variant": "xz"}))
     state = write(tmp_path / "in.json", pure_state_doc(np.array([1.0, 0.0])))
     out = str(tmp_path / "o.json")
+    path = tmp_path / f"bad{i}.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text)
+    argv = {
+        "encrypt-key": ["encrypt", "--key", str(path), "--in", state, "--out", out],
+        "encrypt-state": ["encrypt", "--key", key, "--in", str(path), "--out", out],
+        "simulate-circuit": ["simulate", "--circuit", str(path), "--in", state, "--out", out],
+        "classify": ["classify", "--unitary", str(path)],
+    }[command]
+    return main(argv)
+
+
+def test_malformed_inputs_exit_3(tmp_path):
     for i, (command, text) in enumerate(MALFORMED):
-        path = tmp_path / f"bad{i}.json"
-        if isinstance(text, bytes):
-            path.write_bytes(text)
-        elif text is not None:
-            path.write_text(text)
-        argv = {
-            "encrypt-key": ["encrypt", "--key", str(path), "--in", state, "--out", out],
-            "encrypt-state": ["encrypt", "--key", key, "--in", str(path), "--out", out],
-            "simulate-circuit": ["simulate", "--circuit", str(path), "--in", state, "--out", out],
-            "classify": ["classify", "--unitary", str(path)],
-        }[command]
-        assert main(argv) == 3, (command, text if text is None or len(text) < 80 else text[:80])
+        shown = text if text is None or len(text) < 80 else text[:80]
+        assert _run_on(tmp_path, command, i, text) == 3, (command, shown)
+
+
+BIG = "1.7e308"  # finite, but its square overflows
+
+
+@pytest.mark.parametrize("command,text,code", [
+    ("encrypt-state", '{"qubits": 1, "kind": "pure", "data": [[' + BIG + ', 0], [0, 0]]}', 3),
+    ("encrypt-state", '{"qubits": 1, "kind": "density", "data": [[[0.5, 0], [' + BIG + ', 0]], [[-'
+     + BIG + ', 0], [0.5, 0]]]}', 3),
+    ("simulate-circuit", '{"qubits": 1, "gates": [{"kind": "mat2", "entries": [[' + BIG
+     + ', 0], [0, 0], [0, 0], [1, 0]], "wire": 0}]}', 3),
+    ("classify", '[[[' + BIG + ', 0], [0, 0]], [[0, 0], [1, 0]]]', 2),
+], ids=["pure", "density", "mat2", "classify"])
+def test_entries_whose_square_overflows_give_one_error_line_and_no_warning(tmp_path, capsys, command, text, code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_on(tmp_path, command, 0, text) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # --- evaluate / simulate -------------------------------------------------
