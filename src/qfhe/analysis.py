@@ -190,6 +190,8 @@ def pauli_decompose(operator: np.ndarray) -> np.ndarray:
     """Coefficients c[a, b] = tr((X^a Z^b)^dagger U) / 2^n of the Pauli-basis expansion.
 
     a and b index the 2^n bit strings with qubit 0 as the most significant bit.
+    Entries are bounded as a state's are (``linalg.MAX_ENTRY_PART``), so the
+    sums cannot overflow; NaN, inf or a larger part raises ValueError.
     """
     operator = np.asarray(operator, dtype=complex)
     if operator.ndim != 2 or operator.shape[0] != operator.shape[1]:
@@ -200,6 +202,7 @@ def pauli_decompose(operator: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension {dim} is not a power of two")
     if n > _MAX_QUBITS_DECOMPOSE:
         raise ValueError(f"decomposition is limited to {_MAX_QUBITS_DECOMPOSE} qubits, got {n}")
+    linalg._check_entries(operator)
     # v[a, i] = U[i ^ a, i]; the reduction sums over i in np.trace's order
     idx = np.arange(dim)
     v = operator[idx ^ idx[:, None], idx]

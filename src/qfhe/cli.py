@@ -4,6 +4,11 @@ Subcommands: keygen, encrypt, decrypt, evaluate, simulate, verify-security,
 classify, check-identities. All outputs are canonical (fixed key order,
 shortest round-trip floats) so runs are byte-deterministic given the flags.
 
+State files are written through one fixed layout that the tests hold
+byte-equal to ``circuits.canonical_json``, the writer of keys, circuits and
+reports. A grid of [re, im] pairs is read and checked as one array, and
+``main`` reuses one parser.
+
 Exit codes: 0 success/pass, 1 verification fail, 2 semantic error,
 3 parse or I/O error.
 
@@ -13,8 +18,10 @@ key management system.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -75,20 +82,48 @@ def _load_key(path: str) -> QotpKey:
         raise CliError(EXIT_PARSE, f"{path}: invalid key file: {exc}") from exc
 
 
-def _pairs(values: np.ndarray) -> list:
-    return [[float(v.real), float(v.imag)] for v in values]
-
-
 def _state_to_bytes(state) -> bytes:
+    """canonical_json of {"qubits", "kind", "data"}, written through one layout template.
+
+    The template is json.dumps's indent-2 layout of the nested pair lists with
+    one %r per float part: repr is json's format for the finite floats a state
+    holds.
+    """
     if isinstance(state, PureState):
-        return canonical_json({"qubits": state.n_qubits, "kind": "pure", "data": _pairs(state.amplitudes)})
-    return canonical_json({"qubits": state.n_qubits, "kind": "density", "data": [_pairs(row) for row in state.matrix]})
+        kind, values = "pure", state.amplitudes
+    else:
+        kind, values = "density", state.matrix
+    shape = values.shape + (2,)
+    layout = "%r"
+    for level in range(len(shape), 0, -1):  # innermost list first: the [re, im] pair
+        pad = "\n" + "  " * (level + 1)
+        layout = "[" + pad + ("," + pad).join([layout] * shape[level - 1]) + "\n" + "  " * level + "]"
+    template = '{\n  "qubits": ' + str(state.n_qubits) + ',\n  "kind": "' + kind + '",\n  "data": ' + layout + "\n}\n"
+    return (template % tuple(np.ascontiguousarray(values).view(np.float64).ravel().tolist())).encode("utf-8")
 
 
-def _parse_pair(entry, where: str) -> complex:
-    if not (isinstance(entry, list) and len(entry) == 2 and all(map(circuits.is_finite_number, entry))):
-        raise CliError(EXIT_PARSE, f"{where}: each entry must be a finite [re, im] pair")
-    return complex(entry[0], entry[1])
+def _parse_grid(data, where: str, shape: tuple) -> np.ndarray:
+    """The complex array of a grid of [re, im] pairs whose outer lists the caller has checked.
+
+    shape ends in the pairs' 2: (2^n, 2) for an amplitude list, (dim, dim, 2) for a matrix.
+    """
+    bad = CliError(EXIT_PARSE, f"{where}: each entry must be a finite [re, im] pair")
+    entries = data if len(shape) == 2 else list(chain.from_iterable(data))
+    if not set(map(type, entries)) <= {list}:
+        raise bad
+    types = set(map(type, chain.from_iterable(entries)))
+    if not types <= {int, float}:
+        raise bad
+    # an int past the float range can round down to a finite float, so ints are checked exactly
+    if int in types and not all(map(circuits.is_finite_number, chain.from_iterable(entries))):
+        raise bad
+    try:
+        arr = np.array(data, dtype=np.float64)
+    except ValueError:  # entries of different lengths
+        raise bad from None
+    if arr.shape != shape or not np.isfinite(arr).all():
+        raise bad
+    return arr.view(np.complex128).reshape(shape[:-1])
 
 
 def _is_list_of_2_pow_n(items, n: int) -> bool:
@@ -111,12 +146,10 @@ def _load_state(path: str):
         if kind == "pure":
             if not _is_list_of_2_pow_n(data, n):
                 raise CliError(EXIT_PARSE, f"{path}: expected 2^{n} amplitude pairs")
-            vec = np.array([_parse_pair(e, path) for e in data])
-            return PureState(n, vec)
+            return PureState(n, _parse_grid(data, path, (1 << n, 2)))
         if not _is_list_of_2_pow_n(data, n) or not all(_is_list_of_2_pow_n(row, n) for row in data):
             raise CliError(EXIT_PARSE, f"{path}: expected a 2^{n} x 2^{n} grid of pairs")
-        mat = np.array([[_parse_pair(e, path) for e in row] for row in data])
-        return DensityState(n, mat)
+        return DensityState(n, _parse_grid(data, path, (1 << n, 1 << n, 2)))
     except ValueError as exc:
         raise CliError(EXIT_PARSE, f"{path}: invalid state: {exc}") from exc
 
@@ -128,7 +161,7 @@ def _load_matrix(path: str) -> np.ndarray:
     dim = len(doc)
     if dim & (dim - 1):
         raise CliError(EXIT_PARSE, f"{path}: dimension {dim} is not a power of two")
-    return np.array([[_parse_pair(e, path) for e in row] for row in doc])
+    return _parse_grid(doc, path, (dim, dim, 2))
 
 
 def _load_circuit(path: str) -> circuits.Circuit:
@@ -237,6 +270,7 @@ def _cmd_check_identities(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qfhe", description="QOTP-based homomorphic encryption toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -3,10 +3,11 @@
 Most build full 2^n x 2^n matrices: Pauli operators one at a time, gates
 tensor-embedded into the whole register, circuits as the product of those
 embeddings, and ``twin_error`` checks one gate's rewrite rule against them
-under every key. ``verify_security_loop`` visits the 4^n keys one at a time, and
-``average_over_keys_loop`` averages ``qotp.encrypt`` over one-wire keys. The
-package itself works on wire axes, sign tables and key stacks instead, so
-nothing here is imported by ``src/qfhe``.
+under every key. ``verify_security_loop`` visits the 4^n keys one at a time,
+``average_over_keys_loop`` averages ``qotp.encrypt`` over one-wire keys, and
+``parse_pairs_loop`` reads a CLI grid of [re, im] pairs one entry at a time.
+The package itself works on wire axes, sign tables, key stacks and whole
+arrays instead, so nothing here is imported by ``src/qfhe``.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import numpy as np
 
 from qfhe import linalg, qotp, rewrite
 from qfhe.analysis import _MAX_QUBITS_AVERAGE, _MAX_QUBITS_EVALUATE, SecurityReport, _check_tolerance
-from qfhe.circuits import Circuit, Gate, simulate
+from qfhe.circuits import Circuit, Gate, is_finite_number, simulate
+from qfhe.cli import EXIT_PARSE, CliError
 from qfhe.linalg import DensityState, _checked_operator, all_bit_strings
 
 
@@ -174,3 +176,15 @@ def average_over_keys_loop(sigma: DensityState) -> DensityState:
         keys = [qotp.QotpKey(n, a, b) for a in on_wire for b in on_wire]
         sigma = DensityState(n, sum(qotp.encrypt(key, sigma).matrix for key in keys) / 4)
     return sigma
+
+
+def parse_pairs_loop(data, where: str, shape: tuple) -> np.ndarray:
+    """``cli._parse_grid`` one entry at a time: check each [re, im] pair, then complex() it."""
+    def pair(entry) -> complex:
+        if not (isinstance(entry, list) and len(entry) == 2 and all(map(is_finite_number, entry))):
+            raise CliError(EXIT_PARSE, f"{where}: each entry must be a finite [re, im] pair")
+        return complex(entry[0], entry[1])
+
+    if len(shape) == 2:
+        return np.array([pair(e) for e in data], dtype=complex)
+    return np.array([[pair(e) for e in row] for row in data], dtype=complex)

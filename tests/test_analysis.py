@@ -326,6 +326,12 @@ def test_decompose_rejects_bad_dim():
         pauli_decompose(np.eye(3))
 
 
+@pytest.mark.parametrize("entry", [1.7e308, math.nan], ids=["square_overflows", "nan"])
+def test_decompose_rejects_entries_past_the_bound(entry):
+    with pytest.raises(ValueError, match="entries must be finite"):
+        pauli_decompose(np.full((2, 2), entry))
+
+
 # --- key-independence classifier ----------------------------------------
 
 def test_classify_phase_pauli_positive():

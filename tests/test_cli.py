@@ -1,12 +1,17 @@
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from qfhe import gate_matrix
-from qfhe.cli import main
+from qfhe import DensityState, PureState, cli, gate_matrix
+from qfhe.circuits import canonical_json
+from qfhe.cli import CliError, _parse_grid, _state_to_bytes, build_parser, main
+from qfhe.rng import RandomSource
+
+from oracles import parse_pairs_loop
 
 BELL = json.dumps(
     {
@@ -162,6 +167,173 @@ def test_entries_whose_square_overflows_give_one_error_line_and_no_warning(tmp_p
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# --- state file I/O --------------------------------------------------------
+
+def _nested_pairs(values: np.ndarray) -> list:
+    if values.ndim > 1:
+        return [_nested_pairs(row) for row in values]
+    return [[float(v.real), float(v.imag)] for v in values]
+
+
+def _canonical_state(state) -> bytes:
+    """The writer's oracle: canonical_json of the document built from nested lists."""
+    kind, values = ("pure", state.amplitudes) if isinstance(state, PureState) else ("density", state.matrix)
+    return canonical_json({"qubits": state.n_qubits, "kind": kind, "data": _nested_pairs(values)})
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", ["pure", "density"])
+def test_state_writer_is_canonical_json_on_random_states(n, kind):
+    rng = RandomSource(100 + n)
+    state = rng.pure_state(n) if kind == "pure" else rng.density_state(n)
+    assert _state_to_bytes(state) == _canonical_state(state)
+
+
+ODD = 0.1 + 0.2  # 0.30000000000000004: the shortest repr needs all 17 digits
+
+CRAFTED_STATES = {
+    "signed_zeros": PureState(1, [complex(1.0, -0.0), complex(-0.0, -0.0)]),
+    "tiny_parts": PureState(2, [complex(ODD, -0.0), complex(-0.0, 5e-324), complex(1e-300, 0.0),
+                                complex(math.sqrt(1 - ODD ** 2), 0.0)]),
+    "density_whole": DensityState(1, [[complex(1.0, 0.0), complex(1e-300, -0.0)],
+                                      [complex(1e-300, 0.0), complex(0.0, -0.0)]]),
+    "density_odd": DensityState(1, [[0.5, complex(ODD, 5e-324)], [complex(ODD, -5e-324), 0.5]]),
+}
+
+
+@pytest.mark.parametrize("name", CRAFTED_STATES)
+def test_state_writer_is_canonical_json_on_crafted_entries(name):
+    state = CRAFTED_STATES[name]
+    assert _state_to_bytes(state) == _canonical_state(state)
+
+
+def _read_with(reader, data, shape):
+    """The array a grid reader returns, or the (code, message) of the CliError it raises."""
+    try:
+        return reader(data, "grid.json", shape)
+    except CliError as exc:
+        return exc.code, str(exc)
+
+
+def _assert_same_reading(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, np.ndarray) and got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+MAX_INT = str(int(sys.float_info.max))
+PAST_MAX_INT = str(int(sys.float_info.max) + 1)  # rounds down to the largest float
+#: JSON texts of one value: each goes in as an entry, and as an entry's real part and its imaginary
+#: part next to an int 0 and next to a float 0.0 (with no int present, the ints' exact check does not run)
+VALUES = ["true", '"1.5"', "null", "NaN", "Infinity", "-Infinity", "1e400", "-1e400", MAX_INT, "-" + MAX_INT,
+          PAST_MAX_INT, "-" + PAST_MAX_INT, HUGE, "0", "-0.0", "5e-324", "1.7976931348623157e308",
+          "[1, 0]", "{}", '"ab"']
+#: JSON texts of one whole entry
+ENTRIES = [pair for v in VALUES for z in ("0", "0.0") for pair in (f"[{v}, {z}]", f"[{z}, {v}]")] + VALUES + [
+    "[]", "[0.5]", "[0.5, 0, 0]", "[[0.5, 0]]", '{"re": 0.5, "im": 0}', "[0.5, -0.0]", "[-0.0, -0.0]"]
+GRID_SHAPES = {"pure": (4, 2), "density": (2, 2, 2), "classify": (4, 4, 2)}
+
+
+def _grid_text(shape, entries: dict) -> str:
+    """JSON text of a grid of [0.5, 0.25] pairs with the entries at the given flat indices replaced."""
+    count = math.prod(shape[:-1])
+    texts = [entries.get(i, "[0.5, 0.25]") for i in range(count)]
+    if len(shape) == 2:
+        return "[" + ", ".join(texts) + "]"
+    width = shape[1]
+    return "[" + ", ".join("[" + ", ".join(texts[r:r + width]) + "]" for r in range(0, count, width)) + "]"
+
+
+@pytest.mark.parametrize("grid", GRID_SHAPES)
+def test_grid_reader_matches_the_per_entry_loop(grid):
+    shape = GRID_SHAPES[grid]
+    last = math.prod(shape[:-1]) - 1
+    cases = [{}]
+    cases += [{at: entry} for entry in ENTRIES for at in (0, last)]
+    cases += [{0: "[0.5]", last: "[0.5, 0, 0]"}, {i: "[0.5, 0, 0]" for i in range(last + 1)},
+              {0: "[" + PAST_MAX_INT + ", 0]", last: "[NaN, 0]"}]
+    for entries in cases:
+        data = json.loads(_grid_text(shape, entries))
+        got = _read_with(_parse_grid, data, shape)
+        want = _read_with(parse_pairs_loop, data, shape)
+        _assert_same_reading(got, want)
+        if PAST_MAX_INT in "".join(entries.values()):
+            assert got == (3, "grid.json: each entry must be a finite [re, im] pair")
+
+
+GRID_DOCUMENTS = [(command, text) for command, text in MALFORMED if command in ("encrypt-state", "classify")] + [
+    ("encrypt-state", '{"qubits": 1, "kind": "pure", "data": [[1, 0], [0, 0]]}'),
+    ("encrypt-state", '{"qubits": 1, "kind": "pure", "data": [[-0.0, -0.0], [1.0, -0.0]]}'),
+    ("encrypt-state", '{"qubits": 1, "kind": "pure", "data": [[' + PAST_MAX_INT + ', 0], [0, 0]]}'),
+    ("encrypt-state", '{"qubits": 1, "kind": "pure", "data": [[' + MAX_INT + ', 0], [0, 0]]}'),
+    ("encrypt-state", '{"qubits": 1, "kind": "pure", "data": [[1, 0], [0, 0, 0]]}'),
+    ("encrypt-state", '{"qubits": 1, "kind": "pure", "data": [[1, 0], 0]}'),
+    ("encrypt-state", '{"qubits": 1, "kind": "density", "data": [[[1, 0], [0, 0]], [[0, 0], [0, -0.0]]]}'),
+    ("encrypt-state", '{"qubits": 1, "kind": "density", "data": [[[1, 0], [0, 0]], [[0, 0]]]}'),
+    ("encrypt-state", '{"qubits": 1, "kind": "density", "data": [[[1, 0], [0, 0]], [[0, 0], [NaN, 0]]]}'),
+    ("encrypt-state", '{"qubits": 1, "kind": "density", "data": [[[1, 0], [0, 0]], [[0, 0], [true, 0]]]}'),
+    ("encrypt-state", '{"qubits": 1, "kind": "density", "data": [[[1, 0], [0, 0]], [[0, 0], [0]]]}'),
+    ("encrypt-state", '{"qubits": 1, "kind": "density", "data": [[[1, 0], [0, 0]], [[0, 0], [1e400, 0]]]}'),
+    ("classify", "[[[0, 0], [1, 0]], [[1, 0], [0, -0.0]]]"),
+    ("classify", "[[[0, 0], [1, 0]], [[1, 0]]]"),
+    ("classify", "[[[0, 0], [1, 0]], [[1, 0], [0, " + PAST_MAX_INT + "]]]"),
+    ("classify", "[[[0, 0], [1, 0]], [[1, 0], [0, Infinity]]]"),
+    ("classify", '[[[0, 0], [1, 0]], [[1, 0], ["0", 0]]]'),
+    ("classify", "[[[0, 0], [1, 0]], [[1, 0], 0]]"),
+]
+
+
+def test_state_and_matrix_files_read_as_with_the_per_entry_loop(tmp_path, capsys, monkeypatch):
+    """Every exit code, output and message is the same with the per-entry loop in place of the grid reader."""
+    out = tmp_path / "o.json"
+
+    def run(i, command, text):
+        out.unlink(missing_ok=True)
+        code = _run_on(tmp_path, command, i, text)
+        return code, capsys.readouterr(), out.read_bytes() if out.exists() else None
+
+    for i, (command, text) in enumerate(GRID_DOCUMENTS):
+        got = run(i, command, text)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse_grid", parse_pairs_loop)
+            want = run(i, command, text)
+        assert got == want, (command, text if text is None or len(text) < 80 else text[:80])
+        if text is not None and PAST_MAX_INT in text:
+            assert got[0] == 3 and got[1].err.endswith("each entry must be a finite [re, im] pair\n")
+
+
+# --- one parser per process ----------------------------------------------
+
+def test_main_calls_in_one_process_share_a_parser_but_not_flags(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    key = write(tmp_path / "key.json", json.dumps({"n": 2, "x_bits": "10", "z_bits": "11", "variant": "xz"}))
+    circ = write(tmp_path / "bell.json", BELL)
+    state = write(tmp_path / "in.json", pure_state_doc(np.array([1.0, 0, 0, 0])))
+    out, rewritten = tmp_path / "o.json", tmp_path / "rw.json"
+    argv = ["evaluate", "--key", key, "--circuit", circ, "--in", state, "--out", str(out)]
+    assert main([*argv, "--emit-rewritten", str(rewritten)]) == 0
+    evaluated = out.read_bytes()
+    rewritten.unlink()
+    out.unlink()
+    assert main(argv) == 0
+    assert out.read_bytes() == evaluated and not rewritten.exists()
+
+    assert main([*argv, "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    out.unlink()
+    assert main(argv) == 0
+    assert out.read_bytes() == evaluated and capsys.readouterr() == ("", "")
+
+    unitary = write(tmp_path / "u.json", matrix_doc(gate_matrix("x")))
+    assert main(["classify", "--unitary", unitary, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["key_independent"] is True
+    assert main(["classify", "--unitary", unitary]) == 0
+    assert capsys.readouterr().out.startswith("key-independent: a=1 b=0")
 
 
 # --- evaluate / simulate -------------------------------------------------
