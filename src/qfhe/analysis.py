@@ -9,9 +9,11 @@ Three families of checks, all numerical at desk scale:
 
 No Pauli operator is built as a matrix. Column i of X^a Z^b holds
 S[b, i] = (-1)^popcount(b & i) in row i ^ a, so decomposing is a gather
-with one sign table, and conjugating by masks is one signed gather,
-``_pauli_conjugates``. Key averaging (n one-wire twirls of four masks), the
-classifier and the key stack's encryption and decryption all use it.
+with one sign table, and conjugating by masks is one signed gather. Both
+come from the one Pauli-mask builder in ``linalg`` (``_parity_signs`` and
+``_pauli_conjugates``), which the apply loop uses for runs of Pauli gates
+too. Key averaging (n one-wire twirls of four masks), the classifier and
+the key stack's encryption and decryption all use it.
 ``verify_security`` runs all 4^n keys as one stack of density matrices, and
 the twins go through the gate kernel: ``rewrite.twin`` reads two key bits
 only, so its four entries give every key's twin of a gate. Sizes are
@@ -19,7 +21,6 @@ hard-guarded rather than silently slow.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -68,33 +69,6 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def _pauli_signs(n: int) -> np.ndarray:
-    """S[b, i] = (-1)^popcount(b & i): column i of X^a Z^b holds S[b, i] in row i ^ a. Read-only."""
-    idx = np.arange(1 << n)
-    parity = np.zeros((1 << n, 1 << n), dtype=int)
-    for q in range(n):
-        parity ^= (idx[:, None] & idx) >> q & 1
-    signs = 1 - 2 * parity
-    signs.setflags(write=False)
-    return signs
-
-
-def _pauli_conjugates(mats: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """X^a Z^b M (X^a Z^b)^dagger for each key (a[k], b[k]), as a (K, 2^n, 2^n) stack.
-
-    Entry (r, c) is S[b, r] S[b, c] M[r ^ a, c ^ a]: a signed permutation of
-    M, so exact. mats is one shared matrix or one matrix per key. The inverse
-    mask Z^b X^a = +-X^a Z^b gives the same stack.
-    """
-    rows = np.arange(1 << n) ^ a[:, None]
-    signs = _pauli_signs(n)[b]
-    mats = np.broadcast_to(mats, (len(a), 1 << n, 1 << n))
-    gathered = mats[np.arange(len(a))[:, None, None], rows[:, :, None], rows[:, None, :]]
-    gathered *= signs[:, :, None] * signs[:, None, :]
-    return gathered
-
-
 def average_over_keys(sigma: DensityState) -> DensityState:
     """Uniform average of X^a Z^b sigma Z^b X^a over all 4^n key pairs.
 
@@ -110,7 +84,7 @@ def average_over_keys(sigma: DensityState) -> DensityState:
     a, b = divmod(np.arange(4), 2)
     for wire in range(n):
         shift = n - 1 - wire
-        mat = _pauli_conjugates(mat, a << shift, b << shift, n).sum(axis=0) / 4
+        mat = linalg._pauli_conjugates(mat, a << shift, b << shift, n).sum(axis=0) / 4
     return DensityState(n, mat)
 
 
@@ -147,9 +121,9 @@ def _key_stacks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray, np.n
     """
     n = circuit.n_qubits
     a, b = divmod(np.arange(4 ** n), 2 ** n)
-    cipher = _pauli_conjugates(sigma.matrix, a, b, n)
+    cipher = linalg._pauli_conjugates(sigma.matrix, a, b, n)
     evaluated = linalg._conjugate(cipher, n, ((_twin_stack(g, a, b, n), g.wires) for g in circuit.gates))
-    decrypted = _pauli_conjugates(evaluated, a, b, n)
+    decrypted = linalg._pauli_conjugates(evaluated, a, b, n)
     linalg._check_density(decrypted)
     return cipher, evaluated, decrypted
 
@@ -206,7 +180,8 @@ def pauli_decompose(operator: np.ndarray) -> np.ndarray:
     # v[a, i] = U[i ^ a, i]; the reduction sums over i in np.trace's order
     idx = np.arange(dim)
     v = operator[idx ^ idx[:, None], idx]
-    return (v[:, None, :] * _pauli_signs(n)).sum(axis=2) / dim
+    signs = linalg._parity_signs(n)[idx[:, None] & idx]  # S[b, i]
+    return (v[:, None, :] * signs).sum(axis=2) / dim
 
 
 def _phase_adjusted_distance(candidate: np.ndarray, reference: np.ndarray) -> float:
@@ -242,7 +217,7 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
     idx = np.arange(dim)
     max_dev = max(
         _phase_adjusted_distance(c, operator)
-        for a in range(dim) for c in _pauli_conjugates(operator, np.full(dim, a), idx, n)
+        for a in range(dim) for c in linalg._pauli_conjugates(operator, np.full(dim, a), idx, n)
     )
     by_conjugation = max_dev <= tol
 

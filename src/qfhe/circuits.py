@@ -152,8 +152,10 @@ def simulate(circuit: Circuit, state):
         raise ValueError(f"circuit has {circuit.n_qubits} qubit(s), state has {state.n_qubits}")
     if not circuit.gates:
         return state
-    # Gate and Circuit have checked every wire and each matrix has its kind's shape
-    return linalg._evolve(state, ((g.matrix(), g.wires) for g in circuit.gates))
+    # Gate and Circuit have checked every wire and each matrix has its kind's shape;
+    # a Pauli goes in as its exponents, which the apply loop folds into frames
+    specs = linalg.GATE_SPECS
+    return linalg._evolve(state, ((specs[g.kind].pauli or g.matrix(), g.wires) for g in circuit.gates))
 
 
 # --- circuit file format -------------------------------------------------
@@ -226,7 +228,7 @@ def parse_circuit(text) -> Circuit:
         doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except json.JSONDecodeError as exc:
         raise CircuitFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # invalid UTF-8, or an integer literal past the digit limit
+    except (ValueError, RecursionError) as exc:  # invalid UTF-8, an integer past the digit limit, deep nesting
         raise CircuitFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CircuitFormatError("top-level value must be an object")

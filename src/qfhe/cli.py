@@ -62,7 +62,7 @@ def _read_file(path: str) -> bytes:
 def _load_json(path: str):
     try:
         return json.loads(_read_file(path).decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer literal past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, an integer past the digit limit, deep nesting
         raise CliError(EXIT_PARSE, f"{path}: invalid JSON: {exc}") from exc
 
 

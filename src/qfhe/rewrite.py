@@ -57,9 +57,6 @@ def _negate_if(theta: float, active: int) -> tuple[float, int]:
     return circuits._canon_with_wraps(-theta)
 
 
-#: the Paulis are their own twins; moving X^x Z^z past one drops (-1)^(x*w_x + z*w_z)
-_PAULI_SIGNS = {"x": (0, 1), "y": (1, 1), "z": (1, 0)}
-
 #: ZYZ angles of h, the one fixed gate that is not its own twin: it rewrites as u
 _LIFTED = {"h": circuits.euler_decompose(linalg.gate_matrix("h"))}
 
@@ -81,9 +78,11 @@ def twin(gate: Gate, x: int, z: int) -> RewriteResult:
             gates.append(Gate.named("x", target))
         gates.append(gate)
         return RewriteResult(tuple(gates), x * z)
-    if gate.kind in _PAULI_SIGNS:
-        x_weight, z_weight = _PAULI_SIGNS[gate.kind]
-        return RewriteResult((gate,), (x_weight & x) ^ (z_weight & z))
+    pauli = linalg.GATE_SPECS[gate.kind].pauli
+    if pauli:
+        # moving X^x Z^z past X^p Z^q drops (-1)^(x*q + z*p): the exponents swapped are the weights
+        p, q = pauli
+        return RewriteResult((gate,), (q & x) ^ (p & z))
     kind, params = ("u", _LIFTED[gate.kind]) if gate.kind in _LIFTED else (gate.kind, gate.params)
     angles: list[float] = []
     flips = 0

@@ -6,6 +6,9 @@ embeddings, and ``twin_error`` checks one gate's rewrite rule against them
 under every key. ``verify_security_loop`` visits the 4^n keys one at a time,
 ``average_over_keys_loop`` averages ``qotp.encrypt`` over one-wire keys, and
 ``parse_pairs_loop`` reads a CLI grid of [re, im] pairs one entry at a time.
+``apply_on_axes_uncached`` is the gate kernel with its dispatch worked out
+on every call, and ``simulate_per_gate`` runs every gate, Paulis too, as its
+matrix through it: one gemm per gate, no Pauli frames.
 The package itself works on wire axes, sign tables, key stacks and whole
 arrays instead, so nothing here is imported by ``src/qfhe``.
 """
@@ -17,7 +20,7 @@ from qfhe import linalg, qotp, rewrite
 from qfhe.analysis import _MAX_QUBITS_AVERAGE, _MAX_QUBITS_EVALUATE, SecurityReport, _check_tolerance
 from qfhe.circuits import Circuit, Gate, is_finite_number, simulate
 from qfhe.cli import EXIT_PARSE, CliError
-from qfhe.linalg import DensityState, _checked_operator, all_bit_strings
+from qfhe.linalg import DensityState, PureState, _checked_operator, all_bit_strings
 
 
 def _check_bits(bits: str, name: str) -> None:
@@ -188,3 +191,58 @@ def parse_pairs_loop(data, where: str, shape: tuple) -> np.ndarray:
     if len(shape) == 2:
         return np.array([pair(e) for e in data], dtype=complex)
     return np.array([[pair(e) for e in row] for row in data], dtype=complex)
+
+
+def apply_on_axes_uncached(op: np.ndarray, axes: tuple[int, ...], flat: np.ndarray, m: int) -> np.ndarray:
+    """``linalg._apply_on_axes`` with no plan cache, and the (2,)*m transpose for any gathered axes.
+
+    The same branches: ascending contiguous axes take one matmul on a
+    (2^lo, 2^k, rest) reshape while the gemms it issues stay within its
+    columns (or the batch is a single entry); any other axes are gathered in
+    front through the transpose of all m axes, multiplied and scattered back.
+    """
+    k = len(axes)
+    lead = flat.shape[:-1]
+    lo = axes[0] if axes else 0
+    if axes == tuple(range(lo, lo + k)):
+        batch, rest = 1 << lo, 1 << (m - lo - k)
+        if rest == 1:
+            return (flat.reshape(lead + (batch, 1 << k)) @ op.swapaxes(-1, -2)).reshape(flat.shape)
+        if batch == 1 or batch * (flat.size >> m) <= rest:
+            if op.ndim == 3:
+                op = op[:, None]
+            return np.matmul(op, flat.reshape(lead + (batch, 1 << k, rest))).reshape(flat.shape)
+    perm = [*axes, *(a for a in range(m) if a not in axes)]
+    back = sorted(range(m), key=perm.__getitem__)
+    if lead:
+        perm, back = [0, *(a + 1 for a in perm)], [0, *(a + 1 for a in back)]
+    gathered = flat.reshape(lead + (2,) * m).transpose(perm)
+    out = (op @ gathered.reshape(lead + (1 << k, -1))).reshape(gathered.shape)
+    return out.transpose(back).reshape(flat.shape)
+
+
+def simulate_per_gate(circuit: Circuit, state):
+    """``circuits.simulate`` with each gate built as its matrix and applied by one gemm, Paulis too.
+
+    U acts on the row axes and U* on the column axes of a density matrix.
+    """
+    n = circuit.n_qubits
+    if isinstance(state, PureState):
+        flat = state.amplitudes
+        for g in circuit.gates:
+            flat = apply_on_axes_uncached(g.matrix(), g.wires, flat, n)
+        return PureState(n, flat)
+    flat = state.matrix.reshape(-1)
+    for g in circuit.gates:
+        op = g.matrix()
+        flat = apply_on_axes_uncached(op, g.wires, flat, 2 * n)
+        flat = apply_on_axes_uncached(op.conj(), tuple(n + w for w in g.wires), flat, 2 * n)
+    return DensityState(n, flat.reshape(state.matrix.shape))
+
+
+def round_trip_per_gate(key: qotp.QotpKey, circuit: Circuit, state) -> tuple:
+    """Ciphertext, evaluated ciphertext and decryption, each step run by ``simulate_per_gate``."""
+    mask = qotp._mask(key, state)
+    cipher = simulate_per_gate(mask, state)
+    evaluated = simulate_per_gate(rewrite.rewrite_circuit(key, circuit), cipher)
+    return cipher, evaluated, simulate_per_gate(Circuit(circuit.n_qubits, mask.gates[::-1]), evaluated)

@@ -27,11 +27,17 @@ from qfhe import (
 from qfhe.analysis import (
     CLASSIFY_TOL,
     _key_stacks,
-    _pauli_conjugates,
     _phase_adjusted_distance,
 )
 from qfhe.cli import main
-from qfhe.linalg import ATOL_EXACT, GATE_SPECS, all_bit_strings, canonical_angle, single_qubit_unitary
+from qfhe.linalg import (
+    ATOL_EXACT,
+    GATE_SPECS,
+    _pauli_conjugates,
+    all_bit_strings,
+    canonical_angle,
+    single_qubit_unitary,
+)
 from qfhe.qotp import all_keys
 from qfhe.rng import RandomSource
 
@@ -197,9 +203,19 @@ def test_each_parity_weight_mutant_fails_the_table(monkeypatch, kind, index, bit
 
 
 @pytest.mark.parametrize("bit", [0, 1], ids=["x_weight", "z_weight"])
-@pytest.mark.parametrize("kind", sorted(rewrite._PAULI_SIGNS))
+@pytest.mark.parametrize("kind", sorted(k for k, spec in GATE_SPECS.items() if spec.pauli))
 def test_each_pauli_sign_mutant_fails_only_the_table(monkeypatch, kind, bit):
-    monkeypatch.setitem(rewrite._PAULI_SIGNS, kind, _flip(rewrite._PAULI_SIGNS[kind], bit))
+    # the sign weights are the Pauli column swapped; flipping one weight toggles
+    # the dropped sign by that key bit, and leaves the gate's own action alone
+    twin = rewrite.twin
+
+    def mutant(gate, x, z):
+        result = twin(gate, x, z)
+        if gate.kind != kind:
+            return result
+        return rewrite.RewriteResult(result.gates, result.phase_flips ^ (x if bit == 0 else z))
+
+    monkeypatch.setattr(rewrite, "twin", mutant)
     assert twin_error(Gate.named(kind, 0), 2) > ATOL_EXACT
     # a wrong sign is a global phase, which the security check cannot see
     assert _passes_security()

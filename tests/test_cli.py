@@ -100,6 +100,7 @@ def test_encrypt_dimension_mismatch_exits_2(tmp_path):
 
 HUGE = "9" * 401  # a JSON integer beyond the float range
 HUGER = "9" * 5000  # a JSON integer beyond Python's str-to-int digit limit
+DEEP = "[" * 200_000  # nesting past the recursion limit of the JSON decoder
 
 
 MALFORMED = [
@@ -121,6 +122,10 @@ MALFORMED = [
     ("simulate-circuit", '{"qubits": ' + HUGER + ', "gates": []}'),
     ("simulate-circuit", b'{"qubits": 1, "gates": [], "\xff": 1}'),
     ("classify", '[[[' + HUGE + ', 0], [0, 0]], [[0, 0], [1, 0]]]'),
+    ("encrypt-key", DEEP),
+    ("encrypt-state", DEEP),
+    ("simulate-circuit", DEEP),
+    ("classify", DEEP),
 ]
 
 
@@ -147,6 +152,14 @@ def test_malformed_inputs_exit_3(tmp_path):
     for i, (command, text) in enumerate(MALFORMED):
         shown = text if text is None or len(text) < 80 else text[:80]
         assert _run_on(tmp_path, command, i, text) == 3, (command, shown)
+
+
+@pytest.mark.parametrize("command", ["encrypt-key", "simulate-circuit", "classify"])
+def test_deep_nesting_gives_one_error_line(tmp_path, capsys, command):
+    assert _run_on(tmp_path, command, 0, DEEP) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "invalid JSON" in err
 
 
 BIG = "1.7e308"  # finite, but its square overflows

@@ -9,23 +9,34 @@ from hypothesis import strategies as st
 from qfhe import (
     Circuit,
     DensityState,
+    Gate,
     PureState,
     QotpKey,
     apply_to_wires,
     canonical_angle,
     decrypt,
     encrypt,
+    evaluate,
     gate_matrix,
     keygen,
     maximally_mixed,
     simulate,
     trace_distance,
 )
-from qfhe.linalg import ATOL_EXACT, GATE_SPECS, _apply_on_axes, _evolve, all_bit_strings
+from qfhe.linalg import ATOL_EXACT, GATE_SPECS, _apply_on_axes, _checked_operator, _evolve, all_bit_strings
 from qfhe.qotp import _mask, all_keys
 from qfhe.rng import RandomSource
 
-from oracles import apply_to_density, embed_on_wires, full_matrix, pauli_basis, pauli_operator
+from oracles import (
+    apply_on_axes_uncached,
+    apply_to_density,
+    embed_on_wires,
+    full_matrix,
+    pauli_basis,
+    pauli_operator,
+    round_trip_per_gate,
+    simulate_per_gate,
+)
 
 TAU = 2 * math.pi
 
@@ -170,12 +181,20 @@ def test_apply_to_wires_cnot_reversed():
     assert np.allclose(out.amplitudes, PureState.basis(2, 0b11).amplitudes)
 
 
-@pytest.mark.parametrize("wires", [(2,), (0, 0), (-1,)])
+# bools, floats and strings are not wires, though True would index wire 1
+@pytest.mark.parametrize("wires", [(2,), (0, 0), (-1,), (True,), (np.True_,), (0.0,), (1.5,), ("0",)])
 def test_apply_to_wires_rejects_bad_wires(wires):
     state = PureState.basis(2, 0)
     mat = gate_matrix("x") if len(wires) == 1 else gate_matrix("cnot")
     with pytest.raises(ValueError):
         apply_to_wires(mat, wires, state)
+
+
+def test_apply_to_wires_takes_numpy_integer_wires_as_ints():
+    _, wires = _checked_operator(gate_matrix("cnot"), (np.int64(1), np.int32(0)), 2)
+    assert wires == (1, 0) and all(type(w) is int for w in wires)
+    out = apply_to_wires(gate_matrix("x"), (np.int64(1),), PureState.basis(2, 0))
+    assert np.array_equal(out.amplitudes, PureState.basis(2, 1).amplitudes)
 
 
 def test_gate_by_gate_matches_one_shot_embedding():
@@ -344,6 +363,93 @@ def test_end_of_run_check_catches_a_non_unitary():
     for state in (rng.pure_state(2), rng.density_state(2)):
         with pytest.raises(ValueError, match="is not 1 within"):
             _evolve(state, [(x, (0,)), (double, (1,)), (x, (1,))])
+
+
+# --- Pauli frames and kernel plans, against the per-gate gemm oracle ---------
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal values, and the same sign bit on every real and imaginary part."""
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+def _all_kinds_circuit(rng, n, n_gates):
+    """A random circuit that holds every gate kind (every kind but cnot on one qubit)."""
+    while True:
+        circuit = rng.circuit(n, n_gates)
+        if len({g.kind for g in circuit.gates}) == len(GATE_SPECS) - (n == 1):
+            return circuit
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_simulate_and_round_trip_equal_the_per_gate_oracle_bit_for_bit(n):
+    # random states hold no exact zero, so even the sign bits must agree
+    rng = RandomSource(80 + n)
+    for _ in range(3):
+        circuit = _all_kinds_circuit(rng, n, 40)
+        key = keygen(n, rng)
+        for state in (rng.pure_state(n), rng.density_state(n)):
+            assert _same_bits(_raw(simulate(circuit, state)), _raw(simulate_per_gate(circuit, state)))
+            cipher = encrypt(key, state)
+            evaluated = evaluate(key, circuit, cipher)
+            got = (cipher, evaluated, decrypt(key, evaluated))
+            for step, want in zip(got, round_trip_per_gate(key, circuit, state)):
+                assert _same_bits(_raw(step), _raw(want))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_simulate_equals_the_per_gate_oracle_on_basis_states(n):
+    # a Pauli gather and a gemm may give an exact zero different signs, so values only
+    rng = RandomSource(90 + n)
+    circuit = _all_kinds_circuit(rng, n, 30)
+    for index in range(2 ** n):
+        psi = PureState.basis(n, index)
+        for state in (psi, psi.to_density()):
+            assert np.array_equal(_raw(simulate(circuit, state)), _raw(simulate_per_gate(circuit, state)))
+
+
+def _pauli_heavy(rng, n, n_gates):
+    """Mostly x, y and z on random wires, with one random gate of any kind in every four."""
+    gates = []
+    for i in range(n_gates):
+        if i % 4 == 3:
+            gates.extend(rng.circuit(n, 1).gates)
+        else:
+            gates.append(Gate.named("xyz"[rng.integer(0, 3)], rng.integer(0, n)))
+    return Circuit(n, tuple(gates))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pauli_frames_keep_the_global_phase(n):
+    # amplitudes, not projectors: a wrong i^k in a frame shows only here
+    rng = RandomSource(100 + n)
+    for n_gates in (1, 2, 3, 5, 12, 40):
+        circuit = _pauli_heavy(rng, n, n_gates)
+        psi = rng.pure_state(n)
+        want = full_matrix(circuit) @ psi.amplitudes
+        assert np.max(np.abs(simulate(circuit, psi).amplitudes - want)) <= ATOL_EXACT
+
+
+def test_a_pauli_run_that_multiplies_to_minus_one_negates_the_state():
+    # Z X Z X = -1 (a = b = 0 with i^2): the frame is not the identity on a pure state
+    psi = RandomSource(110).pure_state(1)
+    circuit = Circuit(1, tuple(Gate.named(kind, 0) for kind in "zxzx"))
+    assert np.array_equal(simulate(circuit, psi).amplitudes, -psi.amplitudes)
+    assert np.array_equal(simulate(circuit, psi.to_density()).matrix, psi.to_density().matrix)
+
+
+@pytest.mark.parametrize("stack", [None, "shared", "per_entry"])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_kernel_plans_equal_the_uncached_generic_path(m, stack):
+    rng = np.random.default_rng(120 + m)
+    shape = (2 ** m,) if stack is None else (3, 2 ** m)
+    flat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for k in (1, 2):
+        for axes in itertools.permutations(range(m), k):
+            op_shape = (2 ** k, 2 ** k) if stack != "per_entry" else (3, 2 ** k, 2 ** k)
+            op = rng.normal(size=op_shape) + 1j * rng.normal(size=op_shape)
+            got = _apply_on_axes(op, axes, flat, m)
+            assert got.flags.c_contiguous
+            assert _same_bits(got, apply_on_axes_uncached(op, axes, flat, m)), axes
 
 
 def test_trace_distance_examples():
