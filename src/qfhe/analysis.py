@@ -14,10 +14,12 @@ come from the one Pauli-mask builder in ``linalg`` (``_parity_signs`` and
 ``_pauli_conjugates``), which the apply loop uses for runs of Pauli gates
 too. Key averaging (n one-wire twirls of four masks), the classifier and
 the key stack's encryption and decryption all use it.
-``verify_security`` runs all 4^n keys as one stack of density matrices, and
-the twins go through the gate kernel: ``rewrite.twin`` reads two key bits
-only, so its four entries give every key's twin of a gate. Sizes are
-hard-guarded rather than silently slow.
+``verify_security`` runs all 4^n keys as one stack of density matrices
+through ``linalg``'s one apply loop. ``rewrite.twin`` reads two key bits
+only, so its four entries give every key's twin of a gate. When they are
+one and the same Pauli, the twin is key-independent and runs as a Pauli
+frame shared by the whole stack; otherwise each key takes its own twin
+through the gate kernel. Sizes are hard-guarded rather than silently slow.
 """
 from __future__ import annotations
 
@@ -89,40 +91,51 @@ def average_over_keys(sigma: DensityState) -> DensityState:
 
 
 def _fold(gates, wires: tuple[int, ...]) -> np.ndarray:
-    """The gates, applied in order, as one 2^k x 2^k operator on the k given wires."""
+    """The gates, applied in order, as one 2^k x 2^k operator on the k given wires.
+
+    The apply loop runs them on the operator read as a 2k-qubit statevector,
+    whose first k qubits are its row axes.
+    """
     k = len(wires)
-    op = np.eye(1 << k, dtype=complex).reshape(-1)
-    for g in gates:
-        # the operator's row axes are the first k of the 2k
-        op = linalg._apply_on_axes(g.matrix(), tuple(map(wires.index, g.wires)), op, 2 * k)
-    return op.reshape(1 << k, 1 << k)
+    ops = ((g.matrix(), tuple(map(wires.index, g.wires))) for g in gates)
+    return linalg._run(np.eye(1 << k, dtype=complex).reshape(-1), 2 * k, ops).reshape(1 << k, 1 << k)
 
 
-def _twin_stack(gate: Gate, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Every key's twin of the gate, folded into one (K, 2^k, 2^k) stack on its wires.
+def _key_op(gate: Gate, a: np.ndarray, b: np.ndarray, n: int) -> tuple:
+    """The gate's (operator, wires) pair for the key stack's apply loop: every key's twin.
 
     Key k masks with X^a[k] Z^b[k]. The twin reads the x bit of the gate's
-    first wire and the z bit of its last, so its four entries are folded
-    once and each key picks its own by those two bits of a[k] and b[k].
+    first wire and the z bit of its last, so its four entries give every
+    key's twin. When they are one and the same Pauli gate, it goes in as
+    its exponents, a frame shared by every key. Otherwise each distinct
+    entry is folded once into a (K, 2^k, 2^k) stack, and each key picks its
+    own by those two bits of a[k] and b[k].
     """
-    table = np.array([_fold(rewrite.twin(gate, j, k).gates, gate.wires) for j in (0, 1) for k in (0, 1)])
+    twins = [rewrite.twin(gate, j, k).gates for j in (0, 1) for k in (0, 1)]
+    first = twins[0]
+    pauli = linalg.GATE_SPECS[first[0].kind].pauli if len(first) == 1 else None
+    if pauli and twins.count(first) == 4:
+        return pauli, first[0].wires
+    folded = {t: _fold(t, gate.wires) for t in dict.fromkeys(twins)}
+    table = np.array([folded[t] for t in twins])
     x = a >> (n - 1 - gate.wires[0]) & 1
     z = b >> (n - 1 - gate.wires[-1]) & 1
-    return table[2 * x + z]
+    return table[2 * x + z], gate.wires
 
 
 def _key_stacks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ciphertext, evaluated ciphertext and its decryption under every key, as (4^n, 2^n, 2^n) stacks.
 
     Key k masks with X^a Z^b for (a, b) = divmod(k, 2^n), the order of
-    ``qotp.all_keys``. Encryption and decryption are exact signed
-    permutations, so checking the decrypted stack checks the evaluated one,
-    and sigma was checked when it was built: only the decryption is checked.
+    ``qotp.all_keys``. The evaluation is one run of the apply loop over the
+    stack. Encryption and decryption are exact signed permutations, so
+    checking the decrypted stack checks the evaluated one, and sigma was
+    checked when it was built: only the decryption is checked.
     """
     n = circuit.n_qubits
     a, b = divmod(np.arange(4 ** n), 2 ** n)
     cipher = linalg._pauli_conjugates(sigma.matrix, a, b, n)
-    evaluated = linalg._conjugate(cipher, n, ((_twin_stack(g, a, b, n), g.wires) for g in circuit.gates))
+    evaluated = linalg._run(cipher, n, (_key_op(g, a, b, n) for g in circuit.gates))
     decrypted = linalg._pauli_conjugates(evaluated, a, b, n)
     linalg._check_density(decrypted)
     return cipher, evaluated, decrypted
@@ -184,13 +197,25 @@ def pauli_decompose(operator: np.ndarray) -> np.ndarray:
     return (v[:, None, :] * signs).sum(axis=2) / dim
 
 
-def _phase_adjusted_distance(candidate: np.ndarray, reference: np.ndarray) -> float:
-    """Max-entry distance after the best global phase; near-zero overlap counts as disagreement."""
-    overlap = complex(np.trace(reference.conj().T @ candidate))
-    if abs(overlap) < 1e-12:
-        return float(np.max(np.abs(candidate - reference)))
-    phase = overlap / abs(overlap)
-    return float(np.max(np.abs(candidate - phase * reference)))
+#: overlaps |tr(U^dagger C)| below this take no phase. A conjugate C within the
+#: classifier's tolerance of a phase times U has |overlap| near 2^n; an overlap
+#: that is 0 in exact arithmetic keeps rounding noise of about 2^n * 1e-16
+#: (3.8e-16 for h lifted to u), whose phase means nothing. 1e-12 lies far above
+#: that noise at every classified size and far below any overlap that can pass.
+OVERLAP_FLOOR = 1e-12
+
+
+def _phase_adjusted_distances(candidates: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Max-entry distance of each matrix of a stack from reference, after that matrix's best global phase.
+
+    The phase is o / |o| of the overlap o = tr(reference^dagger candidate),
+    taken in Python scalar arithmetic: numpy's complex abs and divide can
+    round differently. An overlap below OVERLAP_FLOOR counts as disagreement
+    and takes no phase.
+    """
+    overlaps = np.trace(reference.conj().T @ candidates, axis1=1, axis2=2).tolist()
+    phases = np.array([o / abs(o) if abs(o) >= OVERLAP_FLOOR else 1.0 for o in overlaps])
+    return np.max(np.abs(candidates - phases[:, None, None] * reference), axis=(1, 2))
 
 
 def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) -> ClassifyResult:
@@ -215,10 +240,10 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
 
     # one a at a time with every b keeps the stack at 8^n entries
     idx = np.arange(dim)
-    max_dev = max(
-        _phase_adjusted_distance(c, operator)
-        for a in range(dim) for c in linalg._pauli_conjugates(operator, np.full(dim, a), idx, n)
-    )
+    max_dev = float(max(
+        np.max(_phase_adjusted_distances(linalg._pauli_conjugates(operator, np.full(dim, a), idx, n), operator))
+        for a in range(dim)
+    ))
     by_conjugation = max_dev <= tol
 
     coeffs = pauli_decompose(operator)

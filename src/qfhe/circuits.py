@@ -7,6 +7,7 @@ Circuits are purely unitary: no measurement, reset, or classical control.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -75,6 +76,12 @@ class Gate:
 
     def matrix(self) -> np.ndarray:
         return linalg.gate_matrix(self.kind, self.params)
+
+
+@functools.lru_cache(maxsize=1024)
+def _named(kind: str, wire: int) -> Gate:
+    """``Gate.named(kind, wire)`` for a wire already checked, built once: a Gate is frozen, so callers share it."""
+    return Gate.named(kind, wire)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .circuits import Circuit, Gate, simulate
+from . import circuits
+from .circuits import Circuit, simulate
 from .linalg import DensityState, PureState
 from .rng import RandomSource
 
@@ -56,9 +57,9 @@ def _mask(key: QotpKey, state) -> Circuit:
     gates = []
     for wire, (a, b) in enumerate(zip(key.x_bits, key.z_bits)):
         if b == "1":
-            gates.append(Gate.named(second, wire))
+            gates.append(circuits._named(second, wire))
         if a == "1":
-            gates.append(Gate.named(first, wire))
+            gates.append(circuits._named(first, wire))
     return Circuit(key.n_qubits, tuple(gates))
 
 

@@ -73,9 +73,9 @@ def twin(gate: Gate, x: int, z: int) -> RewriteResult:
         control, target = gate.wires
         gates: list[Gate] = []
         if z:
-            gates.append(Gate.named("z", control))
+            gates.append(circuits._named("z", control))
         if x:
-            gates.append(Gate.named("x", target))
+            gates.append(circuits._named("x", target))
         gates.append(gate)
         return RewriteResult(tuple(gates), x * z)
     pauli = linalg.GATE_SPECS[gate.kind].pauli
@@ -90,6 +90,8 @@ def twin(gate: Gate, x: int, z: int) -> RewriteResult:
         theta, flip = _negate_if(theta, (x_weight & x) ^ (z_weight & z))
         angles.append(theta)
         flips += flip
+    if kind == gate.kind and tuple(angles) == gate.params:
+        return RewriteResult((gate,), flips)  # no angle negated: the gate is its own twin
     return RewriteResult((Gate(kind, gate.wires, tuple(angles)),), flips)
 
 

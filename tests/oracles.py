@@ -8,7 +8,10 @@ under every key. ``verify_security_loop`` visits the 4^n keys one at a time,
 ``parse_pairs_loop`` reads a CLI grid of [re, im] pairs one entry at a time.
 ``apply_on_axes_uncached`` is the gate kernel with its dispatch worked out
 on every call, and ``simulate_per_gate`` runs every gate, Paulis too, as its
-matrix through it: one gemm per gate, no Pauli frames.
+matrix through it: one gemm per gate, no Pauli frames. ``key_stacks_per_gate``
+evaluates the key stack the same way, each gate as a table of its four twins
+folded to matrices, and ``phase_adjusted_distance`` is the classifier's
+criterion for one conjugate at a time.
 The package itself works on wire axes, sign tables, key stacks and whole
 arrays instead, so nothing here is imported by ``src/qfhe``.
 """
@@ -17,7 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from qfhe import linalg, qotp, rewrite
-from qfhe.analysis import _MAX_QUBITS_AVERAGE, _MAX_QUBITS_EVALUATE, SecurityReport, _check_tolerance
+from qfhe.analysis import (
+    _MAX_QUBITS_AVERAGE,
+    _MAX_QUBITS_EVALUATE,
+    OVERLAP_FLOOR,
+    SecurityReport,
+    _check_tolerance,
+)
 from qfhe.circuits import Circuit, Gate, is_finite_number, simulate
 from qfhe.cli import EXIT_PARSE, CliError
 from qfhe.linalg import DensityState, PureState, _checked_operator, all_bit_strings
@@ -246,3 +255,45 @@ def round_trip_per_gate(key: qotp.QotpKey, circuit: Circuit, state) -> tuple:
     cipher = simulate_per_gate(mask, state)
     evaluated = simulate_per_gate(rewrite.rewrite_circuit(key, circuit), cipher)
     return cipher, evaluated, simulate_per_gate(Circuit(circuit.n_qubits, mask.gates[::-1]), evaluated)
+
+
+def _fold_per_gate(gates, wires: tuple[int, ...]) -> np.ndarray:
+    """The gates, applied in order by ``apply_on_axes_uncached`` to the identity, as one operator on the wires."""
+    k = len(wires)
+    op = np.eye(1 << k, dtype=complex).reshape(-1)
+    for g in gates:
+        op = apply_on_axes_uncached(g.matrix(), tuple(map(wires.index, g.wires)), op, 2 * k)
+    return op.reshape(1 << k, 1 << k)
+
+
+def key_stacks_per_gate(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``analysis._key_stacks`` with every gate, Paulis too, run as each key's folded twin by two gemm passes.
+
+    Each gate's four ``rewrite.twin`` entries are folded to matrices, key k
+    picks its own by the x bit of the gate's first wire and the z bit of its
+    last, and U acts on the row axes and U* on the column axes of every
+    entry. Nothing is checked.
+    """
+    n = circuit.n_qubits
+    a, b = divmod(np.arange(4 ** n), 2 ** n)
+    cipher = linalg._pauli_conjugates(sigma.matrix, a, b, n)
+    flat = cipher.reshape(len(a), -1)
+    for g in circuit.gates:
+        table = np.array([_fold_per_gate(rewrite.twin(g, j, k).gates, g.wires) for j in (0, 1) for k in (0, 1)])
+        op = table[2 * (a >> (n - 1 - g.wires[0]) & 1) + (b >> (n - 1 - g.wires[-1]) & 1)]
+        flat = apply_on_axes_uncached(op, g.wires, flat, 2 * n)
+        flat = apply_on_axes_uncached(op.conj(), tuple(n + w for w in g.wires), flat, 2 * n)
+    evaluated = flat.reshape(cipher.shape)
+    return cipher, evaluated, linalg._pauli_conjugates(evaluated, a, b, n)
+
+
+def phase_adjusted_distance(candidate: np.ndarray, reference: np.ndarray) -> float:
+    """Max-entry distance of one candidate from reference after the best global phase.
+
+    An overlap below ``analysis.OVERLAP_FLOOR`` counts as disagreement.
+    """
+    overlap = complex(np.trace(reference.conj().T @ candidate))
+    if abs(overlap) < OVERLAP_FLOOR:
+        return float(np.max(np.abs(candidate - reference)))
+    phase = overlap / abs(overlap)
+    return float(np.max(np.abs(candidate - phase * reference)))

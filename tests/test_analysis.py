@@ -7,6 +7,7 @@ import pytest
 
 from qfhe import (
     Circuit,
+    DensityState,
     Gate,
     analysis,
     PureState,
@@ -15,25 +16,27 @@ from qfhe import (
     classify_key_independent,
     decrypt,
     encrypt,
+    euler_decompose,
     evaluate,
     gate_matrix,
     maximally_mixed,
     pauli_decompose,
     qotp,
     rewrite,
+    simulate,
     trace_distance,
     verify_security,
 )
 from qfhe.analysis import (
     CLASSIFY_TOL,
     _key_stacks,
-    _phase_adjusted_distance,
 )
 from qfhe.cli import main
 from qfhe.linalg import (
     ATOL_EXACT,
     GATE_SPECS,
     _pauli_conjugates,
+    _trace_distances,
     all_bit_strings,
     canonical_angle,
     single_qubit_unitary,
@@ -44,10 +47,13 @@ from qfhe.rng import RandomSource
 from oracles import (
     KIND_GATES,
     average_over_keys_loop,
+    full_matrix,
+    key_stacks_per_gate,
     pauli_basis,
     pauli_conjugates,
     pauli_operator,
     pauli_table,
+    phase_adjusted_distance,
     twin_error,
     verify_security_loop,
 )
@@ -163,6 +169,46 @@ def test_verify_security_matches_the_per_key_loop(n, mixed):
         assert got.passed == want.passed
 
 
+def _pauli_gates(rng, n, count):
+    return tuple(Gate.named("xyz"[rng.integer(0, 3)], rng.integer(0, n)) for _ in range(count))
+
+
+def _report_distances(cipher, evaluated, decrypted, expected):
+    n = expected.n_qubits
+    mixed = maximally_mixed(n)
+    return (
+        trace_distance(DensityState(n, cipher.sum(axis=0) / len(cipher)), mixed),
+        trace_distance(DensityState(n, evaluated.sum(axis=0) / len(evaluated)), mixed),
+        float(np.max(_trace_distances(decrypted, expected.matrix))),
+    )
+
+
+@pytest.mark.parametrize("shape", ["random", "pauli_tail", "all_pauli", "empty"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_key_stacks_equal_the_per_gate_tables_bit_for_bit(n, shape):
+    # the shared Pauli frames and the folded tables against every gate as four folded
+    # twins through two gemm passes: Pauli gathers are exact, and every other gate runs
+    # the same gemm on the same operands in the same order
+    for seed in range(4):
+        rng = RandomSource(100 * n + seed)
+        gates = {
+            "random": lambda: rng.circuit(n, 24).gates,
+            "pauli_tail": lambda: rng.circuit(n, 12).gates + _pauli_gates(rng, n, 5),
+            "all_pauli": lambda: _pauli_gates(rng, n, 9),
+            "empty": lambda: (),
+        }[shape]()
+        circuit = Circuit(n, gates)
+        sigma = rng.density_state(n) if seed % 2 else rng.pure_state(n).to_density()
+        got, want = _key_stacks(circuit, sigma), key_stacks_per_gate(circuit, sigma)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (4 ** n, 2 ** n, 2 ** n)
+            assert g.tobytes() == w.tobytes()
+        report = verify_security(circuit, sigma, 1e-9)
+        distances = (report.worst_encrypt_distance, report.worst_evaluate_distance, report.worst_decrypt_distance)
+        want_distances = _report_distances(*want, simulate(circuit, sigma))
+        assert struct.pack("<3d", *distances) == struct.pack("<3d", *want_distances)
+
+
 def test_a_key_ignoring_evaluator_fails_only_the_decrypt_check(monkeypatch):
     # every twin the plain gate: the evaluate average is C (I/2^n) C^dagger = I/2^n,
     # so only decrypting each key's result can notice
@@ -231,19 +277,55 @@ def test_dropping_the_cnot_correction_fails_the_table_and_the_security_check(mon
 
 
 def test_the_key_batch_checks_every_key(monkeypatch):
-    # x is its own twin, so the doubled key's decryption has trace exactly 4
-    circuit, sigma = Circuit(2, (Gate.named("x", 1),)), maximally_mixed(2)
+    # h takes a per-key table (a Pauli would run as a shared frame); doubling key 5's
+    # twin scales its decryption by 4, and the trace of I/4 under it comes out 4.0
+    circuit, sigma = Circuit(2, (Gate.named("h", 1),)), maximally_mixed(2)
     assert verify_security(circuit, sigma, 1e-9).passed
-    twin_stack = analysis._twin_stack
+    key_op = analysis._key_op
 
     def doubled(gate, a, b, n):
-        stack = twin_stack(gate, a, b, n).copy()
-        stack[5] *= 2
-        return stack
+        op, wires = key_op(gate, a, b, n)
+        op = op.copy()
+        op[5] *= 2
+        return op, wires
 
-    monkeypatch.setattr(analysis, "_twin_stack", doubled)
+    monkeypatch.setattr(analysis, "_key_op", doubled)
     with pytest.raises(ValueError, match="trace 4.0 is not 1 within"):
         verify_security(circuit, sigma, 1e-9)
+
+
+def test_pauli_twins_run_as_frames_and_each_distinct_twin_folds_once(monkeypatch):
+    folds = []
+    fold = analysis._fold
+    monkeypatch.setattr(analysis, "_fold", lambda gates, wires: folds.append(gates) or fold(gates, wires))
+    a, b = divmod(np.arange(16), 4)
+    # rz and ry negate their angle by one parity and u by two; h lifts to u with beta = 0
+    # and delta = pi, which negate to themselves; cnot gains a correction per bit
+    want_folds = {"x": 0, "y": 0, "z": 0, "h": 2, "rz": 2, "ry": 2, "u": 4, "cnot": 4}
+    for gate in KIND_GATES:
+        folds.clear()
+        op, wires = analysis._key_op(gate, a, b, 2)
+        assert wires == gate.wires
+        assert len(folds) == len(set(folds)) == want_folds[gate.kind]
+        if GATE_SPECS[gate.kind].pauli:
+            assert op == GATE_SPECS[gate.kind].pauli
+        else:
+            assert op.shape == (16, 2 ** len(wires), 2 ** len(wires))
+
+
+def test_a_key_dependent_pauli_twin_takes_the_per_key_path(monkeypatch):
+    # x when the twin's x bit is set, z otherwise: every entry is a Pauli, but not
+    # one shared by all keys, so no frame may stand in for the four twins
+    circuit, sigma = Circuit(2, (Gate.named("x", 1),)), RandomSource(8).pure_state(2).to_density()
+    monkeypatch.setattr(
+        rewrite, "twin", lambda gate, x, z: rewrite.RewriteResult((Gate.named("x" if x else "z", gate.wires[0]),), 0)
+    )
+    a, b = divmod(np.arange(16), 4)
+    op, wires = analysis._key_op(circuit.gates[0], a, b, 2)
+    assert isinstance(op, np.ndarray) and op.shape == (16, 2, 2) and wires == (1,)
+    report = verify_security(circuit, sigma, 1e-9)
+    assert report.worst_decrypt_distance > 0.1
+    assert not report.passed
 
 
 @pytest.mark.parametrize("call", [
@@ -274,6 +356,14 @@ def test_pauli_conjugates_equal_the_dense_products(n):
         p = pauli_operator(bits[a[k]], bits[b[k]])
         assert np.max(np.abs(got_shared[k] - p @ shared @ p.conj().T)) <= ATOL_EXACT
         assert np.max(np.abs(got_per_key[k] - p @ per_key[k] @ p.conj().T)) <= ATOL_EXACT
+    # one key over a whole stack, as the apply loop flushes a shared frame: entry by entry
+    # the same gather, and C-contiguous so that the stack sums in a gemm result's order
+    for k in (1, len(a) - 1):
+        got_one_key = _pauli_conjugates(per_key, a[k:k + 1], b[k:k + 1], n)
+        assert got_one_key.shape == shape and got_one_key.flags.c_contiguous
+        for entry in range(len(a)):
+            want = _pauli_conjugates(per_key[entry], a[k:k + 1], b[k:k + 1], n)[0]
+            assert got_one_key[entry].tobytes() == want.tobytes()
 
 
 # --- Pauli decomposition -------------------------------------------------
@@ -389,7 +479,7 @@ def test_classify_h_negative():
 def test_classify_equals_the_dense_conjugate_loop():
     for u in _oracle_inputs(62):
         result = classify_key_independent(u)
-        max_dev = max(_phase_adjusted_distance(c, u) for c in pauli_conjugates(u))
+        max_dev = max(phase_adjusted_distance(c, u) for c in pauli_conjugates(u))
         assert struct.pack("<d", result.max_deviation) == struct.pack("<d", max_dev)
         assert result.key_independent == (max_dev <= CLASSIFY_TOL)
         witness = None
@@ -397,6 +487,22 @@ def test_classify_equals_the_dense_conjugate_loop():
             (a, b), coeff = max(pauli_table(u).items(), key=lambda item: abs(item[1]))
             witness = (a, b, canonical_angle(math.atan2(coeff.imag, coeff.real)))
         assert result.witness == witness
+
+
+def test_the_batched_criterion_equals_the_scalar_one_bit_for_bit():
+    # phases in Python scalar arithmetic: numpy's complex abs and divide round some
+    # Haar cases differently. The Clifford-like inputs built from rounded rotations
+    # have conjugate overlaps of about 1e-16, which the floor must send to no phase.
+    rng = RandomSource(63)
+    inputs = [rng.unitary(2 ** n) for n in (1, 2, 3) for _ in range(100)]
+    inputs += [gate_matrix("u", euler_decompose(gate_matrix("h"))), gate_matrix("ry", (math.pi / 2,))]
+    for n in (2, 3):
+        for _ in range(4):
+            gates = [Gate.named("h", rng.integer(0, n)) if rng.integer(0, 2) else Gate.cnot(0, 1) for _ in range(6)]
+            inputs.append(full_matrix(Circuit(n, tuple(gates))))
+    for u in inputs:
+        want = max(phase_adjusted_distance(c, u) for c in pauli_conjugates(u))
+        assert struct.pack("<d", classify_key_independent(u).max_deviation) == struct.pack("<d", want)
 
 
 def test_classify_cnot_negative():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qfhe import PureState, QotpKey, decrypt, encrypt, keygen, trace_distance
-from qfhe.qotp import VARIANT_HY, all_keys
+from qfhe import Circuit, Gate, PureState, QotpKey, decrypt, encrypt, keygen, trace_distance
+from qfhe.qotp import VARIANT_HY, _mask, all_keys
 from qfhe.rng import RandomSource
 
 
@@ -132,3 +132,12 @@ def test_all_keys_enumeration():
     keys = all_keys(2)
     assert len(keys) == 16
     assert len(set(keys)) == 16
+
+
+def test_mask_gates_are_shared_per_kind_and_wire():
+    for variant, kinds in (("xz", ("z", "x")), (VARIANT_HY, ("y", "h"))):
+        key = QotpKey(3, "101", "110", variant)
+        mask = _mask(key, None)
+        want = (Gate.named(kinds[0], 0), Gate.named(kinds[1], 0), Gate.named(kinds[0], 1), Gate.named(kinds[1], 2))
+        assert mask == Circuit(3, want)
+        assert all(a is b for a, b in zip(mask.gates, _mask(key, None).gates))

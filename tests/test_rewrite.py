@@ -179,6 +179,21 @@ def test_paulis_are_their_own_twins():
                 assert twin(gate, j, k) == RewriteResult((gate,), sign(j, k))
 
 
+def test_twins_share_gates_instead_of_rebuilding_them():
+    # a twin with no angle negated is the gate itself; cnot's corrections come from one
+    # cache per (kind, wire), and Gate is frozen, so sharing them is safe
+    for gate in (Gate.rz(0.3, 1), Gate.ry(0.3, 1), Gate.u(0.1, 0.2, 0.3, 0.4, 1), Gate.rz(0.0, 1)):
+        assert twin(gate, 0, 0).gates[0] is gate
+    zero, half_turn = Gate.rz(0.0, 1), Gate.rz(math.pi, 1)
+    assert twin(zero, 1, 1) == RewriteResult((zero,), 0) and twin(zero, 1, 1).gates[0] is zero
+    # -pi wraps to pi: the same gate, with its sign flip still counted
+    assert twin(half_turn, 1, 0) == RewriteResult((half_turn,), 1)
+    assert twin(Gate.rz(0.3, 1), 1, 0).gates == (Gate.rz(-0.3, 1),)
+    first, second = twin(Gate.cnot(2, 0), 1, 1), twin(Gate.cnot(2, 0), 1, 1)
+    assert first.gates == (Gate.named("z", 2), Gate.named("x", 0), Gate.cnot(2, 0))
+    assert all(a is b for a, b in zip(first.gates[:2], second.gates[:2]))
+
+
 # --- whole-circuit rewriting --------------------------------------------
 
 def test_all_zero_key_is_identity_rewrite():
