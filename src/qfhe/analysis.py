@@ -93,10 +93,13 @@ def average_over_keys(sigma: DensityState) -> DensityState:
 def _fold(gates, wires: tuple[int, ...]) -> np.ndarray:
     """The gates, applied in order, as one 2^k x 2^k operator on the k given wires.
 
-    The apply loop runs them on the operator read as a 2k-qubit statevector,
-    whose first k qubits are its row axes.
+    A single-qubit twin is one gate, and its matrix is the operator. Any
+    other twin runs through the apply loop, on the operator read as a
+    2k-qubit statevector whose first k qubits are its row axes.
     """
     k = len(wires)
+    if k == 1:
+        return gates[0].matrix()
     ops = ((g.matrix(), tuple(map(wires.index, g.wires))) for g in gates)
     return linalg._run(np.eye(1 << k, dtype=complex).reshape(-1), 2 * k, ops).reshape(1 << k, 1 << k)
 
@@ -126,11 +129,12 @@ def _key_op(gate: Gate, a: np.ndarray, b: np.ndarray, n: int) -> tuple:
 def _key_stacks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ciphertext, evaluated ciphertext and its decryption under every key, as (4^n, 2^n, 2^n) stacks.
 
-    Key k masks with X^a Z^b for (a, b) = divmod(k, 2^n), the order of
-    ``qotp.all_keys``. The evaluation is one run of the apply loop over the
-    stack. Encryption and decryption are exact signed permutations, so
-    checking the decrypted stack checks the evaluated one, and sigma was
-    checked when it was built: only the decryption is checked.
+    Key k masks with X^a Z^b for (a, b) = divmod(k, 2^n), so the keys run in
+    lexicographic order of their (x_bits, z_bits) strings. The evaluation is
+    one run of the apply loop over the stack. Encryption and decryption are
+    exact signed permutations, so checking the decrypted stack checks the
+    evaluated one, and sigma was checked when it was built: only the
+    decryption is checked.
     """
     n = circuit.n_qubits
     a, b = divmod(np.arange(4 ** n), 2 ** n)

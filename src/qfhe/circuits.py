@@ -55,6 +55,17 @@ class Gate:
         object.__setattr__(self, "params", params)
 
     @classmethod
+    def _unchecked(cls, kind: str, wires: tuple[int, ...], params: tuple[float, ...]) -> "Gate":
+        """A Gate from fields already in checked form, validating nothing.
+
+        For gates derived inside the package only: the kind is known, the
+        wires come from a checked gate and every angle is already canonical.
+        """
+        gate = object.__new__(cls)
+        gate.__dict__.update(kind=kind, wires=wires, params=params)  # bypasses the frozen __setattr__
+        return gate
+
+    @classmethod
     def named(cls, kind: str, wire: int) -> "Gate":
         return cls(kind, (wire,))
 

@@ -87,7 +87,7 @@ def _state_to_bytes(state) -> bytes:
 
     The template is json.dumps's indent-2 layout of the nested pair lists with
     one %r per float part: repr is json's format for the finite floats a state
-    holds.
+    holds. A zero part is written as 0.0 whatever its sign.
     """
     if isinstance(state, PureState):
         kind, values = "pure", state.amplitudes
@@ -99,7 +99,8 @@ def _state_to_bytes(state) -> bytes:
         pad = "\n" + "  " * (level + 1)
         layout = "[" + pad + ("," + pad).join([layout] * shape[level - 1]) + "\n" + "  " * level + "]"
     template = '{\n  "qubits": ' + str(state.n_qubits) + ',\n  "kind": "' + kind + '",\n  "data": ' + layout + "\n}\n"
-    return (template % tuple(np.ascontiguousarray(values).view(np.float64).ravel().tolist())).encode("utf-8")
+    parts = np.ascontiguousarray(values).view(np.float64).ravel() + 0.0  # -0.0 + 0.0 is 0.0
+    return (template % tuple(parts.tolist())).encode("utf-8")
 
 
 def _parse_grid(data, where: str, shape: tuple) -> np.ndarray:
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("verify-security", help="brute-force key-averaging security check")
+    p = sub.add_parser("verify-security", help="exhaustive key-averaging security check")
     p.add_argument("--circuit", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--tol", type=float, default=1e-9)

@@ -71,13 +71,3 @@ def encrypt(key: QotpKey, state):
 def decrypt(key: QotpKey, state):
     """Exact inverse of encrypt for the same key: the mask gates in reverse order."""
     return simulate(Circuit(key.n_qubits, _mask(key, state).gates[::-1]), state)
-
-
-def all_keys(n_qubits: int, variant: str = VARIANT_XZ):
-    """Every key on n qubits, in lexicographic (x_bits, z_bits) order."""
-    bit_strings = linalg.all_bit_strings(n_qubits)
-    return [
-        QotpKey(n_qubits, a, b, variant)
-        for a in bit_strings
-        for b in bit_strings
-    ]

@@ -92,7 +92,8 @@ def twin(gate: Gate, x: int, z: int) -> RewriteResult:
         flips += flip
     if kind == gate.kind and tuple(angles) == gate.params:
         return RewriteResult((gate,), flips)  # no angle negated: the gate is its own twin
-    return RewriteResult((Gate(kind, gate.wires, tuple(angles)),), flips)
+    # the wires are the checked gate's, and _negate_if and euler_decompose return canonical angles
+    return RewriteResult((Gate._unchecked(kind, gate.wires, tuple(angles)),), flips)
 
 
 def rewrite_gate(key: QotpKey, gate: Gate) -> RewriteResult:

@@ -3,7 +3,9 @@
 Most build full 2^n x 2^n matrices: Pauli operators one at a time, gates
 tensor-embedded into the whole register, circuits as the product of those
 embeddings, and ``twin_error`` checks one gate's rewrite rule against them
-under every key. ``verify_security_loop`` visits the 4^n keys one at a time,
+under every key. ``zyz_matrix`` builds an rz, ry or u matrix as the
+product of its rotation matrices, and ``all_keys`` lists every key.
+``verify_security_loop`` visits the 4^n keys one at a time,
 ``average_over_keys_loop`` averages ``qotp.encrypt`` over one-wire keys, and
 ``parse_pairs_loop`` reads a CLI grid of [re, im] pairs one entry at a time.
 ``apply_on_axes_uncached`` is the gate kernel with its dispatch worked out
@@ -16,6 +18,8 @@ The package itself works on wire axes, sign tables, key stacks and whole
 arrays instead, so nothing here is imported by ``src/qfhe``.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -56,8 +60,14 @@ def pauli_operator(x_bits: str, z_bits: str) -> np.ndarray:
     return op
 
 
+def all_keys(n_qubits: int, variant: str = qotp.VARIANT_XZ) -> list[qotp.QotpKey]:
+    """Every key on n qubits, in lexicographic (x_bits, z_bits) order."""
+    bit_strings = all_bit_strings(n_qubits)
+    return [qotp.QotpKey(n_qubits, a, b, variant) for a in bit_strings for b in bit_strings]
+
+
 def pauli_basis(n: int):
-    """Yield ((a, b), X^a Z^b) one at a time, in the (a, b) order of ``qotp.all_keys``."""
+    """Yield ((a, b), X^a Z^b) one at a time, in the (a, b) order of ``all_keys``."""
     bit_strings = all_bit_strings(n)
     return (((a, b), pauli_operator(a, b)) for a in bit_strings for b in bit_strings)
 
@@ -109,6 +119,19 @@ def full_matrix(circuit: Circuit) -> np.ndarray:
     return total
 
 
+def zyz_matrix(alpha: float, beta: float, gamma: float, delta: float) -> np.ndarray:
+    """exp(i*alpha) Rz(beta) Ry(gamma) Rz(delta) from raw angles, as a product of its factor matrices.
+
+    Rz(t) = diag(e^(-it/2), e^(it/2)) and Ry(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]];
+    rz(t) is zyz_matrix(0, t, 0, 0) and ry(t) is zyz_matrix(0, 0, t, 0).
+    """
+    def rz(t):
+        return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]])
+
+    c, s = math.cos(gamma / 2), math.sin(gamma / 2)
+    return np.exp(1j * alpha) * (rz(beta) @ np.array([[c, -s], [s, c]], dtype=complex) @ rz(delta))
+
+
 #: one gate of every kind on wire 0, or wires (0, 1) for cnot, with fixed angles that are not special
 KIND_GATES = tuple(
     Gate(kind, tuple(range(len(spec.wires))), tuple(0.3 + 0.7 * i for i in range(len(spec.params))))
@@ -124,7 +147,7 @@ def twin_error(gate: Gate, n_qubits: int) -> float:
     """
     worst = 0.0
     gate_matrix = full_matrix(Circuit(n_qubits, (gate,)))
-    for key in qotp.all_keys(n_qubits):
+    for key in all_keys(n_qubits):
         result = rewrite.rewrite_gate(key, gate)
         mask = pauli_operator(key.x_bits, key.z_bits)
         lhs = full_matrix(Circuit(n_qubits, result.gates)) @ mask
@@ -151,7 +174,7 @@ def verify_security_loop(circuit: Circuit, sigma: DensityState, tol: float) -> S
     eval_total = np.zeros((dim, dim), dtype=complex)
     expected = simulate(circuit, sigma)
     d_dec = 0.0
-    keys = qotp.all_keys(n)
+    keys = all_keys(n)
     for key in keys:
         cipher = qotp.encrypt(key, sigma)
         enc_total += cipher.matrix

@@ -41,11 +41,11 @@ from qfhe.linalg import (
     canonical_angle,
     single_qubit_unitary,
 )
-from qfhe.qotp import all_keys
 from qfhe.rng import RandomSource
 
 from oracles import (
     KIND_GATES,
+    all_keys,
     average_over_keys_loop,
     full_matrix,
     key_stacks_per_gate,

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qfhe import DensityState, PureState, cli, gate_matrix
+from qfhe import Circuit, DensityState, Gate, PureState, cli, gate_matrix, simulate
 from qfhe.circuits import canonical_json
 from qfhe.cli import CliError, _parse_grid, _state_to_bytes, build_parser, main
 from qfhe.rng import RandomSource
@@ -187,11 +187,11 @@ def test_entries_whose_square_overflows_give_one_error_line_and_no_warning(tmp_p
 def _nested_pairs(values: np.ndarray) -> list:
     if values.ndim > 1:
         return [_nested_pairs(row) for row in values]
-    return [[float(v.real), float(v.imag)] for v in values]
+    return [[float(v.real) + 0.0, float(v.imag) + 0.0] for v in values]  # a zero part of either sign is 0.0
 
 
 def _canonical_state(state) -> bytes:
-    """The writer's oracle: canonical_json of the document built from nested lists."""
+    """The writer's oracle: canonical_json of the document built from nested lists, with no -0.0."""
     kind, values = ("pure", state.amplitudes) if isinstance(state, PureState) else ("density", state.matrix)
     return canonical_json({"qubits": state.n_qubits, "kind": kind, "data": _nested_pairs(values)})
 
@@ -220,6 +220,17 @@ CRAFTED_STATES = {
 def test_state_writer_is_canonical_json_on_crafted_entries(name):
     state = CRAFTED_STATES[name]
     assert _state_to_bytes(state) == _canonical_state(state)
+
+
+def test_a_zero_part_is_written_without_its_sign(tmp_path):
+    # the Pauli frame of z leaves -0.0 in the real part of the |1> amplitude; the file says 0.0
+    circuit = Circuit(1, (Gate.named("z", 0),))
+    assert np.signbit(simulate(circuit, PureState.basis(1)).amplitudes[1].real)
+    circ = write(tmp_path / "z.json", json.dumps({"qubits": 1, "gates": [{"kind": "z", "wire": 0}]}))
+    state = write(tmp_path / "in.json", pure_state_doc(np.array([1.0, 0.0])))
+    out = tmp_path / "o.json"
+    assert main(["simulate", "--circuit", circ, "--in", state, "--out", str(out)]) == 0
+    assert out.read_bytes() == canonical_json({"qubits": 1, "kind": "pure", "data": [[1.0, 0.0], [0.0, 0.0]]})
 
 
 def _read_with(reader, data, shape):

@@ -24,10 +24,11 @@ from qfhe import (
     trace_distance,
 )
 from qfhe.linalg import ATOL_EXACT, GATE_SPECS, _apply_on_axes, _checked_operator, _evolve, all_bit_strings
-from qfhe.qotp import _mask, all_keys
+from qfhe.qotp import _mask
 from qfhe.rng import RandomSource
 
 from oracles import (
+    all_keys,
     apply_on_axes_uncached,
     apply_to_density,
     embed_on_wires,
@@ -36,6 +37,7 @@ from oracles import (
     pauli_operator,
     round_trip_per_gate,
     simulate_per_gate,
+    zyz_matrix,
 )
 
 TAU = 2 * math.pi
@@ -71,6 +73,18 @@ def test_u_reproduces_hadamard():
     u = gate_matrix("u", (math.pi / 2, 0.0, math.pi / 2, math.pi))
     h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     assert np.max(np.abs(u - h)) <= 1e-12
+
+
+def test_rotation_builders_equal_the_factor_product():
+    # the closed forms against exp(i alpha) Rz(beta) Ry(gamma) Rz(delta) multiplied out, on
+    # raw angles, negative and past 4*pi too, where the half angles flip the factors' signs
+    rng = np.random.default_rng(16)
+    raw = [0.0, TAU, 2 * TAU, -TAU, math.pi, -math.pi, 3 * TAU + 0.5]
+    for alpha, beta, gamma, delta in [*itertools.product(raw, repeat=4), *rng.uniform(-40.0, 40.0, (4000, 4))]:
+        assert np.max(np.abs(gate_matrix("rz", (beta,)) - zyz_matrix(0.0, beta, 0.0, 0.0))) <= ATOL_EXACT
+        assert np.max(np.abs(gate_matrix("ry", (gamma,)) - zyz_matrix(0.0, 0.0, gamma, 0.0))) <= ATOL_EXACT
+        got = gate_matrix("u", (alpha, beta, gamma, delta))
+        assert np.max(np.abs(got - zyz_matrix(alpha, beta, gamma, delta))) <= ATOL_EXACT
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,12 +22,12 @@ from qfhe import (
     simulate,
     trace_distance,
 )
-from qfhe.linalg import ATOL_EXACT, rotation_y, rotation_z
-from qfhe.qotp import VARIANT_HY, all_keys
+from qfhe.linalg import ATOL_EXACT, GATE_SPECS, TAU, rotation_y, rotation_z
+from qfhe.qotp import VARIANT_HY
 from qfhe.rewrite import RewriteResult, twin
 from qfhe.rng import RandomSource
 
-from oracles import KIND_GATES, apply_to_density, full_matrix, pauli_operator, twin_error
+from oracles import KIND_GATES, all_keys, apply_to_density, full_matrix, pauli_operator, twin_error
 
 
 def _twin(kind, params, j, k):
@@ -192,6 +194,28 @@ def test_twins_share_gates_instead_of_rebuilding_them():
     first, second = twin(Gate.cnot(2, 0), 1, 1), twin(Gate.cnot(2, 0), 1, 1)
     assert first.gates == (Gate.named("z", 2), Gate.named("x", 0), Gate.cnot(2, 0))
     assert all(a is b for a, b in zip(first.gates[:2], second.gates[:2]))
+
+
+#: canonical angles at the edges of negation: zero, the smallest subnormal (whose negation
+#: rounds back to 0.0) and one ulp below 2*pi (whose negation is one ulp above 0.0)
+EDGE_ANGLES = (0.0, 5e-324, math.nextafter(TAU, 0.0), 0.3, math.pi)
+
+
+@pytest.mark.parametrize("kind", GATE_SPECS)
+def test_unchecked_twins_equal_the_checked_rebuild(kind):
+    # twin builds a negated or lifted gate without validating it: the checked constructor
+    # must give the same gate from its fields, down to the bytes of every angle
+    spec = GATE_SPECS[kind]
+    wires = tuple(range(len(spec.wires)))[::-1]
+    for params in itertools.product(EDGE_ANGLES, repeat=len(spec.params)):
+        gate = Gate(kind, wires, params)
+        for x, z in itertools.product((0, 1), repeat=2):
+            for g in twin(gate, x, z).gates:
+                rebuilt = Gate(g.kind, g.wires, g.params)
+                assert g == rebuilt
+                assert all(type(w) is int for w in g.wires) and all(type(p) is float for p in g.params)
+                pack = f"<{len(g.params)}d"
+                assert struct.pack(pack, *g.params) == struct.pack(pack, *rebuilt.params), (kind, params, x, z)
 
 
 # --- whole-circuit rewriting --------------------------------------------
