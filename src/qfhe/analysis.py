@@ -9,11 +9,11 @@ Three families of checks, all numerical at desk scale:
 
 No Pauli operator is built as a matrix. Column i of X^a Z^b holds
 S[b, i] = (-1)^popcount(b & i) in row i ^ a, so decomposing is a gather
-with one sign table, and conjugating by masks is one signed gather. Both
-come from the one Pauli-mask builder in ``linalg`` (``_parity_signs`` and
-``_pauli_conjugates``), which the apply loop uses for runs of Pauli gates
-too. Key averaging (n one-wire twirls of four masks), the classifier and
-the key stack's encryption and decryption all use it.
+with the sign row ``linalg._parity_signs``. Conjugating by masks is
+``linalg._pauli_conjugates``: a matrix read as a 2n-qubit row takes the
+mask on both halves by the one signed gather, the gather the apply loop
+runs for Pauli frames. Key averaging (n one-wire twirls of four masks), the
+classifier and the key stack's encryption and decryption all use it.
 ``verify_security`` runs all 4^n keys as one stack of density matrices
 through ``linalg``'s one apply loop. ``rewrite.twin`` reads two key bits
 only, so its four entries give every key's twin of a gate. When they are

@@ -164,16 +164,21 @@ def euler_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
 
 def simulate(circuit: Circuit, state):
     """Apply the circuit's gates left to right to a pure or density state; check only the result."""
+    return _apply_gates(circuit.n_qubits, circuit.gates, state)
+
+
+def _apply_gates(n_qubits: int, gates, state):
+    """``simulate`` on gates a caller has already checked against n_qubits, with no Circuit built."""
     if not isinstance(state, (linalg.PureState, linalg.DensityState)):
         raise TypeError(f"expected PureState or DensityState, got {type(state).__name__}")
-    if state.n_qubits != circuit.n_qubits:
-        raise ValueError(f"circuit has {circuit.n_qubits} qubit(s), state has {state.n_qubits}")
-    if not circuit.gates:
+    if state.n_qubits != n_qubits:
+        raise ValueError(f"circuit has {n_qubits} qubit(s), state has {state.n_qubits}")
+    if not gates:
         return state
-    # Gate and Circuit have checked every wire and each matrix has its kind's shape;
+    # the caller has checked every wire and each matrix has its kind's shape;
     # a Pauli goes in as its exponents, which the apply loop folds into frames
     specs = linalg.GATE_SPECS
-    return linalg._evolve(state, ((specs[g.kind].pauli or g.matrix(), g.wires) for g in circuit.gates))
+    return linalg._evolve(state, ((specs[g.kind].pauli or g.matrix(), g.wires) for g in gates))
 
 
 # --- circuit file format -------------------------------------------------

@@ -174,9 +174,15 @@ def _load_circuit(path: str) -> circuits.Circuit:
 
 # --- subcommands ---------------------------------------------------------
 
+#: the largest key keygen writes: a state on more qubits has more amplitudes than a 64-bit index counts
+_MAX_KEY_QUBITS = 64
+
+
 def _cmd_keygen(args) -> int:
     if args.n < 1:
         raise CliError(EXIT_SEMANTIC, "-n must be a positive qubit count")
+    if args.n > _MAX_KEY_QUBITS:
+        raise CliError(EXIT_SEMANTIC, f"-n must be at most {_MAX_KEY_QUBITS}: no state on more qubits can be indexed")
     key = qotp.keygen(args.n, RandomSource(args.seed), args.variant)
     _write_file(args.out, _key_to_bytes(key))
     return EXIT_OK

@@ -5,18 +5,19 @@ Conventions used everywhere in this package:
 - operators compose right-to-left, so ``X^a Z^b`` applies Z first,
 - all angles are radians; the IR keeps them canonical in [0, 2*pi).
 
-Everything here is double precision. Gates are contracted with the wire axes
-of a state, never embedded into a 2^n x 2^n operator, and a state is checked
-once per gate sequence, not per gate. The one apply loop runs a statevector,
-a density matrix or a stack of density matrices, each operator shared or one
-per stack entry, which is how ``analysis.verify_security`` moves all 4^n keys
-at once. Pauli gates build no matrix: the apply loop folds each run of them
-into one frame i^k X^a Z^b and applies it as one signed gather, shared by
-every entry of a stack, with the Pauli-mask builder that ``analysis`` uses
-too. Each 2x2 gate matrix is built in closed form from ``math``/``cmath``
-scalars. On a 2-core Xeon with one BLAS thread, 200 random gates take
-about 3.6-5.8 ms on a pure n=12 state and 39-57 ms on a density n=7 state
-(medians of runs at different times: the host's speed drifts between runs).
+Everything here is double precision, and two operations do all the work:
+the one gate kernel gathers a gate's wire axes in front by one transpose and
+multiplies them by one gemm, never building a 2^n x 2^n operator, and the
+one signed gather applies a Pauli mask X^a Z^b. The one apply loop runs a
+statevector, a density matrix (a 2n-qubit row: U on the row half, U* on the
+column half) or a stack of them, each operator shared or one per stack
+entry, which is how ``analysis.verify_security`` moves all 4^n keys at once.
+It folds each run of Pauli gates into one frame i^k X^a Z^b for the gather,
+which ``analysis`` uses for its masks too. A state is checked once per gate
+sequence; each 2x2 gate matrix is built in closed form. On a 2-core Xeon
+with one BLAS thread, 200 random gates take about 4.4-6.2 ms on a pure n=12
+state and 34-43 ms on a density n=7 state (medians of runs at different
+times: the host's speed drifts between runs).
 """
 from __future__ import annotations
 
@@ -267,22 +268,14 @@ def _checked_operator(unitary, wires, n_qubits: int) -> tuple[np.ndarray, tuple[
 
 @functools.lru_cache(maxsize=1024)  # bounded: apply_to_wires takes any wire set
 def _plan(axes: tuple[int, ...], m: int, lead: tuple[int, ...]) -> tuple:
-    """How ``_apply_on_axes`` runs: (branch, shape, perm, back, gemm shape).
+    """How ``_apply_on_axes`` gathers the axes: (shape, perm, back, gemm shape).
 
-    On the "gather" branch the state is reshaped to shape, transposed by perm
-    so that the axes come first, multiplied on the gemm shape and transposed
-    back by back. Axes that stay next to each other in the permuted order
-    form one block, so contiguous axes take one 3-D transpose; the gathered
+    The state is reshaped to shape, transposed by perm so that the axes come
+    first, multiplied on the gemm shape and transposed back by back. Axes
+    that stay next to each other in the permuted order form one block, so
+    contiguous axes take one transpose of at most three blocks; the gathered
     entries keep their order, so gemm sees the same operand.
     """
-    k = len(axes)
-    lo = axes[0] if axes else 0
-    if axes == tuple(range(lo, lo + k)):
-        batch, rest = 1 << lo, 1 << (m - lo - k)
-        if rest == 1:
-            return "rows", lead + (batch, 1 << k), None, None, None
-        if batch == 1 or batch * math.prod(lead) <= rest:
-            return "batched", lead + (batch, 1 << k, rest), None, None, None
     runs: list[list[int]] = []  # the permuted axes, cut where the next one is not the following axis
     for a in [*axes, *(a for a in range(m) if a not in axes)]:
         if runs and runs[-1][-1] + 1 == a:
@@ -293,30 +286,21 @@ def _plan(axes: tuple[int, ...], m: int, lead: tuple[int, ...]) -> tuple:
     skip = len(lead)  # the stack axes stay in front
     perm = (*range(skip), *(blocks.index(r) + skip for r in runs))
     back = (*range(skip), *(runs.index(r) + skip for r in blocks))
-    return "gather", lead + tuple(1 << len(r) for r in blocks), perm, back, lead + (1 << k, -1)
+    return lead + tuple(1 << len(r) for r in blocks), perm, back, lead + (1 << len(axes), -1)
 
 
 def _apply_on_axes(op: np.ndarray, axes: tuple[int, ...], flat: np.ndarray, m: int) -> np.ndarray:
     """Apply a 2^k x 2^k operator to the given axes of the (2,)*m view of flat.
 
     flat holds 2^m entries, optionally after one leading axis of B entries (a
-    stack of states); op is either shared, (2^k, 2^k), or one per stack entry,
+    stack of rows); op is either shared, (2^k, 2^k), or one per stack entry,
     (B, 2^k, 2^k). Axis axes[i] carries the operator's i-th tensor factor.
-    Returns a new C-contiguous array of flat's shape. Ascending contiguous
-    axes take one matmul on a (2^lo, 2^k, rest) reshape per stack entry, which
-    copies nothing on the way in. That matmul issues one gemm per batch and
-    stack entry, so once those outnumber the columns each gemm covers (unless
-    the batch is a single entry), and for any other axes, the axes are
-    gathered in front, multiplied in one gemm per stack entry and scattered
-    back. The dispatch is cached per (axes, m, stack shape) by ``_plan``.
+    Returns a new C-contiguous array of flat's shape. The one kernel: the
+    axes are gathered in front by one transpose, multiplied in one gemm per
+    stack entry and scattered back, with the plan cached per (axes, m, stack
+    shape) by ``_plan``.
     """
-    branch, shape, perm, back, gemm_shape = _plan(axes, m, flat.shape[:-1])
-    if branch == "rows":
-        return (flat.reshape(shape) @ op.swapaxes(-1, -2)).reshape(flat.shape)
-    if branch == "batched":
-        if op.ndim == 3:
-            op = op[:, None]  # the same operator for every batch entry of a stack entry
-        return np.matmul(op, flat.reshape(shape)).reshape(flat.shape)
+    shape, perm, back, gemm_shape = _plan(axes, m, flat.shape[:-1])
     gathered = flat.reshape(shape).transpose(perm)
     out = (op @ gathered.reshape(gemm_shape)).reshape(gathered.shape)
     return out.transpose(back).reshape(flat.shape)
@@ -325,7 +309,7 @@ def _apply_on_axes(op: np.ndarray, axes: tuple[int, ...], flat: np.ndarray, m: i
 # --- Pauli masks -----------------------------------------------------------
 #
 # Column i of X^a Z^b holds S[b, i] = (-1)^popcount(b & i) in row i ^ a, with
-# a and b read as n-bit integers, qubit 0 the most significant bit. So every
+# a and b read as m-bit integers, qubit 0 the most significant bit. So every
 # Pauli mask is a signed permutation: applying one is a gather and a sign
 # row, exact, and no Pauli matrix is built.
 
@@ -334,51 +318,51 @@ _I_POWERS = (1, 1j, -1, -1j)
 
 
 @functools.lru_cache(maxsize=None)
-def _indices(n: int) -> np.ndarray:
-    """arange(2^n), read-only: the index row every signed gather shifts by its mask."""
-    idx = np.arange(1 << n)
+def _indices(m: int) -> np.ndarray:
+    """arange(2^m), read-only: the index row every signed gather shifts by its mask."""
+    idx = np.arange(1 << m)
     idx.setflags(write=False)
     return idx
 
 
 @functools.lru_cache(maxsize=None)
-def _parity_signs(n: int) -> np.ndarray:
-    """(-1)^popcount(v) for v < 2^n as int8, the parity folded by shifts; read-only.
+def _parity_signs(m: int) -> np.ndarray:
+    """(-1)^popcount(v) for v < 2^m as complex, the m-th Kronecker power of (1, -1); read-only.
 
-    S[b, i] is _parity_signs(n)[b & i]: 2^n bytes serve the whole 4^n
-    table. np.bitwise_count would fold in one call, but only on numpy 2.
+    S[b, i] is _parity_signs(m)[b & i]: 2^m entries serve the whole 4^m
+    table. Complex, so a gather multiplies by it with no cast; at 16 B per
+    entry the cached row is as large as the statevector it serves.
     """
-    v = np.arange(1 << n)
-    shift = 1
-    while shift < n:
-        v ^= v >> shift
-        shift <<= 1
-    signs = (1 - 2 * (v & 1)).astype(np.int8)
+    signs = functools.reduce(np.kron, [(1.0, -1.0)] * m, np.ones(1)).astype(complex)
     signs.setflags(write=False)
     return signs
+
+
+def _signed_gather(flat: np.ndarray, a, b, m: int) -> np.ndarray:
+    """X^a Z^b on the last axis of a row or of a (B, 2^m) stack: out[..., i] = S[b, i ^ a] flat[..., i ^ a].
+
+    a and b are ints, one mask, or (B, 1) columns, one mask per row, over one
+    shared row or over the stack. Returns a new C-contiguous array, exact.
+    """
+    rows = _indices(m) ^ a
+    signs = _parity_signs(m)[rows & b]
+    if flat.ndim > 1:  # with every index advanced the stack comes out C-contiguous
+        return flat[np.arange(len(flat))[:, None], rows] * signs
+    return flat[rows] * signs
 
 
 def _pauli_conjugates(mats: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """X^a Z^b M (X^a Z^b)^dagger for each key (a[k], b[k]), as a C-contiguous (K, 2^n, 2^n) stack.
 
-    Entry (r, c) is S[b, r] S[b, c] M[r ^ a, c ^ a]: a signed permutation of
-    M, so exact. mats is one shared matrix or one matrix per key, and a and
-    b hold one key per matrix or one key shared by a stack of K matrices.
-    The inverse mask Z^b X^a = +-X^a Z^b gives the same stack.
+    Entry (r, c) is S[b, r] S[b, c] M[r ^ a, c ^ a]: read as a 2n-qubit row,
+    M takes the mask on both halves, X^(a(2^n+1)) Z^(b(2^n+1)), one signed
+    gather, so exact. mats is one shared matrix or one matrix per key, and
+    a and b hold one key per matrix or one key shared by a stack of K
+    matrices. The inverse mask Z^b X^a = +-X^a Z^b gives the same stack.
     """
-    idx = _indices(n)
-    rows = idx ^ a[:, None]
-    signs = _parity_signs(n)[idx & b[:, None]]
-    if mats.ndim == 2:
-        mats = np.broadcast_to(mats, (len(a), *mats.shape))
-    # with every index advanced the stack comes out C-contiguous, so it sums in the same order as a gemm's
-    gathered = mats[np.arange(len(mats))[:, None, None], rows[:, :, None], rows[:, None, :]]
-    gathered *= signs[:, :, None] * signs[:, None, :]
-    return gathered
-
-
-#: the frame i^0 X^0 Z^0
-_NO_FRAME = (0, 0, 0)
+    lift = (1 << n) + 1
+    out = _signed_gather(mats.reshape(*mats.shape[:-2], -1), a[:, None] * lift, b[:, None] * lift, 2 * n)
+    return out.reshape(-1, 1 << n, 1 << n)
 
 
 def _compose(frame: tuple[int, int, int], pauli: tuple[int, int], wire: int, n: int) -> tuple[int, int, int]:
@@ -393,48 +377,45 @@ def _compose(frame: tuple[int, int, int], pauli: tuple[int, int], wire: int, n: 
     return (k + x * z + flip) % 4, a ^ bit if x else a, b ^ bit if z else b
 
 
-def _apply_frame(arr: np.ndarray, frame: tuple[int, int, int], n: int) -> np.ndarray:
-    """The frame on a statevector, or its conjugation of a density matrix or stack (which drops i^k).
+def _apply_frame(flat: np.ndarray, frame: tuple[int, int, int], lift: int, m: int) -> np.ndarray:
+    """The frame i^k X^a Z^b as one signed gather of its mask times lift.
 
-    On a statevector out[i] = i^k S[b, i ^ a] psi[i ^ a], one signed gather;
-    a stack of density matrices takes one gather for every entry.
+    lift is 1 on a statevector. On a density matrix read as a 2n-qubit row it
+    is 2^n + 1, so both halves take the mask, and i^k cancels.
     """
     k, a, b = frame
-    if arr.ndim > 1:
-        return _pauli_conjugates(arr, np.array([a]), np.array([b]), n).reshape(arr.shape)
-    rows = _indices(n) ^ a
-    out = arr[rows] if a else arr
-    if b:
-        out = out * _parity_signs(n)[rows & b]
-    return out * _I_POWERS[k] if k else out
+    out = _signed_gather(flat, a * lift, b * lift, m)
+    return out * _I_POWERS[k] if k and lift == 1 else out
 
 
 def _run(arr: np.ndarray, n: int, ops) -> np.ndarray:
     """Apply (operator, wires) pairs in order to a raw n-qubit array, unchecked: the one apply loop.
 
     arr is a statevector (1-D), a density matrix or a (B, 2^n, 2^n) stack of
-    them; on a density matrix U acts on the row axes and U* on the column
-    axes. Each pair is trusted: a complex 2^k x 2^k operator on k distinct
-    in-range wires, shared or one per stack entry as in ``_apply_on_axes``,
-    or a Pauli on one wire given by its exponents (x, z) as in
-    ``GateSpec.pauli``. Each run of Paulis is folded into one frame
-    i^k X^a Z^b and applied as one signed gather, with no matrix and no
-    gemm; on a stack the frame is shared by every entry.
+    them. The loop keeps one flat view: a density matrix is a 2n-qubit row,
+    on which U acts on the row axes and U* on the column axes. Each pair is
+    trusted: a complex 2^k x 2^k operator on k distinct in-range wires,
+    shared or one per stack entry as in ``_apply_on_axes``, or a Pauli on
+    one wire given by its exponents (x, z) as in ``GateSpec.pauli``. Each
+    run of Paulis is folded into one frame i^k X^a Z^b and applied as one
+    signed gather, with no matrix and no gemm; on a stack the frame is
+    shared by every entry.
     """
     pure = arr.ndim == 1
-    frame = _NO_FRAME
+    flat, m, lift = (arr, n, 1) if pure else (arr.reshape(*arr.shape[:-2], -1), 2 * n, (1 << n) + 1)
+    frame = (0, 0, 0)  # i^0 X^0 Z^0
     for op, wires in ops:
         if isinstance(op, tuple):
             frame = _compose(frame, op, wires[0], n)
             continue
-        if frame != _NO_FRAME:
-            arr, frame = _apply_frame(arr, frame, n), _NO_FRAME
-        if pure:
-            arr = _apply_on_axes(op, wires, arr, n)
-            continue
-        flat = _apply_on_axes(op, wires, arr.reshape(*arr.shape[:-2], -1), 2 * n)
-        arr = _apply_on_axes(op.conj(), tuple(n + w for w in wires), flat, 2 * n).reshape(arr.shape)
-    return _apply_frame(arr, frame, n) if frame != _NO_FRAME else arr
+        if any(frame):
+            flat, frame = _apply_frame(flat, frame, lift, m), (0, 0, 0)
+        flat = _apply_on_axes(op, wires, flat, m)
+        if not pure:
+            flat = _apply_on_axes(op.conj(), tuple(n + w for w in wires), flat, m)
+    if any(frame):
+        flat = _apply_frame(flat, frame, lift, m)
+    return flat.reshape(arr.shape)
 
 
 def _evolve(state, ops):

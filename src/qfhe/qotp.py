@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from . import circuits
-from .circuits import Circuit, simulate
+from .circuits import Gate
 from .linalg import DensityState, PureState
 from .rng import RandomSource
 
@@ -49,8 +49,8 @@ def keygen(n_qubits: int, rng: RandomSource, variant: str = VARIANT_XZ) -> QotpK
 _MASK_GATES = {VARIANT_XZ: ("x", "z"), VARIANT_HY: ("h", "y")}
 
 
-def _mask(key: QotpKey, state) -> Circuit:
-    """The encryption mask as a circuit: per wire, the z-bit gate then the x-bit gate."""
+def _mask(key: QotpKey, state) -> tuple[Gate, ...]:
+    """The encryption mask's gates, per wire the z-bit gate then the x-bit gate; checked against the state."""
     if isinstance(state, (PureState, DensityState)) and state.n_qubits != key.n_qubits:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), state has {state.n_qubits}")
     first, second = _MASK_GATES[key.variant]
@@ -60,14 +60,14 @@ def _mask(key: QotpKey, state) -> Circuit:
             gates.append(circuits._named(second, wire))
         if a == "1":
             gates.append(circuits._named(first, wire))
-    return Circuit(key.n_qubits, tuple(gates))
+    return tuple(gates)
 
 
 def encrypt(key: QotpKey, state):
     """Conjugate by the key mask: X^a Z^b (or H^a Y^b) on each qubit."""
-    return simulate(_mask(key, state), state)
+    return circuits._apply_gates(key.n_qubits, _mask(key, state), state)
 
 
 def decrypt(key: QotpKey, state):
     """Exact inverse of encrypt for the same key: the mask gates in reverse order."""
-    return simulate(Circuit(key.n_qubits, _mask(key, state).gates[::-1]), state)
+    return circuits._apply_gates(key.n_qubits, _mask(key, state)[::-1], state)

@@ -103,19 +103,21 @@ def rewrite_gate(key: QotpKey, gate: Gate) -> RewriteResult:
     return twin(gate, int(key.x_bits[gate.wires[0]]), int(key.z_bits[gate.wires[-1]]))
 
 
-def rewrite_circuit(key: QotpKey, circuit: Circuit) -> Circuit:
-    """The evaluable twin C' of C under a fixed key; size grows at most 3x."""
+def _twins(key: QotpKey, circuit: Circuit) -> tuple[Gate, ...]:
+    """The twin of every gate of the circuit under the key, in order."""
     if key.n_qubits != circuit.n_qubits:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), circuit has {circuit.n_qubits}")
-    gates: list[Gate] = []
-    for gate in circuit.gates:
-        gates.extend(rewrite_gate(key, gate).gates)
-    return Circuit(circuit.n_qubits, tuple(gates))
+    return tuple(g for gate in circuit.gates for g in rewrite_gate(key, gate).gates)
+
+
+def rewrite_circuit(key: QotpKey, circuit: Circuit) -> Circuit:
+    """The evaluable twin C' of C under a fixed key; size grows at most 3x."""
+    return Circuit(circuit.n_qubits, _twins(key, circuit))
 
 
 def evaluate(key: QotpKey, circuit: Circuit, ciphertext):
     """Run the rewritten circuit on the ciphertext; no decryption happens here."""
-    return circuits.simulate(rewrite_circuit(key, circuit), ciphertext)
+    return circuits._apply_gates(circuit.n_qubits, _twins(key, circuit), ciphertext)
 
 
 _PERMITTED = {
@@ -144,4 +146,4 @@ def scheme_evaluate(scheme: Scheme, key: QotpKey, op: Gate, ciphertext: DensityS
         twin = (Gate.ry(_negate_if(op.params[0], int(key.x_bits[wire]))[0], wire),)
     else:
         twin = rewrite_gate(key, op).gates
-    return circuits.simulate(Circuit(key.n_qubits, twin), ciphertext)
+    return circuits._apply_gates(key.n_qubits, twin, ciphertext)

@@ -226,24 +226,11 @@ def parse_pairs_loop(data, where: str, shape: tuple) -> np.ndarray:
 
 
 def apply_on_axes_uncached(op: np.ndarray, axes: tuple[int, ...], flat: np.ndarray, m: int) -> np.ndarray:
-    """``linalg._apply_on_axes`` with no plan cache, and the (2,)*m transpose for any gathered axes.
-
-    The same branches: ascending contiguous axes take one matmul on a
-    (2^lo, 2^k, rest) reshape while the gemms it issues stay within its
-    columns (or the batch is a single entry); any other axes are gathered in
-    front through the transpose of all m axes, multiplied and scattered back.
+    """``linalg._apply_on_axes`` with no plan cache: the axes gathered in front through the
+    transpose of all m axes, multiplied and scattered back.
     """
     k = len(axes)
     lead = flat.shape[:-1]
-    lo = axes[0] if axes else 0
-    if axes == tuple(range(lo, lo + k)):
-        batch, rest = 1 << lo, 1 << (m - lo - k)
-        if rest == 1:
-            return (flat.reshape(lead + (batch, 1 << k)) @ op.swapaxes(-1, -2)).reshape(flat.shape)
-        if batch == 1 or batch * (flat.size >> m) <= rest:
-            if op.ndim == 3:
-                op = op[:, None]
-            return np.matmul(op, flat.reshape(lead + (batch, 1 << k, rest))).reshape(flat.shape)
     perm = [*axes, *(a for a in range(m) if a not in axes)]
     back = sorted(range(m), key=perm.__getitem__)
     if lead:
@@ -274,7 +261,7 @@ def simulate_per_gate(circuit: Circuit, state):
 
 def round_trip_per_gate(key: qotp.QotpKey, circuit: Circuit, state) -> tuple:
     """Ciphertext, evaluated ciphertext and decryption, each step run by ``simulate_per_gate``."""
-    mask = qotp._mask(key, state)
+    mask = Circuit(circuit.n_qubits, qotp._mask(key, state))
     cipher = simulate_per_gate(mask, state)
     evaluated = simulate_per_gate(rewrite.rewrite_circuit(key, circuit), cipher)
     return cipher, evaluated, simulate_per_gate(Circuit(circuit.n_qubits, mask.gates[::-1]), evaluated)

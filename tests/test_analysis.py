@@ -36,6 +36,7 @@ from qfhe.linalg import (
     ATOL_EXACT,
     GATE_SPECS,
     _pauli_conjugates,
+    _signed_gather,
     _trace_distances,
     all_bit_strings,
     canonical_angle,
@@ -364,6 +365,31 @@ def test_pauli_conjugates_equal_the_dense_products(n):
         for entry in range(len(a)):
             want = _pauli_conjugates(per_key[entry], a[k:k + 1], b[k:k + 1], n)[0]
             assert got_one_key[entry].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_signed_gather_on_rows_equals_the_dense_products(m):
+    # the statevector frames' forms of the one gather: each row exactly X^a Z^b times its source row
+    rng = np.random.default_rng(80 + m)
+    dim = 2 ** m
+    a = np.array([0, dim - 1, *rng.integers(0, dim, 10)])
+    b = np.array([dim - 1, 0, *rng.integers(0, dim, 10)])
+    row = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    stack = rng.normal(size=(len(a), dim)) + 1j * rng.normal(size=(len(a), dim))
+    bits = all_bit_strings(m)
+    ops = [pauli_operator(bits[x], bits[z]) for x, z in zip(a, b)]
+    per_row_shared = _signed_gather(row, a[:, None], b[:, None], m)
+    per_row_stack = _signed_gather(stack, a[:, None], b[:, None], m)
+    for k, op in enumerate(ops):
+        one_mask = _signed_gather(row, int(a[k]), int(b[k]), m)
+        one_mask_stack = _signed_gather(stack, int(a[k]), int(b[k]), m)
+        assert np.array_equal(one_mask, op @ row)
+        assert np.array_equal(one_mask_stack, stack @ op.T)
+        assert np.array_equal(per_row_shared[k], op @ row)
+        assert np.array_equal(per_row_stack[k], op @ stack[k])
+        assert one_mask.flags.c_contiguous and one_mask_stack.flags.c_contiguous
+    assert per_row_shared.shape == per_row_stack.shape == stack.shape
+    assert per_row_shared.flags.c_contiguous and per_row_stack.flags.c_contiguous
 
 
 # --- Pauli decomposition -------------------------------------------------

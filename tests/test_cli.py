@@ -59,6 +59,16 @@ def test_keygen_rejects_zero_qubits(tmp_path, capsys):
     assert "-n" in capsys.readouterr().err
 
 
+def test_keygen_rejects_a_key_no_state_can_match_before_allocating(tmp_path, capsys):
+    # 10**12 bits cannot be allocated on any machine: a crash here would exit 1, "verification failed"
+    out = tmp_path / "k.json"
+    assert main(["keygen", "-n", str(10 ** 12), "--seed", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: -n must be at most 64: no state on more qubits can be indexed\n"
+    assert not out.exists()
+    assert main(["keygen", "-n", "64", "--seed", "1", "-o", str(out)]) == 0
+    assert len(json.loads(out.read_text())["x_bits"]) == 64
+
+
 def test_keygen_bit_lengths(tmp_path):
     out = tmp_path / "k.json"
     assert main(["keygen", "-n", "3", "--seed", "5", "-o", str(out)]) == 0

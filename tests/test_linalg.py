@@ -350,7 +350,7 @@ def test_simulate_equals_gate_by_gate_apply(n):
             assert np.array_equal(_raw(simulate(circuit, state)), _raw(_fold(circuit, state)))
             for variant in sorted(MASK_GATES):
                 key = QotpKey(n, rng.bit_string(n), rng.bit_string(n), variant)
-                mask = _mask(key, state)
+                mask = Circuit(n, _mask(key, state))
                 unmask = Circuit(n, mask.gates[::-1])
                 assert np.array_equal(_raw(encrypt(key, state)), _raw(_fold(mask, state)))
                 assert np.array_equal(_raw(decrypt(key, state)), _raw(_fold(unmask, state)))

@@ -313,8 +313,10 @@ def test_evaluate_random_round_trips():
 
 def test_evaluate_dim_mismatch():
     key = keygen(2, RandomSource(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^circuit has 2 qubit\(s\), state has 1$"):
         evaluate(key, Circuit(2), RandomSource(0).density_state(1))
+    with pytest.raises(ValueError, match=r"^key is for 2 qubit\(s\), circuit has 1$"):
+        evaluate(key, Circuit(1), RandomSource(0).density_state(1))
 
 
 @pytest.mark.parametrize("step", [
