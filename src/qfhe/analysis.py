@@ -17,9 +17,10 @@ classifier and the key stack's encryption and decryption all use it.
 ``verify_security`` runs all 4^n keys as one stack of density matrices
 through ``linalg``'s one apply loop. ``rewrite.twin`` reads two key bits
 only, so its four entries give every key's twin of a gate. When they are
-one and the same Pauli, the twin is key-independent and runs as a Pauli
-frame shared by the whole stack; otherwise each key takes its own twin
-through the gate kernel. Sizes are hard-guarded rather than silently slow.
+one and the same Pauli, the twin is key-independent and shared by the whole
+stack; otherwise each key takes its own. The loop fuses each wire's run of
+twins, shared Paulis multiplied in, into one operator per key, and a shared
+Pauli with no run pending is a frame. Sizes are hard-guarded, not slow.
 """
 from __future__ import annotations
 
@@ -90,36 +91,23 @@ def average_over_keys(sigma: DensityState) -> DensityState:
     return DensityState(n, mat)
 
 
-def _fold(gates, wires: tuple[int, ...]) -> np.ndarray:
-    """The gates, applied in order, as one 2^k x 2^k operator on the k given wires.
-
-    A single-qubit twin is one gate, and its matrix is the operator. Any
-    other twin runs through the apply loop, on the operator read as a
-    2k-qubit statevector whose first k qubits are its row axes.
-    """
-    k = len(wires)
-    if k == 1:
-        return gates[0].matrix()
-    ops = ((g.matrix(), tuple(map(wires.index, g.wires))) for g in gates)
-    return linalg._run(np.eye(1 << k, dtype=complex).reshape(-1), 2 * k, ops).reshape(1 << k, 1 << k)
-
-
 def _key_op(gate: Gate, a: np.ndarray, b: np.ndarray, n: int) -> tuple:
     """The gate's (operator, wires) pair for the key stack's apply loop: every key's twin.
 
     Key k masks with X^a[k] Z^b[k]. The twin reads the x bit of the gate's
     first wire and the z bit of its last, so its four entries give every
     key's twin. When they are one and the same Pauli gate, it goes in as
-    its exponents, a frame shared by every key. Otherwise each distinct
-    entry is folded once into a (K, 2^k, 2^k) stack, and each key picks its
-    own by those two bits of a[k] and b[k].
+    its exponents, shared by every key. Otherwise each distinct entry is
+    folded once, to the one operator ``linalg._fuse`` makes of its gates'
+    matrices, into a (K, 2^k, 2^k) stack, and each key picks its own by
+    those two bits of a[k] and b[k].
     """
     twins = [rewrite.twin(gate, j, k).gates for j in (0, 1) for k in (0, 1)]
     first = twins[0]
     pauli = linalg.GATE_SPECS[first[0].kind].pauli if len(first) == 1 else None
     if pauli and twins.count(first) == 4:
         return pauli, first[0].wires
-    folded = {t: _fold(t, gate.wires) for t in dict.fromkeys(twins)}
+    folded = {t: next(linalg._fuse((g.matrix(), g.wires) for g in t))[0] for t in dict.fromkeys(twins)}
     table = np.array([folded[t] for t in twins])
     x = a >> (n - 1 - gate.wires[0]) & 1
     z = b >> (n - 1 - gate.wires[-1]) & 1

@@ -175,8 +175,7 @@ def _apply_gates(n_qubits: int, gates, state):
         raise ValueError(f"circuit has {n_qubits} qubit(s), state has {state.n_qubits}")
     if not gates:
         return state
-    # the caller has checked every wire and each matrix has its kind's shape;
-    # a Pauli goes in as its exponents, which the apply loop folds into frames
+    # wires checked by the caller, each matrix its kind's shape; a Pauli as its exponents
     specs = linalg.GATE_SPECS
     return linalg._evolve(state, ((specs[g.kind].pauli or g.matrix(), g.wires) for g in gates))
 

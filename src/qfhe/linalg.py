@@ -12,12 +12,13 @@ one signed gather applies a Pauli mask X^a Z^b. The one apply loop runs a
 statevector, a density matrix (a 2n-qubit row: U on the row half, U* on the
 column half) or a stack of them, each operator shared or one per stack
 entry, which is how ``analysis.verify_security`` moves all 4^n keys at once.
-It folds each run of Pauli gates into one frame i^k X^a Z^b for the gather,
-which ``analysis`` uses for its masks too. A state is checked once per gate
-sequence; each 2x2 gate matrix is built in closed form. On a 2-core Xeon
-with one BLAS thread, 200 random gates take about 4.4-6.2 ms on a pure n=12
-state and 34-43 ms on a density n=7 state (medians of runs at different
-times: the host's speed drifts between runs).
+It fuses each wire's run of one-qubit gates, Paulis multiplied in, into one
+operator the next cnot on the wire absorbs, and each run of the Paulis left
+into one frame i^k X^a Z^b for the gather, also ``analysis``'s masks. A
+state is checked once per gate sequence; each 2x2 gate matrix is built in
+closed form. On a 2-core Xeon with one BLAS thread, 200 random gates take
+about 1.9-2.8 ms on a pure n=12 state and 14-19 ms on a density n=7 state
+(medians of runs at different times: the host's speed drifts).
 """
 from __future__ import annotations
 
@@ -48,6 +49,8 @@ _CNOT = np.array(
      [0, 0, 1, 0]],
     dtype=complex,
 )
+#: each Pauli's 2x2 by its exponents (x, z), the identity (0, 0) included
+_PAULIS = {(0, 0): np.eye(2, dtype=complex), (1, 0): _X, (1, 1): _Y, (0, 1): _Z}
 
 
 def canonical_angle(theta: float) -> float:
@@ -97,7 +100,7 @@ class GateSpec:
     ``parity[i]`` holds the weights (x, z) of the wire's key bits whose parity
     negates parameter i when the mask X^x Z^z moves past the gate. ``pauli``
     holds the exponents (x, z) of a Pauli kind, i^(x*z) X^x Z^z, so y = i XZ:
-    the apply loop folds runs of Paulis by it, and ``rewrite.twin`` reads a
+    the apply loop fuses and folds Paulis by it, and ``rewrite.twin`` reads a
     Pauli's sign weights from it. Kinds with no parity column have their own
     rule in ``rewrite.twin``: the Paulis are their own twins, h is rewritten
     as ``u``, and cnot gains corrections.
@@ -388,6 +391,34 @@ def _apply_frame(flat: np.ndarray, frame: tuple[int, int, int], lift: int, m: in
     return out * _I_POWERS[k] if k and lift == 1 else out
 
 
+def _kron(l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """l (x) r, per entry when either is a (K, d, d) stack."""
+    out = l[..., :, None, :, None] * r[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], out.shape[-4] * out.shape[-3], -1)
+
+
+def _fuse(ops):
+    """The (operator, wires) pairs with each wire's run of one-qubit operators multiplied into one.
+
+    A Pauli (x, z) joins a run pending on its wire as its 2x2, or else passes
+    through. A k-qubit operator takes its wires' runs as op @ (run_0 (x) ...
+    (x) run_k-1), the identity for a wire with none; the runs left come last,
+    in wire order. Products broadcast over (K, d, d) stacks of operators.
+    """
+    pend = {}
+    for op, wires in ops:
+        if isinstance(op, tuple) and wires[0] not in pend:
+            yield op, wires
+        elif len(wires) == 1:
+            op = _PAULIS[op] if isinstance(op, tuple) else op
+            pend[wires[0]] = op @ pend[wires[0]] if wires[0] in pend else op
+        else:
+            if not pend.keys().isdisjoint(wires):
+                op = op @ functools.reduce(_kron, [pend.pop(w, _PAULIS[0, 0]) for w in wires])
+            yield op, wires
+    yield from ((pend[w], (w,)) for w in sorted(pend))
+
+
 def _run(arr: np.ndarray, n: int, ops) -> np.ndarray:
     """Apply (operator, wires) pairs in order to a raw n-qubit array, unchecked: the one apply loop.
 
@@ -396,15 +427,15 @@ def _run(arr: np.ndarray, n: int, ops) -> np.ndarray:
     on which U acts on the row axes and U* on the column axes. Each pair is
     trusted: a complex 2^k x 2^k operator on k distinct in-range wires,
     shared or one per stack entry as in ``_apply_on_axes``, or a Pauli on
-    one wire given by its exponents (x, z) as in ``GateSpec.pauli``. Each
-    run of Paulis is folded into one frame i^k X^a Z^b and applied as one
-    signed gather, with no matrix and no gemm; on a stack the frame is
-    shared by every entry.
+    one wire given by its exponents (x, z) as in ``GateSpec.pauli``. The
+    pairs run fused by ``_fuse``: one operator per wire's run, a Pauli
+    multiplied into a run pending on its wire. Each run of the Paulis left
+    is one frame i^k X^a Z^b, one signed gather shared by a whole stack.
     """
     pure = arr.ndim == 1
     flat, m, lift = (arr, n, 1) if pure else (arr.reshape(*arr.shape[:-2], -1), 2 * n, (1 << n) + 1)
     frame = (0, 0, 0)  # i^0 X^0 Z^0
-    for op, wires in ops:
+    for op, wires in _fuse(ops):
         if isinstance(op, tuple):
             frame = _compose(frame, op, wires[0], n)
             continue

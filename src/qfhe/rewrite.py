@@ -140,6 +140,8 @@ def scheme_evaluate(scheme: Scheme, key: QotpKey, op: Gate, ciphertext: DensityS
         raise ValueError(f"scheme {scheme.value!r} requires a {expected_variant!r} key")
     if ciphertext.n_qubits != key.n_qubits:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), state has {ciphertext.n_qubits}")
+    if max(op.wires) >= key.n_qubits:
+        raise ValueError(f"key is for {key.n_qubits} qubit(s), gate acts on wire {max(op.wires)}")
     if scheme is Scheme.RY_HY:
         # moving H^a Y^b past Ry negates the angle by the H bit alone
         wire = op.wires[0]

@@ -12,13 +12,18 @@ product of its rotation matrices, and ``all_keys`` lists every key.
 on every call, and ``simulate_per_gate`` runs every gate, Paulis too, as its
 matrix through it: one gemm per gate, no Pauli frames. ``key_stacks_per_gate``
 evaluates the key stack the same way, each gate as a table of its four twins
-folded to matrices, and ``phase_adjusted_distance`` is the classifier's
-criterion for one conjugate at a time.
+folded to matrices. ``fuse_blocks`` forms, by a plain loop and ``np.kron``,
+the blocks the apply loop fuses a sequence of ``gate_steps`` into, in the
+same order; ``simulate_blocks``, ``round_trip_blocks`` and
+``key_stacks_blocks`` run them through the uncached kernel, Paulis too.
+``phase_adjusted_distance`` is the classifier's criterion for one conjugate
+at a time.
 The package itself works on wire axes, sign tables, key stacks and whole
 arrays instead, so nothing here is imported by ``src/qfhe``.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -240,23 +245,26 @@ def apply_on_axes_uncached(op: np.ndarray, axes: tuple[int, ...], flat: np.ndarr
     return out.transpose(back).reshape(flat.shape)
 
 
-def simulate_per_gate(circuit: Circuit, state):
-    """``circuits.simulate`` with each gate built as its matrix and applied by one gemm, Paulis too.
+def _run_blocks(n: int, blocks, flat: np.ndarray, density: bool) -> np.ndarray:
+    """(matrix, wires) blocks in order by ``apply_on_axes_uncached``: U on the row axes, U* on a density row's columns."""
+    m = 2 * n if density else n
+    for mat, wires in blocks:
+        flat = apply_on_axes_uncached(mat, wires, flat, m)
+        if density:
+            flat = apply_on_axes_uncached(mat.conj(), tuple(n + w for w in wires), flat, m)
+    return flat
 
-    U acts on the row axes and U* on the column axes of a density matrix.
-    """
-    n = circuit.n_qubits
+
+def _simulate(n: int, blocks, state):
+    """A pure or density state after the blocks, as ``_run_blocks`` applies them; checked."""
     if isinstance(state, PureState):
-        flat = state.amplitudes
-        for g in circuit.gates:
-            flat = apply_on_axes_uncached(g.matrix(), g.wires, flat, n)
-        return PureState(n, flat)
-    flat = state.matrix.reshape(-1)
-    for g in circuit.gates:
-        op = g.matrix()
-        flat = apply_on_axes_uncached(op, g.wires, flat, 2 * n)
-        flat = apply_on_axes_uncached(op.conj(), tuple(n + w for w in g.wires), flat, 2 * n)
-    return DensityState(n, flat.reshape(state.matrix.shape))
+        return PureState(n, _run_blocks(n, blocks, state.amplitudes, False))
+    return DensityState(n, _run_blocks(n, blocks, state.matrix.reshape(-1), True).reshape(state.matrix.shape))
+
+
+def simulate_per_gate(circuit: Circuit, state):
+    """``circuits.simulate`` with each gate built as its matrix and applied by one gemm, Paulis too."""
+    return _simulate(circuit.n_qubits, [(g.matrix(), g.wires) for g in circuit.gates], state)
 
 
 def round_trip_per_gate(key: qotp.QotpKey, circuit: Circuit, state) -> tuple:
@@ -276,6 +284,16 @@ def _fold_per_gate(gates, wires: tuple[int, ...]) -> np.ndarray:
     return op.reshape(1 << k, 1 << k)
 
 
+def _twin_table(gate: Gate) -> list[tuple[Gate, ...]]:
+    """The gate's four ``rewrite.twin`` entries, for key bits (x, z) = (0, 0), (0, 1), (1, 0), (1, 1)."""
+    return [rewrite.twin(gate, x, z).gates for x in (0, 1) for z in (0, 1)]
+
+
+def _per_key(table: np.ndarray, gate: Gate, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Key k's entry of the gate's table: by the x bit of the gate's first wire and the z bit of its last."""
+    return table[2 * (a >> (n - 1 - gate.wires[0]) & 1) + (b >> (n - 1 - gate.wires[-1]) & 1)]
+
+
 def key_stacks_per_gate(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``analysis._key_stacks`` with every gate, Paulis too, run as each key's folded twin by two gemm passes.
 
@@ -287,13 +305,94 @@ def key_stacks_per_gate(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarr
     n = circuit.n_qubits
     a, b = divmod(np.arange(4 ** n), 2 ** n)
     cipher = linalg._pauli_conjugates(sigma.matrix, a, b, n)
-    flat = cipher.reshape(len(a), -1)
+    blocks = []
     for g in circuit.gates:
-        table = np.array([_fold_per_gate(rewrite.twin(g, j, k).gates, g.wires) for j in (0, 1) for k in (0, 1)])
-        op = table[2 * (a >> (n - 1 - g.wires[0]) & 1) + (b >> (n - 1 - g.wires[-1]) & 1)]
-        flat = apply_on_axes_uncached(op, g.wires, flat, 2 * n)
-        flat = apply_on_axes_uncached(op.conj(), tuple(n + w for w in g.wires), flat, 2 * n)
-    evaluated = flat.reshape(cipher.shape)
+        table = np.array([_fold_per_gate(twin, g.wires) for twin in _twin_table(g)])
+        blocks.append((_per_key(table, g, a, b, n), g.wires))
+    evaluated = _run_blocks(n, blocks, cipher.reshape(len(a), -1), True).reshape(cipher.shape)
+    return cipher, evaluated, linalg._pauli_conjugates(evaluated, a, b, n)
+
+
+def _kron_per_key(factors: list[np.ndarray]) -> np.ndarray:
+    """np.kron of the factors, key by key when any is a (K, 2, 2) stack."""
+    keys = {len(f) for f in factors if f.ndim == 3}
+    if not keys:
+        return functools.reduce(np.kron, factors)
+    (count,) = keys
+    return np.array([functools.reduce(np.kron, [f[k] if f.ndim == 3 else f for f in factors]) for k in range(count)])
+
+
+def fuse_blocks(n: int, steps) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """The (matrix, wires) blocks ``linalg._fuse`` forms from (matrix, wires, is_pauli) steps, in its order.
+
+    Each wire's run of one-qubit matrices is multiplied into one, later
+    matrices on the left; a Pauli step joins a run pending on its wire and
+    is its own block otherwise. A multi-qubit step takes the runs pending on
+    its wires, kron'ed in its wire order with the identity where none is,
+    and the runs left over come last, in wire order. A matrix is shared or
+    a (K, d, d) stack of one per key.
+    """
+    runs: list[np.ndarray | None] = [None] * n
+    blocks = []
+    for mat, wires, is_pauli in steps:
+        if len(wires) == 1:
+            (w,) = wires
+            if runs[w] is not None:
+                runs[w] = mat @ runs[w]
+            elif is_pauli:
+                blocks.append((mat, wires))
+            else:
+                runs[w] = mat
+            continue
+        if any(runs[w] is not None for w in wires):
+            factors = [np.eye(2, dtype=complex) if runs[w] is None else runs[w] for w in wires]
+            mat = mat @ _kron_per_key(factors)
+            for w in wires:
+                runs[w] = None
+        blocks.append((mat, wires))
+    return blocks + [(runs[w], (w,)) for w in range(n) if runs[w] is not None]
+
+
+def gate_steps(gates) -> list[tuple[np.ndarray, tuple[int, ...], bool]]:
+    """Each gate as a ``fuse_blocks`` step: its matrix, its wires and whether it is a Pauli."""
+    return [(g.matrix(), g.wires, bool(linalg.GATE_SPECS[g.kind].pauli)) for g in gates]
+
+
+def simulate_blocks(circuit: Circuit, state):
+    """``circuits.simulate`` with the gates fused by ``fuse_blocks``, every block, Paulis too, run by a gemm."""
+    n = circuit.n_qubits
+    return _simulate(n, fuse_blocks(n, gate_steps(circuit.gates)), state)
+
+
+def round_trip_blocks(key: qotp.QotpKey, circuit: Circuit, state) -> tuple:
+    """Ciphertext, evaluated ciphertext and decryption, each step run by ``simulate_blocks``."""
+    mask = Circuit(circuit.n_qubits, qotp._mask(key, state))
+    cipher = simulate_blocks(mask, state)
+    evaluated = simulate_blocks(rewrite.rewrite_circuit(key, circuit), cipher)
+    return cipher, evaluated, simulate_blocks(Circuit(circuit.n_qubits, mask.gates[::-1]), evaluated)
+
+
+def key_stacks_blocks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``analysis._key_stacks`` with the key stack's steps fused by ``fuse_blocks``.
+
+    A gate whose four ``rewrite.twin`` entries are one and the same Pauli is
+    a shared Pauli step; any other gate is a per-key table of its twins,
+    each folded by ``fuse_blocks`` to one matrix, key k picking its own by
+    the x bit of the gate's first wire and the z bit of its last. Nothing
+    is checked.
+    """
+    n = circuit.n_qubits
+    a, b = divmod(np.arange(4 ** n), 2 ** n)
+    cipher = linalg._pauli_conjugates(sigma.matrix, a, b, n)
+    steps = []
+    for g in circuit.gates:
+        twins = _twin_table(g)
+        if twins.count(twins[0]) == 4 and len(twins[0]) == 1 and linalg.GATE_SPECS[twins[0][0].kind].pauli:
+            steps.append((twins[0][0].matrix(), g.wires, True))
+            continue
+        table = np.array([fuse_blocks(n, [(t.matrix(), t.wires, False) for t in twin])[0][0] for twin in twins])
+        steps.append((_per_key(table, g, a, b, n), g.wires, False))
+    evaluated = _run_blocks(n, fuse_blocks(n, steps), cipher.reshape(len(a), -1), True).reshape(cipher.shape)
     return cipher, evaluated, linalg._pauli_conjugates(evaluated, a, b, n)
 
 

@@ -19,6 +19,7 @@ from qfhe import (
     euler_decompose,
     evaluate,
     gate_matrix,
+    linalg,
     maximally_mixed,
     pauli_decompose,
     qotp,
@@ -49,6 +50,7 @@ from oracles import (
     all_keys,
     average_over_keys_loop,
     full_matrix,
+    key_stacks_blocks,
     key_stacks_per_gate,
     pauli_basis,
     pauli_conjugates,
@@ -187,9 +189,9 @@ def _report_distances(cipher, evaluated, decrypted, expected):
 @pytest.mark.parametrize("shape", ["random", "pauli_tail", "all_pauli", "empty"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_key_stacks_equal_the_per_gate_tables_bit_for_bit(n, shape):
-    # the shared Pauli frames and the folded tables against every gate as four folded
-    # twins through two gemm passes: Pauli gathers are exact, and every other gate runs
-    # the same gemm on the same operands in the same order
+    # against the oracle's blocks through two gemm passes each: Pauli gathers are exact,
+    # and every other block is the same product, run by the same gemm on the same
+    # operands in the same order
     for seed in range(4):
         rng = RandomSource(100 * n + seed)
         gates = {
@@ -200,7 +202,7 @@ def test_key_stacks_equal_the_per_gate_tables_bit_for_bit(n, shape):
         }[shape]()
         circuit = Circuit(n, gates)
         sigma = rng.density_state(n) if seed % 2 else rng.pure_state(n).to_density()
-        got, want = _key_stacks(circuit, sigma), key_stacks_per_gate(circuit, sigma)
+        got, want = _key_stacks(circuit, sigma), key_stacks_blocks(circuit, sigma)
         for g, w in zip(got, want):
             assert g.shape == w.shape == (4 ** n, 2 ** n, 2 ** n)
             assert g.tobytes() == w.tobytes()
@@ -208,6 +210,25 @@ def test_key_stacks_equal_the_per_gate_tables_bit_for_bit(n, shape):
         distances = (report.worst_encrypt_distance, report.worst_evaluate_distance, report.worst_decrypt_distance)
         want_distances = _report_distances(*want, simulate(circuit, sigma))
         assert struct.pack("<3d", *distances) == struct.pack("<3d", *want_distances)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_key_stacks_match_the_circuit_matrix_under_every_key(n):
+    # the fused key stack and the per-gate tables, each against dense products: key k's
+    # ciphertext is P sigma P^dagger, its evaluation P C sigma C^dagger P^dagger (a twin's
+    # dropped sign is a global phase), and its decryption C sigma C^dagger
+    rng = RandomSource(150 + n)
+    circuit = rng.circuit(n, 24)
+    sigma = rng.density_state(n)
+    full = full_matrix(circuit)
+    plain = full @ sigma.matrix @ full.conj().T
+    masks = np.array([p for _, p in pauli_basis(n)])
+    masks_dagger = masks.conj().swapaxes(1, 2)
+    want = (masks @ sigma.matrix @ masks_dagger, masks @ plain @ masks_dagger, plain)
+    for stacks in (_key_stacks(circuit, sigma), key_stacks_per_gate(circuit, sigma)):
+        for got, w in zip(stacks, want):
+            assert got.shape == (4 ** n, 2 ** n, 2 ** n)
+            assert np.max(np.abs(got - w)) <= ATOL_EXACT
 
 
 def test_a_key_ignoring_evaluator_fails_only_the_decrypt_check(monkeypatch):
@@ -296,9 +317,16 @@ def test_the_key_batch_checks_every_key(monkeypatch):
 
 
 def test_pauli_twins_run_as_frames_and_each_distinct_twin_folds_once(monkeypatch):
+    # a fold is one call of linalg._fuse on a twin's gate matrices; record each twin's bytes
     folds = []
-    fold = analysis._fold
-    monkeypatch.setattr(analysis, "_fold", lambda gates, wires: folds.append(gates) or fold(gates, wires))
+    fuse = linalg._fuse
+
+    def recording(ops):
+        ops = list(ops)
+        folds.append(tuple((op.tobytes(), wires) for op, wires in ops))
+        return fuse(ops)
+
+    monkeypatch.setattr(linalg, "_fuse", recording)
     a, b = divmod(np.arange(16), 4)
     # rz and ry negate their angle by one parity and u by two; h lifts to u with beta = 0
     # and delta = pi, which negate to themselves; cnot gains a correction per bit

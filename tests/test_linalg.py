@@ -23,7 +23,8 @@ from qfhe import (
     simulate,
     trace_distance,
 )
-from qfhe.linalg import ATOL_EXACT, GATE_SPECS, _apply_on_axes, _checked_operator, _evolve, all_bit_strings
+from qfhe import linalg
+from qfhe.linalg import ATOL_EXACT, GATE_SPECS, _apply_on_axes, _checked_operator, _evolve, _fuse, all_bit_strings
 from qfhe.qotp import _mask
 from qfhe.rng import RandomSource
 
@@ -33,9 +34,13 @@ from oracles import (
     apply_to_density,
     embed_on_wires,
     full_matrix,
+    fuse_blocks,
+    gate_steps,
     pauli_basis,
     pauli_operator,
+    round_trip_blocks,
     round_trip_per_gate,
+    simulate_blocks,
     simulate_per_gate,
     zyz_matrix,
 )
@@ -331,9 +336,9 @@ def test_simulate_matches_full_matrix(n, seed, n_gates):
 # --- the unchecked apply loop --------------------------------------------
 
 def _fold(circuit, state):
-    """The circuit applied one checked apply_to_wires call at a time."""
-    for gate in circuit.gates:
-        state = apply_to_wires(gate.matrix(), gate.wires, state)
+    """The circuit's blocks (``fuse_blocks``), Paulis too, applied one checked apply_to_wires call at a time."""
+    for mat, wires in fuse_blocks(circuit.n_qubits, gate_steps(circuit.gates)):
+        state = apply_to_wires(mat, wires, state)
     return state
 
 
@@ -379,7 +384,7 @@ def test_end_of_run_check_catches_a_non_unitary():
             _evolve(state, [(x, (0,)), (double, (1,)), (x, (1,))])
 
 
-# --- Pauli frames and kernel plans, against the per-gate gemm oracle ---------
+# --- fused runs, Pauli frames and kernel plans, against the block oracle -----
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     """Equal values, and the same sign bit on every real and imaginary part."""
@@ -396,17 +401,18 @@ def _all_kinds_circuit(rng, n, n_gates):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_simulate_and_round_trip_equal_the_per_gate_oracle_bit_for_bit(n):
+    # the same blocks in the same order through the uncached kernel, Paulis as gemm:
     # random states hold no exact zero, so even the sign bits must agree
     rng = RandomSource(80 + n)
     for _ in range(3):
         circuit = _all_kinds_circuit(rng, n, 40)
         key = keygen(n, rng)
         for state in (rng.pure_state(n), rng.density_state(n)):
-            assert _same_bits(_raw(simulate(circuit, state)), _raw(simulate_per_gate(circuit, state)))
+            assert _same_bits(_raw(simulate(circuit, state)), _raw(simulate_blocks(circuit, state)))
             cipher = encrypt(key, state)
             evaluated = evaluate(key, circuit, cipher)
             got = (cipher, evaluated, decrypt(key, evaluated))
-            for step, want in zip(got, round_trip_per_gate(key, circuit, state)):
+            for step, want in zip(got, round_trip_blocks(key, circuit, state)):
                 assert _same_bits(_raw(step), _raw(want))
 
 
@@ -418,7 +424,7 @@ def test_simulate_equals_the_per_gate_oracle_on_basis_states(n):
     for index in range(2 ** n):
         psi = PureState.basis(n, index)
         for state in (psi, psi.to_density()):
-            assert np.array_equal(_raw(simulate(circuit, state)), _raw(simulate_per_gate(circuit, state)))
+            assert np.array_equal(_raw(simulate(circuit, state)), _raw(simulate_blocks(circuit, state)))
 
 
 def _pauli_heavy(rng, n, n_gates):
@@ -464,6 +470,120 @@ def test_kernel_plans_equal_the_uncached_generic_path(m, stack):
             got = _apply_on_axes(op, axes, flat, m)
             assert got.flags.c_contiguous
             assert _same_bits(got, apply_on_axes_uncached(op, axes, flat, m)), axes
+
+
+# --- the fuser -------------------------------------------------------------
+
+def test_fuse_multiplies_a_run_on_one_wire_into_one_operator():
+    rng = RandomSource(130)
+    a, b, c = (rng.unitary(2) for _ in range(3))
+    (got,) = _fuse([(a, (1,)), (b, (1,)), (c, (1,))])
+    assert got[1] == (1,) and np.array_equal(got[0], c @ (b @ a))
+
+
+def test_fuse_multiplies_a_pauli_into_a_pending_run_and_passes_one_with_none():
+    u = RandomSource(131).unitary(2)
+    # y joins the run pending on wire 0; x on wire 1, with none pending, passes first
+    ops = list(_fuse([(u, (0,)), ((1, 1), (0,)), ((1, 0), (1,))]))
+    assert len(ops) == 2 and ops[0] == ((1, 0), (1,))
+    assert ops[1][1] == (0,) and np.array_equal(ops[1][0], gate_matrix("y") @ u)
+    # a Pauli before the run on its wire stays a frame, ahead of the run
+    ops = list(_fuse([((0, 1), (0,)), (u, (0,))]))
+    assert len(ops) == 2 and ops[0] == ((0, 1), (0,)) and ops[1][0] is u
+
+
+@pytest.mark.parametrize("wires", [(0, 1), (1, 0)], ids=["control_first", "target_first"])
+def test_fuse_folds_pending_runs_into_a_cnot(wires):
+    rng = RandomSource(132)
+    a, b = rng.unitary(2), rng.unitary(2)
+    cnot, eye = gate_matrix("cnot"), np.eye(2, dtype=complex)
+    for runs, factors in (
+        ([(a, (wires[0],))], (a, eye)),
+        ([(b, (wires[1],))], (eye, b)),
+        ([(a, (wires[0],)), (b, (wires[1],))], (a, b)),
+    ):
+        (got,) = _fuse([*runs, (cnot, wires)])
+        assert got[1] == wires and np.array_equal(got[0], cnot @ np.kron(*factors))
+        want = embed_on_wires(cnot, wires, 2)
+        for run, (w,) in runs:
+            want = want @ embed_on_wires(run, (w,), 2)
+        assert np.max(np.abs(embed_on_wires(got[0], wires, 2) - want)) <= ATOL_EXACT
+    # a run on another wire stays pending past the cnot, which passes unchanged
+    ops = list(_fuse([(a, (2,)), (cnot, wires)]))
+    assert len(ops) == 2 and ops[0][0] is cnot and ops[1][1] == (2,) and ops[1][0] is a
+
+
+def test_fuse_broadcasts_a_per_key_stack_over_a_shared_run():
+    rng = RandomSource(133)
+    u, v = rng.unitary(2), rng.unitary(2)
+    stack = np.array([rng.unitary(2) for _ in range(4)])
+    (got,) = _fuse([(u, (0,)), (stack, (0,))])
+    assert got[1] == (0,) and got[0].shape == (4, 2, 2)
+    for key in range(4):
+        assert np.max(np.abs(got[0][key] - stack[key] @ u)) <= ATOL_EXACT
+    # the per-key run and a shared one meet in a shared cnot: one (K, 4, 4) operator
+    cnot = gate_matrix("cnot")
+    (got,) = _fuse([(stack, (1,)), (v, (0,)), (cnot, (1, 0))])
+    assert got[1] == (1, 0) and got[0].shape == (4, 4, 4)
+    for key in range(4):
+        assert np.max(np.abs(got[0][key] - cnot @ np.kron(stack[key], v))) <= ATOL_EXACT
+
+
+def test_fuse_passes_a_lone_operator_on_unsorted_wires_through_unchanged():
+    rng = RandomSource(134)
+    op = rng.unitary(8)
+    (got,) = _fuse([(op, (2, 0, 1))])
+    assert got[0] is op and got[1] == (2, 0, 1)
+    # with a run pending on wire 0 the factors follow the operator's wire order
+    a = rng.unitary(2)
+    (got,) = _fuse([(a, (0,)), (op, (2, 0, 1))])
+    assert got[1] == (2, 0, 1)
+    want = embed_on_wires(op, (2, 0, 1), 3) @ embed_on_wires(a, (0,), 3)
+    assert np.max(np.abs(embed_on_wires(got[0], (2, 0, 1), 3) - want)) <= ATOL_EXACT
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_fused_simulate_and_round_trip_match_the_circuit_matrix(n):
+    # the fused loop and the per-gate oracle, each against the dense product of the gates
+    rng = RandomSource(140 + n)
+    for circuit in (rng.circuit(n, 40), _all_kinds_circuit(rng, n, 24), _pauli_heavy(rng, n, 24)):
+        full = full_matrix(circuit)
+        psi, rho = rng.pure_state(n), rng.density_state(n)
+        want_rho = full @ rho.matrix @ full.conj().T
+        for run in (simulate, simulate_per_gate):
+            assert np.max(np.abs(run(circuit, psi).amplitudes - full @ psi.amplitudes)) <= ATOL_EXACT
+            assert np.max(np.abs(run(circuit, rho).matrix - want_rho)) <= ATOL_EXACT
+        key = keygen(n, rng)
+        mask = pauli_operator(key.x_bits, key.z_bits)
+        cipher = encrypt(key, rho)
+        evaluated = evaluate(key, circuit, cipher)
+        got = (cipher, evaluated, decrypt(key, evaluated))
+        want = (mask @ rho.matrix @ mask.conj().T, mask @ want_rho @ mask.conj().T, want_rho)
+        for steps in (got, round_trip_per_gate(key, circuit, rho)):
+            for step, w in zip(steps, want):
+                assert np.max(np.abs(step.matrix - w)) <= ATOL_EXACT
+
+
+def test_evaluate_and_simulate_keep_their_fused_pass_counts(monkeypatch):
+    # a seeded n=8, 64-gate circuit of every kind: one gemm pass per fused block and one
+    # gather per frame. Gate by gate the same calls made 64 passes and 25 gathers.
+    counts = {"_apply_on_axes": 0, "_signed_gather": 0}
+
+    def counting(name, kernel):
+        def call(*args):
+            counts[name] += 1
+            return kernel(*args)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
+    rng = RandomSource(120)
+    circuit = _all_kinds_circuit(rng, 8, 64)
+    state, key = rng.pure_state(8), keygen(8, rng)
+    evaluate(key, circuit, state)
+    simulate(circuit, state)
+    assert counts["_apply_on_axes"] <= 24
+    assert counts["_signed_gather"] <= 9
 
 
 def test_trace_distance_examples():

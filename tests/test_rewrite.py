@@ -389,3 +389,16 @@ def test_scheme_rejects_variant_mismatch():
         scheme_evaluate(Scheme.RY_HY, keygen(1, RandomSource(0)), Gate.ry(1.0, 0), rho)
     with pytest.raises(ValueError):
         scheme_evaluate(Scheme.RZ_ONLY, keygen(1, RandomSource(0), VARIANT_HY), Gate.rz(1.0, 0), rho)
+
+
+@pytest.mark.parametrize("scheme,op,n", [
+    (Scheme.RZ_ONLY, Gate.rz(1.0, 3), 1),
+    (Scheme.RY_HY, Gate.ry(1.0, 1), 1),
+    (Scheme.CNOT_ONLY, Gate.cnot(0, 2), 2),
+    (Scheme.CNOT_ONLY, Gate.cnot(2, 0), 2),
+], ids=["rz-only", "ry-hy", "cnot-target", "cnot-control"])
+def test_scheme_rejects_a_wire_past_the_key(scheme, op, n):
+    key = keygen(n, RandomSource(0), VARIANT_HY if scheme is Scheme.RY_HY else "xz")
+    rho = RandomSource(0).density_state(n)
+    with pytest.raises(ValueError, match=f"key is for {n} qubit\\(s\\), gate acts on wire {max(op.wires)}"):
+        scheme_evaluate(scheme, key, op, rho)
