@@ -25,7 +25,7 @@ Pauli with no run pending is a frame. Sizes are hard-guarded, not slow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,8 @@ _MAX_QUBITS_CLASSIFY = 3
 #: default tolerance separating exact phase-Paulis from everything else
 CLASSIFY_TOL = 1e-8
 
-@dataclass(frozen=True)
-class ClassifyResult:
+
+class ClassifyResult(NamedTuple):
     """Outcome of the key-independence decision for one unitary."""
 
     key_independent: bool
@@ -51,8 +51,7 @@ class ClassifyResult:
     max_deviation: float
 
 
-@dataclass(frozen=True)
-class SecurityReport:
+class SecurityReport(NamedTuple):
     """Distances of the key-averaged outputs from totally mixed, and the worst decryption error.
 
     worst_decrypt_distance is the largest trace distance, over every key, of

@@ -169,8 +169,7 @@ def simulate(circuit: Circuit, state):
 
 def _apply_gates(n_qubits: int, gates, state):
     """``simulate`` on gates a caller has already checked against n_qubits, with no Circuit built."""
-    if not isinstance(state, (linalg.PureState, linalg.DensityState)):
-        raise TypeError(f"expected PureState or DensityState, got {type(state).__name__}")
+    linalg._require_state(state)
     if state.n_qubits != n_qubits:
         raise ValueError(f"circuit has {n_qubits} qubit(s), state has {state.n_qubits}")
     if not gates:

@@ -28,6 +28,7 @@ import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +94,7 @@ def single_qubit_unitary(alpha: float, beta: float, gamma: float, delta: float) 
     ])
 
 
-@dataclass(frozen=True)
-class GateSpec:
+class GateSpec(NamedTuple):
     """One gate kind: its wire and parameter fields, its matrix, its rewrite rule.
 
     ``parity[i]`` holds the weights (x, z) of the wire's key bits whose parity
@@ -242,15 +242,10 @@ class DensityState:
         object.__setattr__(self, "matrix", mat)
 
 
-def is_unitary(mat: np.ndarray) -> bool:
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not _entries_bounded(mat):
-        return False
-    return bool(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= ATOL_STATE)
-
-
 def _check_unitary(mat: np.ndarray) -> None:
-    if not is_unitary(mat):
+    """ValueError unless the complex array is a square matrix with U^dagger U = I within ATOL_STATE."""
+    square = mat.ndim == 2 and mat.shape[0] == mat.shape[1] and _entries_bounded(mat)
+    if not (square and np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= ATOL_STATE):
         # the literal: f"{ATOL_STATE}" renders 1e-09
         raise ValueError("matrix is not unitary within 1e-9")
 
@@ -465,9 +460,13 @@ def apply_to_wires(unitary: np.ndarray, wires, state):
     into a 2^n x 2^n matrix. This is the checked entry to the apply loop
     that ``circuits.simulate`` runs for whole circuits.
     """
+    _require_state(state)
+    return _evolve(state, [_checked_operator(unitary, wires, state.n_qubits)])
+
+
+def _require_state(state) -> None:
     if not isinstance(state, (PureState, DensityState)):
         raise TypeError(f"expected PureState or DensityState, got {type(state).__name__}")
-    return _evolve(state, [_checked_operator(unitary, wires, state.n_qubits)])
 
 
 def _require_density(state) -> None:

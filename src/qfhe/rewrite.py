@@ -13,7 +13,7 @@ counted in RewriteResult.phase_flips so the exact sign can be reconstructed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import circuits, linalg, qotp
 from .circuits import Circuit, Gate
@@ -35,16 +35,11 @@ class Scheme(enum.Enum):
     CNOT_ONLY = "cnot-only"
 
 
-@dataclass(frozen=True)
-class RewriteResult:
+class RewriteResult(NamedTuple):
     """Replacement gates for one source gate, plus dropped (-1) phase count."""
 
     gates: tuple[Gate, ...]
     phase_flips: int
-
-    def __post_init__(self):
-        if not 1 <= len(self.gates) <= 3:
-            raise ValueError(f"replacement must hold 1..3 gates, got {len(self.gates)}")
 
 
 def _negate_if(theta: float, active: int) -> tuple[float, int]:
@@ -96,17 +91,22 @@ def twin(gate: Gate, x: int, z: int) -> RewriteResult:
     return RewriteResult((Gate._unchecked(kind, gate.wires, tuple(angles)),), flips)
 
 
-def rewrite_gate(key: QotpKey, gate: Gate) -> RewriteResult:
-    """The gate's twin under the key: ``twin`` with the key's bits on the gate's wires."""
+def _require_xz(key: QotpKey) -> None:
     if key.variant != qotp.VARIANT_XZ:
         raise ValueError(f"circuit rewriting requires the xz key variant, got {key.variant!r}")
+
+
+def rewrite_gate(key: QotpKey, gate: Gate) -> RewriteResult:
+    """The gate's twin under the key: ``twin`` with the key's bits on the gate's wires."""
+    _require_xz(key)
     return twin(gate, int(key.x_bits[gate.wires[0]]), int(key.z_bits[gate.wires[-1]]))
 
 
 def _twins(key: QotpKey, circuit: Circuit) -> tuple[Gate, ...]:
-    """The twin of every gate of the circuit under the key, in order."""
+    """The twin of every gate of the circuit under the key, in order; an hy key fails even with no gate."""
     if key.n_qubits != circuit.n_qubits:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), circuit has {circuit.n_qubits}")
+    _require_xz(key)
     return tuple(g for gate in circuit.gates for g in rewrite_gate(key, gate).gates)
 
 
@@ -138,6 +138,7 @@ def scheme_evaluate(scheme: Scheme, key: QotpKey, op: Gate, ciphertext: DensityS
     expected_variant = qotp.VARIANT_HY if scheme is Scheme.RY_HY else qotp.VARIANT_XZ
     if key.variant != expected_variant:
         raise ValueError(f"scheme {scheme.value!r} requires a {expected_variant!r} key")
+    linalg._require_state(ciphertext)
     if ciphertext.n_qubits != key.n_qubits:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), state has {ciphertext.n_qubits}")
     if max(op.wires) >= key.n_qubits:

@@ -12,28 +12,25 @@ from qfhe import (
     Gate,
     OperatorNotPermitted,
     QotpKey,
-    Scheme,
     average_over_keys,
     check_appendix_identities,
     classify_key_independent,
     decrypt,
     encrypt,
-    euler_decompose,
     evaluate,
-    gate_matrix,
     keygen,
     maximally_mixed,
-    pauli_decompose,
     rewrite_circuit,
-    rewrite_gate,
-    scheme_evaluate,
     simulate,
     trace_distance,
     verify_security,
 )
+from qfhe.analysis import pauli_decompose
+from qfhe.circuits import euler_decompose
 from qfhe.cli import main
-from qfhe.linalg import all_bit_strings, single_qubit_unitary
+from qfhe.linalg import all_bit_strings, gate_matrix, single_qubit_unitary
 from qfhe.qotp import VARIANT_HY
+from qfhe.rewrite import Scheme, rewrite_gate, scheme_evaluate
 from qfhe.rng import RandomSource
 
 from oracles import apply_to_density, full_matrix, pauli_operator

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import struct
 
@@ -16,12 +15,9 @@ from qfhe import (
     classify_key_independent,
     decrypt,
     encrypt,
-    euler_decompose,
     evaluate,
-    gate_matrix,
     linalg,
     maximally_mixed,
-    pauli_decompose,
     qotp,
     rewrite,
     simulate,
@@ -31,7 +27,9 @@ from qfhe import (
 from qfhe.analysis import (
     CLASSIFY_TOL,
     _key_stacks,
+    pauli_decompose,
 )
+from qfhe.circuits import euler_decompose
 from qfhe.cli import main
 from qfhe.linalg import (
     ATOL_EXACT,
@@ -41,6 +39,7 @@ from qfhe.linalg import (
     _trace_distances,
     all_bit_strings,
     canonical_angle,
+    gate_matrix,
     single_qubit_unitary,
 )
 from qfhe.rng import RandomSource
@@ -263,7 +262,7 @@ def test_each_parity_weight_mutant_fails_the_table(monkeypatch, kind, index, bit
     spec = GATE_SPECS[kind]
     parity = list(spec.parity)
     parity[index] = _flip(parity[index], bit)
-    monkeypatch.setitem(GATE_SPECS, kind, dataclasses.replace(spec, parity=tuple(parity)))
+    monkeypatch.setitem(GATE_SPECS, kind, spec._replace(parity=tuple(parity)))
     (gate,) = [g for g in KIND_GATES if g.kind == kind]
     assert twin_error(gate, 2) > ATOL_EXACT
     # u's alpha is a global phase: a blind spot of the security check, not of the table

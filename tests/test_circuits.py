@@ -12,14 +12,13 @@ from qfhe import (
     CircuitFormatError,
     Gate,
     PureState,
-    euler_decompose,
-    gate_matrix,
     parse_circuit,
     serialize_circuit,
     simulate,
     trace_distance,
 )
-from qfhe.linalg import single_qubit_unitary
+from qfhe.circuits import euler_decompose
+from qfhe.linalg import gate_matrix, single_qubit_unitary
 from qfhe.rng import RandomSource
 
 from oracles import apply_to_density, full_matrix

@@ -1,14 +1,21 @@
+import contextlib
+import functools
+import io
 import json
 import math
+import operator
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfhe import Circuit, DensityState, Gate, PureState, cli, gate_matrix, simulate
+from qfhe import Circuit, DensityState, Gate, PureState, cli, simulate
 from qfhe.circuits import canonical_json
 from qfhe.cli import CliError, _parse_grid, _state_to_bytes, build_parser, main
+from qfhe.linalg import gate_matrix
 from qfhe.rng import RandomSource
 
 from oracles import parse_pairs_loop
@@ -190,6 +197,125 @@ def test_entries_whose_square_overflows_give_one_error_line_and_no_warning(tmp_p
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# --- contract fuzzing ------------------------------------------------------
+
+#: JSON values the loaders must reject or accept without crashing: bools for ints,
+#: NaN and Inf, integers past the float range, huge counts, strings and nesting
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=3)
+    | st.sampled_from([2 ** 63, 10 ** 12, 64, int(HUGE)]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+#: well-formed documents of each input kind, which the fuzzer damages in place
+_VALID = {
+    "circuit": [
+        {"qubits": 1, "gates": [{"kind": "h", "wire": 0}, {"kind": "rz", "theta": 0.5, "wire": 0}]},
+        {"qubits": 2, "gates": [{"kind": "cnot", "control": 0, "target": 1},
+                                {"kind": "u", "alpha": 0.1, "beta": 0.2, "gamma": 0.3, "delta": 0.4, "wire": 1}]},
+        {"qubits": 1, "gates": [{"kind": "mat2", "entries": [[0, 0], [1, 0], [1, 0], [0, 0]], "wire": 0}]},
+    ],
+    "state": [
+        {"qubits": 1, "kind": "pure", "data": [[0.6, 0], [0.8, 0]]},
+        {"qubits": 1, "kind": "density", "data": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+    ],
+    "key": [
+        {"n": 1, "x_bits": "1", "z_bits": "0", "variant": "xz"},
+        {"n": 1, "x_bits": "0", "z_bits": "1", "variant": "hy"},
+    ],
+    "matrix": [
+        [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+        [[[0.6, 0], [0, 0.8]], [[0, 0.8], [0.6, 0]]],
+    ],
+}
+
+
+def _slots(doc, path=()):
+    """The path of every value inside the document, containers included, the document itself first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _slots(value, (*path, key))
+
+
+@st.composite
+def _damaged(draw, doc):
+    """The document with up to three of its values replaced by junk, dropped or grown by one junk entry."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(0, 3))):
+        slots = list(_slots(doc))[1:]
+        if not slots:  # every value dropped
+            break
+        *parent_path, last = draw(st.sampled_from(slots))
+        parent = functools.reduce(operator.getitem, parent_path, doc)
+        action = draw(st.sampled_from(["replace", "replace", "drop", "grow"]))
+        if action == "replace":
+            parent[last] = draw(_JUNK)
+        elif action == "drop":
+            del parent[last]
+        elif isinstance(parent[last], list):  # a ragged grid or a longer list
+            parent[last].append(draw(_JUNK))
+    return doc
+
+
+def _document_bytes(doc, damage: str) -> bytes:
+    text = json.dumps(doc).encode("utf-8")  # NaN and Infinity are written as the reader accepts them
+    return {"none": text, "non-utf-8": text[:1] + b"\xff" + text[1:], "deep": ("[" * 200_000).encode()}[damage]
+
+
+#: the commands that read each input kind, with the other inputs valid one-qubit files
+_READERS = {
+    "circuit": [["simulate", "--circuit", "{bad}", "--in", "{state}", "--out", "{out}"],
+                ["evaluate", "--key", "{key}", "--circuit", "{bad}", "--in", "{state}", "--out", "{out}"],
+                ["verify-security", "--circuit", "{bad}", "--state", "{state}"]],
+    "state": [["encrypt", "--key", "{key}", "--in", "{bad}", "--out", "{out}"],
+              ["simulate", "--circuit", "{circuit}", "--in", "{bad}", "--out", "{out}"],
+              ["verify-security", "--circuit", "{circuit}", "--state", "{bad}"]],
+    "key": [["decrypt", "--key", "{bad}", "--in", "{state}", "--out", "{out}"],
+            ["evaluate", "--key", "{bad}", "--circuit", "{circuit}", "--in", "{state}", "--out", "{out}"]],
+    "matrix": [["classify", "--unitary", "{bad}"]],
+}
+
+
+@st.composite
+def _cli_cases(draw):
+    kind = draw(st.sampled_from(sorted(_VALID)))
+    doc = draw(_damaged(draw(st.sampled_from(_VALID[kind]))))
+    data = _document_bytes(doc, draw(st.sampled_from(["none"] * 8 + ["non-utf-8", "deep"])))
+    return draw(st.sampled_from(_READERS[kind])), data
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    files = {
+        "key": json.dumps({"n": 1, "x_bits": "1", "z_bits": "1", "variant": "xz"}),
+        "state": pure_state_doc(np.array([0.6, 0.8])),
+        "circuit": json.dumps({"qubits": 1, "gates": [{"kind": "h", "wire": 0}]}),
+    }
+    paths = {name: write(folder / f"{name}.json", text) for name, text in files.items()}
+    return folder, {**paths, "bad": str(folder / "bad.json"), "out": str(folder / "out.json")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_cli_cases())
+def test_malformed_documents_exit_with_a_code_and_at_most_one_error_line(cli_inputs, case):
+    folder, paths = cli_inputs
+    template, data = case
+    (folder / "bad.json").write_bytes(data)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = main([arg.format(**paths) for arg in template])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 # --- state file I/O --------------------------------------------------------
@@ -410,6 +536,16 @@ def test_evaluate_empty_circuit_is_identity(tmp_path):
     out = tmp_path / "o.json"
     assert main(["evaluate", "--key", key, "--circuit", circ, "--in", state, "--out", str(out)]) == 0
     assert np.allclose(load_state_vec(out), [0.6, 0.8])
+
+
+def test_evaluate_with_an_hy_key_exits_2_on_an_empty_circuit(tmp_path, capsys):
+    key = write(tmp_path / "key.json", json.dumps({"n": 1, "x_bits": "0", "z_bits": "1", "variant": "hy"}))
+    circ = write(tmp_path / "c.json", json.dumps({"qubits": 1, "gates": []}))
+    state = write(tmp_path / "in.json", pure_state_doc(np.array([0.6, 0.8])))
+    out = tmp_path / "o.json"
+    assert main(["evaluate", "--key", key, "--circuit", circ, "--in", state, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: circuit rewriting requires the xz key variant, got 'hy'\n"
+    assert not out.exists()
 
 
 def test_simulate_bell(tmp_path):

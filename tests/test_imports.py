@@ -6,7 +6,8 @@ their imports are the re-exported API, and so are ``from __future__`` imports.
 Every single-underscore name that a module of ``src/qfhe`` defines at top level
 is read somewhere in ``src/qfhe``, ``tests`` or ``scripts``.
 
-The package's ``__all__`` lists exactly the public names it binds, once each.
+The package's ``__all__`` lists exactly the public names it binds, once each,
+and the demos and the benchmark's workloads take only those from the package.
 
 No module of ``src/qfhe`` or ``scripts`` reads a name that numpy 2 added, since
 ``pyproject.toml`` declares ``numpy>=1.24``.
@@ -118,6 +119,39 @@ def test_all_lists_exactly_the_bound_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(qfhe.__all__) == bound
+
+
+def package_names_taken(tree: ast.Module) -> dict[str, int]:
+    """Names taken from the package, by first line: ``from qfhe import X`` and reads of ``q.X`` or ``self.q.X``."""
+    taken: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "qfhe":
+            for alias in node.names:
+                taken.setdefault(alias.name, node.lineno)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = node.value
+            if (owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)) == "q":
+                taken.setdefault(node.attr, node.lineno)
+    return taken
+
+
+#: the demos and the benchmark's workloads, which reach the package only through its public names
+API_CALLERS = [*sorted((ROOT / "scripts").glob("*.py")), ROOT / "perfbench" / "workloads.py"]
+
+
+@pytest.mark.parametrize("path", API_CALLERS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_demos_and_workloads_use_only_the_public_api(path):
+    public = {*qfhe.__all__, "cli"}
+    taken = package_names_taken(ast.parse(path.read_text(), str(path)))
+    assert {name: line for name, line in taken.items() if name not in public} == {}
+
+
+def test_detector_finds_the_package_names_taken():
+    tree = ast.parse(
+        "from qfhe import a, b\nfrom qfhe.cli import main\nimport qfhe\n"
+        "def f(q):\n    q.c(q.a)\n    self.q.d\n    q.e = 1\n    other.f\n    q.cli.main\n"
+    )
+    assert package_names_taken(tree) == {"a": 1, "b": 1, "c": 5, "d": 6, "cli": 9}
 
 
 #: names numpy 2 added, by the module that holds them; "" holds ndarray attributes

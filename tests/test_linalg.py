@@ -12,19 +12,27 @@ from qfhe import (
     Gate,
     PureState,
     QotpKey,
-    apply_to_wires,
-    canonical_angle,
     decrypt,
     encrypt,
     evaluate,
-    gate_matrix,
     keygen,
     maximally_mixed,
     simulate,
     trace_distance,
 )
 from qfhe import linalg
-from qfhe.linalg import ATOL_EXACT, GATE_SPECS, _apply_on_axes, _checked_operator, _evolve, _fuse, all_bit_strings
+from qfhe.linalg import (
+    ATOL_EXACT,
+    GATE_SPECS,
+    _apply_on_axes,
+    _checked_operator,
+    _evolve,
+    _fuse,
+    all_bit_strings,
+    apply_to_wires,
+    canonical_angle,
+    gate_matrix,
+)
 from qfhe.qotp import _mask
 from qfhe.rng import RandomSource
 

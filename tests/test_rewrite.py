@@ -10,21 +10,17 @@ from qfhe import (
     Gate,
     OperatorNotPermitted,
     QotpKey,
-    Scheme,
     decrypt,
     encrypt,
     evaluate,
-    gate_matrix,
     keygen,
     rewrite_circuit,
-    rewrite_gate,
-    scheme_evaluate,
     simulate,
     trace_distance,
 )
-from qfhe.linalg import ATOL_EXACT, GATE_SPECS, TAU, rotation_y, rotation_z
+from qfhe.linalg import ATOL_EXACT, GATE_SPECS, TAU, gate_matrix, rotation_y, rotation_z
 from qfhe.qotp import VARIANT_HY
-from qfhe.rewrite import RewriteResult, twin
+from qfhe.rewrite import RewriteResult, Scheme, rewrite_gate, scheme_evaluate, twin
 from qfhe.rng import RandomSource
 
 from oracles import KIND_GATES, all_keys, apply_to_density, full_matrix, pauli_operator, twin_error
@@ -171,6 +167,12 @@ def test_twin_table_matches_rewrite_gate_and_the_dense_oracle(gate):
     assert twin_error(gate, 2) <= ATOL_EXACT
 
 
+@pytest.mark.parametrize("gate", KIND_GATES, ids=lambda g: g.kind)
+def test_twin_holds_one_gate_per_single_qubit_gate_and_one_plus_x_plus_z_per_cnot(gate):
+    for x, z in itertools.product((0, 1), repeat=2):
+        assert len(twin(gate, x, z).gates) == (1 + x + z if gate.kind == "cnot" else 1)
+
+
 def test_paulis_are_their_own_twins():
     # moving X^j Z^k past X drops (-1)^k, past Y (-1)^(j+k), past Z (-1)^j
     signs = {"x": lambda j, k: k, "y": lambda j, k: j ^ k, "z": lambda j, k: j}
@@ -245,6 +247,17 @@ def test_rewrite_requires_xz_variant():
     key = QotpKey(1, "1", "0", VARIANT_HY)
     with pytest.raises(ValueError):
         rewrite_circuit(key, Circuit(1, (Gate.rz(0.4, 0),)))
+
+
+def test_an_hy_key_is_rejected_with_no_gate_and_after_the_qubit_count():
+    key, rho = QotpKey(1, "1", "0", VARIANT_HY), RandomSource(0).density_state(1)
+    message = "^circuit rewriting requires the xz key variant, got 'hy'$"
+    with pytest.raises(ValueError, match=message):
+        rewrite_circuit(key, Circuit(1))
+    with pytest.raises(ValueError, match=message):
+        evaluate(key, Circuit(1), rho)
+    with pytest.raises(ValueError, match=r"^key is for 1 qubit\(s\), circuit has 2$"):
+        evaluate(key, Circuit(2), rho)
 
 
 def test_rewrite_keeps_key_fixed_and_size_bounded():
@@ -381,6 +394,12 @@ def test_scheme_rejects_non_permitted_operator():
     key2 = keygen(2, RandomSource(0))
     with pytest.raises(OperatorNotPermitted):
         scheme_evaluate(Scheme.CNOT_ONLY, key2, Gate.named("h", 0), RandomSource(0).density_state(2))
+
+
+@pytest.mark.parametrize("not_a_state", [np.array([1, 0], dtype=complex), "x"], ids=["array", "str"])
+def test_scheme_rejects_a_non_state(not_a_state):
+    with pytest.raises(TypeError, match=r"^expected PureState or DensityState, got (ndarray|str)$"):
+        scheme_evaluate(Scheme.RZ_ONLY, QotpKey(1, "1", "0"), Gate.rz(0.4, 0), not_a_state)
 
 
 def test_scheme_rejects_variant_mismatch():
