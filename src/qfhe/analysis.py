@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, rewrite
-from .circuits import Circuit, Gate, simulate
+from .circuits import Circuit, Gate, _require_circuit, simulate
 from .linalg import DensityState, canonical_angle
 from .rng import RandomSource
 
@@ -141,6 +141,7 @@ def verify_security(circuit: Circuit, sigma: DensityState, tol: float) -> Securi
     """
     _check_tolerance(tol)
     linalg._require_density(sigma)
+    _require_circuit(circuit)
     n = circuit.n_qubits
     if n != sigma.n_qubits:
         raise ValueError(f"circuit has {n} qubit(s), state has {sigma.n_qubits}")
@@ -270,11 +271,7 @@ def check_appendix_identities(samples: int, rng: RandomSource) -> dict[str, floa
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    X = linalg.gate_matrix("x")
-    Y = linalg.gate_matrix("y")
-    Z = linalg.gate_matrix("z")
-    H = linalg.gate_matrix("h")
-    CNOT = linalg.gate_matrix("cnot")
+    X, Y, Z, H, CNOT = map(linalg.gate_matrix, ("x", "y", "z", "h", "cnot"))
     I = np.eye(2, dtype=complex)
     thetas = rng.angles(samples)
     bits = (0, 1)

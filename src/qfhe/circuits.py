@@ -106,6 +106,8 @@ class Circuit:
         n = linalg._as_qubit_count(self.n_qubits)
         gates = tuple(self.gates)
         for i, g in enumerate(gates):
+            if not isinstance(g, Gate):
+                raise TypeError(f"gate {i} must be a Gate, got {type(g).__name__}")
             if any(w >= n for w in g.wires):
                 raise ValueError(f"gate {i} ({g.kind}) uses wire out of range for {n} qubits")
         object.__setattr__(self, "n_qubits", n)
@@ -162,8 +164,14 @@ def euler_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
     return alpha, beta, gamma, delta
 
 
+def _require_circuit(circuit) -> None:
+    if not isinstance(circuit, Circuit):
+        raise TypeError(f"expected Circuit, got {type(circuit).__name__}")
+
+
 def simulate(circuit: Circuit, state):
     """Apply the circuit's gates left to right to a pure or density state; check only the result."""
+    _require_circuit(circuit)
     return _apply_gates(circuit.n_qubits, circuit.gates, state)
 
 
@@ -174,9 +182,9 @@ def _apply_gates(n_qubits: int, gates, state):
         raise ValueError(f"circuit has {n_qubits} qubit(s), state has {state.n_qubits}")
     if not gates:
         return state
-    # wires checked by the caller, each matrix its kind's shape; a Pauli as its exponents
+    # wires checked by the caller; a Pauli as its exponents, any other one-qubit gate as its entries
     specs = linalg.GATE_SPECS
-    return linalg._evolve(state, ((specs[g.kind].pauli or g.matrix(), g.wires) for g in gates))
+    return linalg._evolve(state, ((specs[g.kind].pauli or specs[g.kind].build(*g.params), g.wires) for g in gates))
 
 
 # --- circuit file format -------------------------------------------------

@@ -15,10 +15,11 @@ entry, which is how ``analysis.verify_security`` moves all 4^n keys at once.
 It fuses each wire's run of one-qubit gates, Paulis multiplied in, into one
 operator the next cnot on the wire absorbs, and each run of the Paulis left
 into one frame i^k X^a Z^b for the gather, also ``analysis``'s masks. A
-state is checked once per gate sequence; each 2x2 gate matrix is built in
-closed form. On a 2-core Xeon with one BLAS thread, 200 random gates take
-about 1.9-2.8 ms on a pure n=12 state and 14-19 ms on a density n=7 state
-(medians of runs at different times: the host's speed drifts).
+one-qubit gate is a row-major 4-tuple of Python complex numbers, built in
+closed form; runs multiply in Python scalars, so numpy sees one array per
+fused block. A state is checked once per gate sequence. On a 2-core Xeon with
+one BLAS thread, 200 random gates take about 1.1 ms on a pure n=12 state and
+7.2 ms on a density n=7 one, 0.86x and 0.97x the time with 2x2 numpy products.
 """
 from __future__ import annotations
 
@@ -39,19 +40,11 @@ ATOL_STATE = 1e-9
 #: tolerance for identities between exact matrix products
 ATOL_EXACT = 1e-12
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_CNOT = np.array(
-    [[1, 0, 0, 0],
-     [0, 1, 0, 0],
-     [0, 0, 0, 1],
-     [0, 0, 1, 0]],
-    dtype=complex,
-)
-#: each Pauli's 2x2 by its exponents (x, z), the identity (0, 0) included
-_PAULIS = {(0, 0): np.eye(2, dtype=complex), (1, 0): _X, (1, 1): _Y, (0, 1): _Z}
+_CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]  # the identity with its last two rows swapped
+#: each Pauli's 2x2 as row-major entries (a, b, c, d) by its exponents (x, z), the identity (0, 0) included
+_PAULIS = {(0, 0): (1 + 0j, 0j, 0j, 1 + 0j), (1, 0): (0j, 1 + 0j, 1 + 0j, 0j),
+           (1, 1): (0j, -1j, 1j, 0j), (0, 1): (1 + 0j, 0j, 0j, -1 + 0j)}
+_H = (complex(1 / math.sqrt(2)),) * 3 + (complex(-1 / math.sqrt(2)),)  # [[1, 1], [1, -1]] / sqrt(2)
 
 
 def canonical_angle(theta: float) -> float:
@@ -66,17 +59,22 @@ def canonical_angle(theta: float) -> float:
     return r
 
 
-def rotation_z(theta: float) -> np.ndarray:
-    return np.array([[cmath.exp(-0.5j * theta), 0], [0, cmath.exp(0.5j * theta)]])
+def _as_array(op):
+    """A one-qubit operator's row-major entries (a, b, c, d) as its 2x2 array; an array unchanged."""
+    return np.array(op).reshape(2, 2) if isinstance(op, tuple) else op
 
 
-def rotation_y(theta: float) -> np.ndarray:
+def _rz(theta: float) -> tuple:
+    return cmath.exp(-0.5j * theta), 0j, 0j, cmath.exp(0.5j * theta)
+
+
+def _ry(theta: float) -> tuple:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return complex(c), complex(-s), complex(s), complex(c)
 
 
-def single_qubit_unitary(alpha: float, beta: float, gamma: float, delta: float) -> np.ndarray:
-    """exp(i*alpha) * Rz(beta) * Ry(gamma) * Rz(delta), built from raw angles.
+def _u(alpha: float, beta: float, gamma: float, delta: float) -> tuple:
+    """exp(i*alpha) * Rz(beta) * Ry(gamma) * Rz(delta) as row-major entries, built from raw angles.
 
     No canonicalization happens here: Rz/Ry are 4*pi-periodic in sign, and
     callers tracking global phase need the raw product. Each entry is built
@@ -88,43 +86,50 @@ def single_qubit_unitary(alpha: float, beta: float, gamma: float, delta: float) 
     half_beta, half_delta = cmath.exp(-0.5j * beta), cmath.exp(-0.5j * delta)
     plus = half_beta * half_delta  # e^(-i(beta+delta)/2)
     minus = half_beta * half_delta.conjugate()  # e^(-i(beta-delta)/2)
-    return np.array([
-        [phase * plus * c, -phase * minus * s],
-        [phase * minus.conjugate() * s, phase * plus.conjugate() * c],
-    ])
+    return phase * plus * c, -phase * minus * s, phase * minus.conjugate() * s, phase * plus.conjugate() * c
+
+
+def rotation_z(theta: float) -> np.ndarray:
+    return _as_array(_rz(theta))
+
+
+def rotation_y(theta: float) -> np.ndarray:
+    return _as_array(_ry(theta))
+
+
+def single_qubit_unitary(alpha: float, beta: float, gamma: float, delta: float) -> np.ndarray:
+    return _as_array(_u(alpha, beta, gamma, delta))
 
 
 class GateSpec(NamedTuple):
     """One gate kind: its wire and parameter fields, its matrix, its rewrite rule.
 
-    ``parity[i]`` holds the weights (x, z) of the wire's key bits whose parity
-    negates parameter i when the mask X^x Z^z moves past the gate. ``pauli``
-    holds the exponents (x, z) of a Pauli kind, i^(x*z) X^x Z^z, so y = i XZ:
-    the apply loop fuses and folds Paulis by it, and ``rewrite.twin`` reads a
-    Pauli's sign weights from it. Kinds with no parity column have their own
-    rule in ``rewrite.twin``: the Paulis are their own twins, h is rewritten
-    as ``u``, and cnot gains corrections.
+    ``build`` gives cnot's 4x4 array, a one-qubit kind's 2x2 as row-major
+    entries (a, b, c, d). ``parity[i]`` holds the weights (x, z) of the wire's
+    key bits whose parity negates parameter i when X^x Z^z moves past the gate.
+    ``pauli`` holds the exponents (x, z) of a Pauli kind, i^(x*z) X^x Z^z, so
+    y = i XZ: the apply loop fuses and folds Paulis by it, and ``rewrite.twin``
+    reads a Pauli's sign weights from it. Kinds with no parity column have
+    their own rule in ``rewrite.twin``: the Paulis are their own twins, h is
+    rewritten as ``u``, and cnot gains corrections.
     """
 
     wires: tuple[str, ...]
     params: tuple[str, ...]
-    build: Callable[..., np.ndarray]
+    build: Callable[..., tuple | np.ndarray]
     parity: tuple[tuple[int, int], ...] = ()
     pauli: tuple[int, int] | None = None
 
 
 #: the gate vocabulary; its order is the order RandomSource.circuit draws kinds in
 GATE_SPECS = {
-    "x": GateSpec(("wire",), (), _X.copy, pauli=(1, 0)),
-    "y": GateSpec(("wire",), (), _Y.copy, pauli=(1, 1)),
-    "z": GateSpec(("wire",), (), _Z.copy, pauli=(0, 1)),
-    "h": GateSpec(("wire",), (), _H.copy),
-    "rz": GateSpec(("wire",), ("theta",), rotation_z, ((1, 0),)),
-    "ry": GateSpec(("wire",), ("theta",), rotation_y, ((1, 1),)),
-    "u": GateSpec(
-        ("wire",), ("alpha", "beta", "gamma", "delta"), single_qubit_unitary,
-        ((0, 0), (1, 0), (1, 1), (1, 0)),
-    ),
+    "x": GateSpec(("wire",), (), lambda: _PAULIS[1, 0], pauli=(1, 0)),
+    "y": GateSpec(("wire",), (), lambda: _PAULIS[1, 1], pauli=(1, 1)),
+    "z": GateSpec(("wire",), (), lambda: _PAULIS[0, 1], pauli=(0, 1)),
+    "h": GateSpec(("wire",), (), lambda: _H),
+    "rz": GateSpec(("wire",), ("theta",), _rz, ((1, 0),)),
+    "ry": GateSpec(("wire",), ("theta",), _ry, ((1, 1),)),
+    "u": GateSpec(("wire",), ("alpha", "beta", "gamma", "delta"), _u, ((0, 0), (1, 0), (1, 1), (1, 0))),
     "cnot": GateSpec(("control", "target"), (), _CNOT.copy),
 }
 
@@ -135,7 +140,7 @@ def gate_matrix(kind: str, params: tuple[float, ...] = ()) -> np.ndarray:
         raise ValueError(f"unknown gate kind {kind!r}")
     if len(params) != len(spec.params):
         raise ValueError(f"gate {kind!r} takes {len(spec.params)} parameter(s), got {len(params)}")
-    return spec.build(*params)
+    return _as_array(spec.build(*params))
 
 
 def _as_index(value, name: str) -> int:
@@ -392,26 +397,38 @@ def _kron(l: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-4], out.shape[-4] * out.shape[-3], -1)
 
 
+def _mul(l: tuple, r: tuple) -> tuple:
+    """l r of two one-qubit operators given as row-major entries, in Python complex arithmetic."""
+    a, b, c, d = l
+    e, f, g, h = r
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
 def _fuse(ops):
     """The (operator, wires) pairs with each wire's run of one-qubit operators multiplied into one.
 
     A Pauli (x, z) joins a run pending on its wire as its 2x2, or else passes
     through. A k-qubit operator takes its wires' runs as op @ (run_0 (x) ...
     (x) run_k-1), the identity for a wire with none; the runs left come last,
-    in wire order. Products broadcast over (K, d, d) stacks of operators.
+    in wire order. Runs of row-major entries multiply by ``_mul`` and become
+    arrays only when yielded; a product with an array is numpy's, so it
+    broadcasts over (K, d, d) stacks of operators.
     """
     pend = {}
     for op, wires in ops:
-        if isinstance(op, tuple) and wires[0] not in pend:
+        pauli = isinstance(op, tuple) and len(op) == 2  # exponents: a 2x2 array has len 2 too
+        if pauli and wires[0] not in pend:
             yield op, wires
         elif len(wires) == 1:
-            op = _PAULIS[op] if isinstance(op, tuple) else op
-            pend[wires[0]] = op @ pend[wires[0]] if wires[0] in pend else op
+            op, run = _PAULIS[op] if pauli else op, pend.get(wires[0])
+            if run is not None:
+                op = _mul(op, run) if isinstance(op, tuple) and isinstance(run, tuple) else _as_array(op) @ _as_array(run)
+            pend[wires[0]] = op
         else:
             if not pend.keys().isdisjoint(wires):
-                op = op @ functools.reduce(_kron, [pend.pop(w, _PAULIS[0, 0]) for w in wires])
+                op = op @ functools.reduce(_kron, [_as_array(pend.pop(w, _PAULIS[0, 0])) for w in wires])
             yield op, wires
-    yield from ((pend[w], (w,)) for w in sorted(pend))
+    yield from ((_as_array(pend[w]), (w,)) for w in sorted(pend))
 
 
 def _run(arr: np.ndarray, n: int, ops) -> np.ndarray:
@@ -421,7 +438,8 @@ def _run(arr: np.ndarray, n: int, ops) -> np.ndarray:
     them. The loop keeps one flat view: a density matrix is a 2n-qubit row,
     on which U acts on the row axes and U* on the column axes. Each pair is
     trusted: a complex 2^k x 2^k operator on k distinct in-range wires,
-    shared or one per stack entry as in ``_apply_on_axes``, or a Pauli on
+    shared or one per stack entry as in ``_apply_on_axes``, a one-qubit
+    operator as its row-major entries as in ``GateSpec.build``, or a Pauli on
     one wire given by its exponents (x, z) as in ``GateSpec.pauli``. The
     pairs run fused by ``_fuse``: one operator per wire's run, a Pauli
     multiplied into a run pending on its wire. Each run of the Paulis left

@@ -103,21 +103,23 @@ def rewrite_gate(key: QotpKey, gate: Gate) -> RewriteResult:
 
 
 def _twins(key: QotpKey, circuit: Circuit) -> tuple[Gate, ...]:
-    """The twin of every gate of the circuit under the key, in order; an hy key fails even with no gate."""
+    """Every gate's twin under the key, in order, after checking the circuit against the key; an hy key fails even with no gate."""
+    circuits._require_circuit(circuit)
     if key.n_qubits != circuit.n_qubits:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), circuit has {circuit.n_qubits}")
-    _require_xz(key)
-    return tuple(g for gate in circuit.gates for g in rewrite_gate(key, gate).gates)
+    _require_xz(key)  # once per circuit, so ``twin`` takes the bits directly
+    x_bits, z_bits = [*map(int, key.x_bits)], [*map(int, key.z_bits)]
+    return tuple(g for gate in circuit.gates for g in twin(gate, x_bits[gate.wires[0]], z_bits[gate.wires[-1]]).gates)
 
 
 def rewrite_circuit(key: QotpKey, circuit: Circuit) -> Circuit:
     """The evaluable twin C' of C under a fixed key; size grows at most 3x."""
-    return Circuit(circuit.n_qubits, _twins(key, circuit))
+    return Circuit(key.n_qubits, _twins(key, circuit))
 
 
 def evaluate(key: QotpKey, circuit: Circuit, ciphertext):
     """Run the rewritten circuit on the ciphertext; no decryption happens here."""
-    return circuits._apply_gates(circuit.n_qubits, _twins(key, circuit), ciphertext)
+    return circuits._apply_gates(key.n_qubits, _twins(key, circuit), ciphertext)
 
 
 _PERMITTED = {

@@ -12,9 +12,10 @@ product of its rotation matrices, and ``all_keys`` lists every key.
 on every call, and ``simulate_per_gate`` runs every gate, Paulis too, as its
 matrix through it: one gemm per gate, no Pauli frames. ``key_stacks_per_gate``
 evaluates the key stack the same way, each gate as a table of its four twins
-folded to matrices. ``fuse_blocks`` forms, by a plain loop and ``np.kron``,
-the blocks the apply loop fuses a sequence of ``gate_steps`` into, in the
-same order; ``simulate_blocks``, ``round_trip_blocks`` and
+folded to matrices. ``fuse_blocks`` forms, by a plain loop, ``np.kron`` and
+``matmul_2x2``, a 2x2 product summed entry by entry in Python scalars, the
+blocks the apply loop fuses a sequence of ``gate_steps`` into, in the same
+order; ``simulate_blocks``, ``round_trip_blocks`` and
 ``key_stacks_blocks`` run them through the uncached kernel, Paulis too.
 ``phase_adjusted_distance`` is the classifier's criterion for one conjugate
 at a time.
@@ -322,11 +323,18 @@ def _kron_per_key(factors: list[np.ndarray]) -> np.ndarray:
     return np.array([functools.reduce(np.kron, [f[k] if f.ndim == 3 else f for f in factors]) for k in range(count)])
 
 
+def matmul_2x2(l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """l @ r of two 2x2 matrices, each entry summed in Python complex arithmetic, as the fuser does."""
+    L, R = l.tolist(), r.tolist()
+    return np.array([[L[i][0] * R[0][j] + L[i][1] * R[1][j] for j in range(2)] for i in range(2)])
+
+
 def fuse_blocks(n: int, steps) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """The (matrix, wires) blocks ``linalg._fuse`` forms from (matrix, wires, is_pauli) steps, in its order.
 
     Each wire's run of one-qubit matrices is multiplied into one, later
-    matrices on the left; a Pauli step joins a run pending on its wire and
+    matrices on the left, by ``matmul_2x2`` while both are shared and by
+    numpy otherwise; a Pauli step joins a run pending on its wire and
     is its own block otherwise. A multi-qubit step takes the runs pending on
     its wires, kron'ed in its wire order with the identity where none is,
     and the runs left over come last, in wire order. A matrix is shared or
@@ -338,7 +346,8 @@ def fuse_blocks(n: int, steps) -> list[tuple[np.ndarray, tuple[int, ...]]]:
         if len(wires) == 1:
             (w,) = wires
             if runs[w] is not None:
-                runs[w] = mat @ runs[w]
+                shared = mat.ndim == runs[w].ndim == 2
+                runs[w] = matmul_2x2(mat, runs[w]) if shared else mat @ runs[w]
             elif is_pauli:
                 blocks.append((mat, wires))
             else:

@@ -119,6 +119,16 @@ def test_verify_security_rejects_invalid_tolerance(tol):
         verify_security(Circuit(1), PureState.basis(1, 0).to_density(), tol)
 
 
+def test_verify_security_rejects_a_non_circuit_after_the_tolerance_and_state():
+    rho = PureState.basis(1, 0).to_density()
+    with pytest.raises(TypeError, match=r"^expected Circuit, got list$"):
+        verify_security([], rho, 1e-9)
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        verify_security([], rho, -1.0)
+    with pytest.raises(TypeError, match=r"^expected DensityState, got PureState$"):
+        verify_security([], PureState.basis(1, 0), 1e-9)
+
+
 def test_verify_security_empty_circuit():
     report = verify_security(Circuit(1), PureState.basis(1, 0).to_density(), 1e-9)
     assert report.passed

@@ -17,11 +17,12 @@ from qfhe import (
     simulate,
     trace_distance,
 )
+from qfhe import linalg
 from qfhe.circuits import euler_decompose
 from qfhe.linalg import gate_matrix, single_qubit_unitary
 from qfhe.rng import RandomSource
 
-from oracles import apply_to_density, full_matrix
+from oracles import apply_to_density, full_matrix, simulate_per_gate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -50,6 +51,29 @@ def test_gate_rejects_bad_params():
 def test_circuit_rejects_wire_out_of_range():
     with pytest.raises(ValueError):
         Circuit(1, (Gate.named("x", 1),))
+
+
+def test_circuit_rejects_a_non_gate_with_a_type_error():
+    with pytest.raises(TypeError, match=r"^gate 0 must be a Gate, got str$"):
+        Circuit(2, ("x",))
+    with pytest.raises(TypeError, match=r"^gate 1 must be a Gate, got tuple$"):
+        Circuit(2, (Gate.named("x", 0), ("x", 0)))
+    # the checks that ran before still run first: the qubit count, then the earlier gates
+    with pytest.raises(ValueError, match="n_qubits must be >= 1"):
+        Circuit(0, ("x",))
+    with pytest.raises(ValueError, match=r"^gate 0 \(x\) uses wire out of range for 1 qubits$"):
+        Circuit(1, (Gate.named("x", 1), "x"))
+
+
+NOT_CIRCUITS = [[], (Gate.named("x", 0),), "circuit", None]
+
+
+@pytest.mark.parametrize("not_a_circuit", NOT_CIRCUITS, ids=["list", "tuple", "str", "none"])
+def test_simulate_rejects_a_non_circuit(not_a_circuit):
+    name = type(not_a_circuit).__name__
+    for state in (PureState.basis(1), PureState.basis(1).to_density()):
+        with pytest.raises(TypeError, match=rf"^expected Circuit, got {name}$"):
+            simulate(not_a_circuit, state)
 
 
 @pytest.mark.parametrize(
@@ -244,6 +268,19 @@ def test_long_circuit_drift():
     rho = simulate(circuit, rng.density_state(4)).matrix
     assert abs(np.trace(rho) - 1.0) <= DRIFT_TOL
     assert np.max(np.abs(rho - rho.conj().T)) <= DRIFT_TOL
+
+
+def test_a_long_one_wire_run_fuses_to_a_unitary_within_drift():
+    # 10^4 one-qubit gates multiplied in Python scalars into one 2x2, applied once
+    rng = RandomSource(42)
+    circuit = Circuit(1, (Gate.named("h", 0), *rng.circuit(1, 9_999).gates))
+    specs = linalg.GATE_SPECS
+    (got,) = linalg._fuse([(specs[g.kind].pauli or specs[g.kind].build(*g.params), g.wires) for g in circuit.gates])
+    assert got[1] == (0,)
+    assert np.max(np.abs(got[0].conj().T @ got[0] - np.eye(2))) <= DRIFT_TOL
+    psi = rng.pure_state(1)
+    want = simulate_per_gate(circuit, psi).amplitudes
+    assert np.max(np.abs(simulate(circuit, psi).amplitudes - want)) <= DRIFT_TOL
 
 
 def test_negative_zero_angle_serializes_as_zero():

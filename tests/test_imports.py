@@ -11,10 +11,17 @@ and the demos and the benchmark's workloads take only those from the package.
 
 No module of ``src/qfhe`` or ``scripts`` reads a name that numpy 2 added, since
 ``pyproject.toml`` declares ``numpy>=1.24``.
+
+Importing ``qfhe`` and ``qfhe.cli`` loads, beyond numpy and the stdlib modules
+the package imports itself, only the package's own modules and ``__future__``:
+the benchmark's set-up time includes that import.
 """
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -197,3 +204,40 @@ def test_detector_flags_numpy2_names():
         "line 3: numpy.concat", "line 4: numpy.linalg.svdvals",
         "line 5: a.mT", "line 6: np.concat", "line 7: numpy.bool", "line 8: np.linalg.vecdot",
     ]
+
+
+def direct_imports() -> list[str]:
+    """The absolute modules ``src/qfhe`` imports anywhere, ``__future__`` aside, sorted."""
+    found = set()
+    for path in sorted((ROOT / "src" / "qfhe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module != "__future__":
+                found.add(node.module)
+    return sorted(found)
+
+
+def modules_added_by(statement: str) -> list[str]:
+    """Modules a fresh interpreter adds to sys.modules running statement after importing ``direct_imports()``."""
+    code = (
+        f"import sys\nimport {', '.join(direct_imports())}\nbefore = set(sys.modules)\n"
+        f"{statement}\nprint(*sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout.split()
+
+
+def test_the_package_imports_only_numpy_and_the_stdlib():
+    assert "numpy" in direct_imports()
+    assert [m for m in direct_imports() if m != "numpy" and m.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_importing_the_package_loads_only_its_own_modules():
+    added = modules_added_by("import qfhe, qfhe.cli")
+    assert "qfhe.cli" in added
+    assert [m for m in added if m not in ("qfhe", "__future__") and not m.startswith("qfhe.")] == []
+
+
+def test_detector_sees_a_module_the_import_adds():
+    assert "fractions" in modules_added_by("import qfhe, qfhe.cli, fractions")

@@ -44,6 +44,7 @@ from oracles import (
     full_matrix,
     fuse_blocks,
     gate_steps,
+    matmul_2x2,
     pauli_basis,
     pauli_operator,
     round_trip_blocks,
@@ -548,6 +549,44 @@ def test_fuse_passes_a_lone_operator_on_unsorted_wires_through_unchanged():
     assert got[1] == (2, 0, 1)
     want = embed_on_wires(op, (2, 0, 1), 3) @ embed_on_wires(a, (0,), 3)
     assert np.max(np.abs(embed_on_wires(got[0], (2, 0, 1), 3) - want)) <= ATOL_EXACT
+
+
+@pytest.mark.parametrize("kind", [k for k in GATE_SPECS if k != "cnot"])
+def test_build_gives_entries_with_the_bits_of_the_gate_matrix(kind):
+    # raw angles, negative and past 2*pi too; a lone run is yielded as the same array
+    spec = GATE_SPECS[kind]
+    rng = np.random.default_rng(135)
+    for _ in range(50):
+        params = tuple(rng.uniform(-20.0, 20.0, size=len(spec.params)).tolist())
+        entries = spec.build(*params)
+        assert type(entries) is tuple and [type(e) for e in entries] == [complex] * 4
+        want = gate_matrix(kind, params)
+        assert _same_bits(np.array(entries).reshape(2, 2), want)
+        (got,) = _fuse([(entries, (0,))])
+        assert got[1] == (0,) and _same_bits(got[0], want)
+
+
+def test_cnot_builds_a_fresh_array():
+    build = GATE_SPECS["cnot"].build
+    assert isinstance(build(), np.ndarray) and build() is not build()
+    want = np.kron(np.diag([1, 0]), np.eye(2)) + np.kron(np.diag([0, 1]), gate_matrix("x"))
+    assert build().dtype == complex and np.array_equal(build(), want)
+
+
+def test_fuse_multiplies_entry_tuples_in_python_scalars():
+    rng = RandomSource(136)
+    mats = [rng.unitary(2) for _ in range(3)]
+    a, b, c = (tuple(m.reshape(-1).tolist()) for m in mats)
+    (got,) = _fuse([(a, (0,)), (b, (0,)), (c, (0,))])
+    assert got[1] == (0,) and _same_bits(got[0], matmul_2x2(mats[2], matmul_2x2(mats[1], mats[0])))
+    # a Pauli joins a run of entries as its entries, in the same scalar product
+    ops = list(_fuse([(a, (0,)), ((1, 1), (0,)), ((1, 0), (1,))]))
+    assert len(ops) == 2 and ops[0] == ((1, 0), (1,))
+    assert ops[1][1] == (0,) and _same_bits(ops[1][0], matmul_2x2(gate_matrix("y"), mats[0]))
+    # a product with an array is numpy's: a per-key stack broadcasts over a run of entries
+    stack = np.array([rng.unitary(2) for _ in range(4)])
+    (got,) = _fuse([(a, (0,)), (stack, (0,))])
+    assert _same_bits(got[0], stack @ mats[0])
 
 
 @pytest.mark.parametrize("n", range(1, 6))

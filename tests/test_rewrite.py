@@ -260,6 +260,16 @@ def test_an_hy_key_is_rejected_with_no_gate_and_after_the_qubit_count():
         evaluate(key, Circuit(2), rho)
 
 
+@pytest.mark.parametrize("not_a_circuit", [[], (Gate.named("x", 0),), "circuit"], ids=["list", "tuple", "str"])
+def test_rewriting_rejects_a_non_circuit(not_a_circuit):
+    key, rho = QotpKey(1, "1", "0"), RandomSource(0).density_state(1)
+    message = rf"^expected Circuit, got {type(not_a_circuit).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        rewrite_circuit(key, not_a_circuit)
+    with pytest.raises(TypeError, match=message):
+        evaluate(key, not_a_circuit, rho)
+
+
 def test_rewrite_keeps_key_fixed_and_size_bounded():
     rng = RandomSource(14)
     for _ in range(30):
