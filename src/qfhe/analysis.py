@@ -150,10 +150,7 @@ def verify_security(circuit: Circuit, sigma: DensityState, tol: float) -> Securi
     cipher, evaluated, decrypted = _key_stacks(circuit, sigma)
     expected = simulate(circuit, sigma)
     mixed = linalg.maximally_mixed(n)
-    enc_avg = DensityState(n, cipher.sum(axis=0) / len(cipher))
-    eval_avg = DensityState(n, evaluated.sum(axis=0) / len(evaluated))
-    d_enc = linalg.trace_distance(enc_avg, mixed)
-    d_eval = linalg.trace_distance(eval_avg, mixed)
+    d_enc, d_eval = (linalg.trace_distance(DensityState(n, s.sum(axis=0) / len(s)), mixed) for s in (cipher, evaluated))
     d_dec = float(np.max(linalg._trace_distances(decrypted, expected.matrix)))
     return SecurityReport(
         n_qubits=n,
@@ -219,6 +216,7 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
     comes with the witness (a, b, theta) such that U ~ e^{i theta} X^a Z^b.
     ValueError when tol falls between the two criteria, which then disagree:
     near a phase-Pauli the deviation is about twice the second coefficient.
+    The conjugates form one stack of 16^n entries, 4,096 (64 KiB) at the 3-qubit guard.
     """
     _check_tolerance(tol)
     operator = np.asarray(operator, dtype=complex)
@@ -230,12 +228,9 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
     if n > _MAX_QUBITS_CLASSIFY:
         raise ValueError(f"classification is limited to {_MAX_QUBITS_CLASSIFY} qubits, got {n}")
 
-    # one a at a time with every b keeps the stack at 8^n entries
-    idx = np.arange(dim)
-    max_dev = float(max(
-        np.max(_phase_adjusted_distances(linalg._pauli_conjugates(operator, np.full(dim, a), idx, n), operator))
-        for a in range(dim)
-    ))
+    # every (a, b) as one stack: 16^n entries, bounded by _MAX_QUBITS_CLASSIFY above
+    conjugates = linalg._pauli_conjugates(operator, *divmod(np.arange(dim * dim), dim), n)
+    max_dev = float(np.max(_phase_adjusted_distances(conjugates, operator)))
     by_conjugation = max_dev <= tol
 
     coeffs = pauli_decompose(operator)
@@ -259,10 +254,6 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
     return ClassifyResult(by_conjugation, witness, max_dev)
 
 
-def _pow(mat: np.ndarray, bit: int) -> np.ndarray:
-    return mat if bit else np.eye(mat.shape[0], dtype=complex)
-
-
 def check_appendix_identities(samples: int, rng: RandomSource) -> dict[str, float]:
     """Worst entrywise error of each commutation rule over all bits and sampled angles.
 
@@ -273,6 +264,7 @@ def check_appendix_identities(samples: int, rng: RandomSource) -> dict[str, floa
         raise ValueError(f"samples must be >= 1, got {samples}")
     X, Y, Z, H, CNOT = map(linalg.gate_matrix, ("x", "y", "z", "h", "cnot"))
     I = np.eye(2, dtype=complex)
+    _pow = np.linalg.matrix_power  # a matrix to the power 0 or 1: the identity or itself
     thetas = rng.angles(samples)
     bits = (0, 1)
 

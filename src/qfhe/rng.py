@@ -49,10 +49,12 @@ class RandomSource:
         return PureState(n_qubits, vec / np.linalg.norm(vec))
 
     def density_state(self, n_qubits: int, rank: int | None = None) -> DensityState:
-        """Random mixed state from a uniformly weighted ensemble of pure states."""
+        """Random mixed state: rank random pure states (all 2^n by default) with Dirichlet-drawn weights."""
         n_qubits = _as_qubit_count(n_qubits)
         dim = 2 ** n_qubits
         rank = dim if rank is None else _as_index(rank, "rank")
+        if not 1 <= rank <= dim:
+            raise ValueError(f"rank must be in [1, {dim}], got {rank}")
         probs = self._gen.dirichlet(np.ones(rank))
         mat = np.zeros((dim, dim), dtype=complex)
         for p in probs:

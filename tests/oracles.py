@@ -18,7 +18,8 @@ blocks the apply loop fuses a sequence of ``gate_steps`` into, in the same
 order; ``simulate_blocks``, ``round_trip_blocks`` and
 ``key_stacks_blocks`` run them through the uncached kernel, Paulis too.
 ``phase_adjusted_distance`` is the classifier's criterion for one conjugate
-at a time.
+at a time, and ``min_eigenvalue`` is the eigensolve that the density check's
+Cholesky test of positivity stands in for.
 The package itself works on wire axes, sign tables, key stacks and whole
 arrays instead, so nothing here is imported by ``src/qfhe``.
 """
@@ -415,3 +416,8 @@ def phase_adjusted_distance(candidate: np.ndarray, reference: np.ndarray) -> flo
         return float(np.max(np.abs(candidate - reference)))
     phase = overlap / abs(overlap)
     return float(np.max(np.abs(candidate - phase * reference)))
+
+
+def min_eigenvalue(mat: np.ndarray) -> float:
+    """The smallest eigenvalue of a Hermitian matrix, by a full eigensolve."""
+    return float(np.linalg.eigvalsh(mat)[0])
