@@ -14,16 +14,17 @@ with the sign row ``linalg._parity_signs``. Conjugating by masks is
 mask on both halves by the one signed gather, the gather the apply loop
 runs for Pauli frames. Key averaging (n one-wire twirls of four masks), the
 classifier and the key stack's encryption and decryption all use it.
-``verify_security`` runs all 4^n keys as one stack of density matrices
-through ``linalg``'s one apply loop. ``rewrite.twin`` reads two key bits
-only, so its four entries give every key's twin of a gate. When they are
-one and the same Pauli, the twin is key-independent and shared by the whole
-stack; otherwise each key takes its own. The loop fuses each wire's run of
-twins, shared Paulis multiplied in, into one operator per key, and a shared
-Pauli with no run pending is a frame. Sizes are hard-guarded, not slow.
+``verify_security`` takes 4^n identities, one per key, through ``linalg``'s
+apply loop, row-only, to each key's twin unitary U_k, and conjugates the
+ciphertexts by two batched products. ``rewrite.twin`` reads two key bits,
+so its four entries give every key's twin of a gate: one Pauli for all four
+is key-independent and shared, else each key takes its own. The loop fuses
+each wire's run of twins, shared Paulis multiplied in, into one operator per
+key; a shared Pauli with no run pending is a frame. Sizes are hard-guarded.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -90,43 +91,51 @@ def average_over_keys(sigma: DensityState) -> DensityState:
     return DensityState(n, mat)
 
 
+@functools.lru_cache(maxsize=64)  # the multi-gate twins are cnot's: three parameter-free ones per wire pair
+def _fold(twin: tuple[Gate, ...]) -> np.ndarray:
+    """A multi-gate twin as the one operator ``linalg._fuse`` makes of its gates' matrices; shared, so never written to."""
+    return next(linalg._fuse((g.matrix(), g.wires) for g in twin))[0]
+
+
 def _key_op(gate: Gate, a: np.ndarray, b: np.ndarray, n: int) -> tuple:
     """The gate's (operator, wires) pair for the key stack's apply loop: every key's twin.
 
     Key k masks with X^a[k] Z^b[k]. The twin reads the x bit of the gate's
     first wire and the z bit of its last, so its four entries give every
     key's twin. When they are one and the same Pauli gate, it goes in as
-    its exponents, shared by every key. Otherwise each distinct entry is
-    folded once, to the one operator ``linalg._fuse`` makes of its gates'
-    matrices, into a (K, 2^k, 2^k) stack, and each key picks its own by
-    those two bits of a[k] and b[k].
+    its exponents, shared by every key. Otherwise each entry becomes one
+    operator of a (4, 2^k, 2^k) table, a one-gate twin straight from its
+    ``GateSpec.build``, a cnot with corrections by ``_fold``, and each key
+    picks its own by those two bits of a[k] and b[k].
     """
     twins = [rewrite.twin(gate, j, k).gates for j in (0, 1) for k in (0, 1)]
     first = twins[0]
     pauli = linalg.GATE_SPECS[first[0].kind].pauli if len(first) == 1 else None
     if pauli and twins.count(first) == 4:
         return pauli, first[0].wires
-    folded = {t: next(linalg._fuse((g.matrix(), g.wires) for g in t))[0] for t in dict.fromkeys(twins)}
-    table = np.array([folded[t] for t in twins])
+    table = np.array([linalg.GATE_SPECS[t[0].kind].build(*t[0].params) if len(t) == 1 else _fold(t) for t in twins])
     x = a >> (n - 1 - gate.wires[0]) & 1
     z = b >> (n - 1 - gate.wires[-1]) & 1
-    return table[2 * x + z], gate.wires
+    return table.reshape(4, 1 << len(gate.wires), -1)[2 * x + z], gate.wires
 
 
 def _key_stacks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ciphertext, evaluated ciphertext and its decryption under every key, as (4^n, 2^n, 2^n) stacks.
 
     Key k masks with X^a Z^b for (a, b) = divmod(k, 2^n), so the keys run in
-    lexicographic order of their (x_bits, z_bits) strings. The evaluation is
-    one run of the apply loop over the stack. Encryption and decryption are
-    exact signed permutations, so checking the decrypted stack checks the
-    evaluated one, and sigma was checked when it was built: only the
-    decryption is checked.
+    lexicographic order of their (x_bits, z_bits) strings. One row-only run of
+    the apply loop takes an identity stack to each key's twin circuit U_k, and
+    two batched products conjugate each key's ciphertext by its U_k; the peak
+    is about five such stacks, 64 KiB each at the 3-qubit guard. Encryption
+    and decryption are exact signed permutations, so only the decryption is
+    checked: that checks the evaluation, and sigma was checked when built.
     """
     n = circuit.n_qubits
     a, b = divmod(np.arange(4 ** n), 2 ** n)
     cipher = linalg._pauli_conjugates(sigma.matrix, a, b, n)
-    evaluated = linalg._run(cipher, n, (_key_op(g, a, b, n) for g in circuit.gates))
+    identities = np.broadcast_to(np.eye(2 ** n, dtype=complex), cipher.shape)
+    unitaries = linalg._run(identities, n, (_key_op(g, a, b, n) for g in circuit.gates), columns=False)
+    evaluated = unitaries @ cipher @ unitaries.conj().swapaxes(1, 2)
     decrypted = linalg._pauli_conjugates(evaluated, a, b, n)
     linalg._check_density(decrypted)
     return cipher, evaluated, decrypted

@@ -9,9 +9,9 @@ Everything here is double precision, and two operations do all the work:
 the one gate kernel gathers a gate's wire axes in front by one transpose and
 multiplies them by one gemm, never building a 2^n x 2^n operator, and the
 one signed gather applies a Pauli mask X^a Z^b. The one apply loop runs a
-statevector, a density matrix (a 2n-qubit row: U on the row half, U* on the
-column half) or a stack of them, each operator shared or one per stack
-entry, which is how ``analysis.verify_security`` moves all 4^n keys at once.
+statevector, a density matrix (U on the row half, U* on the column half) or
+a stack of them, each operator shared or one per stack entry; row-only, it
+takes ``analysis.verify_security``'s identity stack to all 4^n twin unitaries.
 It fuses each wire's run of one-qubit gates, Paulis multiplied in, into one
 operator the next cnot on the wire absorbs, and each run of the Paulis left
 into one frame i^k X^a Z^b for the gather, also ``analysis``'s masks. A
@@ -153,12 +153,16 @@ def _as_index(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _as_size(value, name: str, low: int) -> int:
+    """value as an integer >= low, else ValueError."""
+    if (size := _as_index(value, name)) < low:
+        raise ValueError(f"{name} must be >= {low}, got {size}")
+    return size
+
+
 def _as_qubit_count(value) -> int:
     """value as a qubit count: an integer >= 1, else ValueError."""
-    n = _as_index(value, "n_qubits")
-    if n < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n}")
-    return n
+    return _as_size(value, "n_qubits", 1)
 
 
 def all_bit_strings(n: int):
@@ -386,15 +390,15 @@ def _compose(frame: tuple[int, int, int], pauli: tuple[int, int], wire: int, n: 
     return (k + x * z + flip) % 4, a ^ bit if x else a, b ^ bit if z else b
 
 
-def _apply_frame(flat: np.ndarray, frame: tuple[int, int, int], lift: int, m: int) -> np.ndarray:
+def _apply_frame(flat: np.ndarray, frame: tuple[int, int, int], lift: int, m: int, columns: bool) -> np.ndarray:
     """The frame i^k X^a Z^b as one signed gather of its mask times lift.
 
-    lift is 1 on a statevector. On a density matrix read as a 2n-qubit row it
-    is 2^n + 1, so both halves take the mask, and i^k cancels.
+    Without the column pass lift is the column count and i^k is kept. With it
+    lift is 2^n + 1: both halves of a density row take the mask; i^k cancels.
     """
     k, a, b = frame
     out = _signed_gather(flat, a * lift, b * lift, m)
-    return out * _I_POWERS[k] if k and lift == 1 else out
+    return out * _I_POWERS[k] if k and not columns else out
 
 
 def _kron(l: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -437,34 +441,36 @@ def _fuse(ops):
     yield from ((_as_array(pend[w]), (w,)) for w in sorted(pend))
 
 
-def _run(arr: np.ndarray, n: int, ops) -> np.ndarray:
-    """Apply (operator, wires) pairs in order to a raw n-qubit array, unchecked: the one apply loop.
+def _run(arr: np.ndarray, n: int, ops, columns: bool) -> np.ndarray:
+    """Apply (operator, wires) pairs in order to a raw (lead..., 2^n, cols) array, unchecked: the one apply loop.
 
-    arr is a statevector (1-D), a density matrix or a (B, 2^n, 2^n) stack of
-    them. The loop keeps one flat view: a density matrix is a 2n-qubit row,
-    on which U acts on the row axes and U* on the column axes. Each pair is
-    trusted: a complex 2^k x 2^k operator on k distinct in-range wires,
-    shared or one per stack entry as in ``_apply_on_axes``, a one-qubit
-    operator as its row-major entries as in ``GateSpec.build``, or a Pauli on
-    one wire given by its exponents (x, z) as in ``GateSpec.pauli``. The
-    pairs run fused by ``_fuse``: one operator per wire's run, a Pauli
+    The loop keeps one flat view, each (2^n, cols) matrix a row, and U acts
+    on its row axes. With the column pass U* acts on the column axes too: a
+    density matrix or a stack of them. Without it arr is a statevector as one
+    column, or ``analysis``'s identity stack taken to each key's twin
+    unitary. Each pair is trusted: a complex 2^k x 2^k operator on k distinct
+    in-range wires, shared or one per stack entry as in ``_apply_on_axes``, a
+    one-qubit operator as its row-major entries as in ``GateSpec.build``, or
+    a Pauli on one wire given by its exponents (x, z) as in ``GateSpec.pauli``.
+    The pairs run fused by ``_fuse``: one operator per wire's run, a Pauli
     multiplied into a run pending on its wire. Each run of the Paulis left
     is one frame i^k X^a Z^b, one signed gather shared by a whole stack.
     """
-    pure = arr.ndim == 1
-    flat, m, lift = (arr, n, 1) if pure else (arr.reshape(*arr.shape[:-2], -1), 2 * n, (1 << n) + 1)
+    flat = arr.reshape(arr.shape[:-2] + (-1,))  # a 1-D statevector is one column
+    m = flat.shape[-1].bit_length() - 1
+    lift = (1 << (m - n)) + 1 if columns else 1 << (m - n)  # the column count, + 1 to mask the column bits too
     frame = (0, 0, 0)  # i^0 X^0 Z^0
     for op, wires in _fuse(ops):
         if isinstance(op, tuple):
             frame = _compose(frame, op, wires[0], n)
             continue
         if any(frame):
-            flat, frame = _apply_frame(flat, frame, lift, m), (0, 0, 0)
+            flat, frame = _apply_frame(flat, frame, lift, m, columns), (0, 0, 0)
         flat = _apply_on_axes(op, wires, flat, m)
-        if not pure:
+        if columns:
             flat = _apply_on_axes(op.conj(), tuple(n + w for w in wires), flat, m)
     if any(frame):
-        flat = _apply_frame(flat, frame, lift, m)
+        flat = _apply_frame(flat, frame, lift, m, columns)
     return flat.reshape(arr.shape)
 
 
@@ -472,8 +478,8 @@ def _evolve(state, ops):
     """Run the apply loop on a checked state's array, then check the result."""
     n = state.n_qubits
     if isinstance(state, PureState):
-        return PureState(n, _run(state.amplitudes, n, ops))
-    return DensityState(n, _run(state.matrix, n, ops))
+        return PureState(n, _run(state.amplitudes, n, ops, columns=False))
+    return DensityState(n, _run(state.matrix, n, ops, columns=True))
 
 
 def apply_to_wires(unitary: np.ndarray, wires, state):

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .linalg import GATE_SPECS, DensityState, PureState, _as_index, _as_qubit_count, canonical_angle
+from .linalg import GATE_SPECS, DensityState, PureState, _as_index, _as_qubit_count, _as_size, canonical_angle
 
 
 class RandomSource:
@@ -22,13 +22,13 @@ class RandomSource:
         self._gen = np.random.default_rng(self.seed)
 
     def bit_string(self, n: int) -> str:
-        return "".join("1" if b else "0" for b in self._gen.integers(0, 2, size=n))
+        return "".join("1" if b else "0" for b in self._gen.integers(0, 2, size=_as_size(n, "n", 0)))
 
     def angle(self) -> float:
         return canonical_angle(float(self._gen.uniform(0.0, 2.0 * np.pi)))
 
     def angles(self, count: int) -> list[float]:
-        return [self.angle() for _ in range(count)]
+        return [self.angle() for _ in range(_as_size(count, "count", 0))]
 
     def integer(self, low: int, high: int) -> int:
         """Uniform integer in [low, high)."""
@@ -36,6 +36,7 @@ class RandomSource:
 
     def unitary(self, dim: int) -> np.ndarray:
         """Haar-ish random unitary via QR of a complex Gaussian matrix."""
+        dim = _as_size(dim, "dim", 1)
         z = self._gen.normal(size=(dim, dim)) + 1j * self._gen.normal(size=(dim, dim))
         q, r = np.linalg.qr(z)
         # fix the phase convention so the distribution is well defined
@@ -68,6 +69,7 @@ class RandomSource:
         On one qubit a drawn cnot becomes x. Each gate draws its kind, then its
         wires (a cnot target skips the control), then its angles.
         """
+        n_qubits, n_gates = _as_qubit_count(n_qubits), _as_size(n_gates, "n_gates", 0)
         kinds = tuple(GATE_SPECS)
         gates = []
         for _ in range(n_gates):

@@ -12,11 +12,15 @@ product of its rotation matrices, and ``all_keys`` lists every key.
 on every call, and ``simulate_per_gate`` runs every gate, Paulis too, as its
 matrix through it: one gemm per gate, no Pauli frames. ``key_stacks_per_gate``
 evaluates the key stack the same way, each gate as a table of its four twins
-folded to matrices. ``fuse_blocks`` forms, by a plain loop, ``np.kron`` and
+folded to matrices, U on the rows and U* on the columns of every density
+matrix. ``fuse_blocks`` forms, by a plain loop, ``np.kron`` and
 ``matmul_2x2``, a 2x2 product summed entry by entry in Python scalars, the
 blocks the apply loop fuses a sequence of ``gate_steps`` into, in the same
 order; ``simulate_blocks``, ``round_trip_blocks`` and
-``key_stacks_blocks`` run them through the uncached kernel, Paulis too.
+``key_stacks_blocks`` run them through the uncached kernel, Paulis too,
+the last on the rows of an identity stack, which gives every key's twin
+unitary U_k, and then conjugates each key's ciphertext by its U_k by two
+batched products.
 ``phase_adjusted_distance`` is the classifier's criterion for one conjugate
 at a time, and ``min_eigenvalue`` is the eigensolve that the density check's
 Cholesky test of positivity stands in for.
@@ -247,12 +251,12 @@ def apply_on_axes_uncached(op: np.ndarray, axes: tuple[int, ...], flat: np.ndarr
     return out.transpose(back).reshape(flat.shape)
 
 
-def _run_blocks(n: int, blocks, flat: np.ndarray, density: bool) -> np.ndarray:
-    """(matrix, wires) blocks in order by ``apply_on_axes_uncached``: U on the row axes, U* on a density row's columns."""
-    m = 2 * n if density else n
+def _run_blocks(n: int, blocks, flat: np.ndarray, columns: bool) -> np.ndarray:
+    """(matrix, wires) blocks in order by ``apply_on_axes_uncached``: U on the row axes, and with the column pass U* on a density row's columns."""
+    m = flat.shape[-1].bit_length() - 1
     for mat, wires in blocks:
         flat = apply_on_axes_uncached(mat, wires, flat, m)
-        if density:
+        if columns:
             flat = apply_on_axes_uncached(mat.conj(), tuple(n + w for w in wires), flat, m)
     return flat
 
@@ -388,8 +392,10 @@ def key_stacks_blocks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray
     A gate whose four ``rewrite.twin`` entries are one and the same Pauli is
     a shared Pauli step; any other gate is a per-key table of its twins,
     each folded by ``fuse_blocks`` to one matrix, key k picking its own by
-    the x bit of the gate's first wire and the z bit of its last. Nothing
-    is checked.
+    the x bit of the gate's first wire and the z bit of its last. The blocks
+    run on the row axes of a stack of identities, which gives every key's
+    twin unitary U_k, and two batched products conjugate each key's
+    ciphertext by its U_k. Nothing is checked.
     """
     n = circuit.n_qubits
     a, b = divmod(np.arange(4 ** n), 2 ** n)
@@ -402,7 +408,9 @@ def key_stacks_blocks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray
             continue
         table = np.array([fuse_blocks(n, [(t.matrix(), t.wires, False) for t in twin])[0][0] for twin in twins])
         steps.append((_per_key(table, g, a, b, n), g.wires, False))
-    evaluated = _run_blocks(n, fuse_blocks(n, steps), cipher.reshape(len(a), -1), True).reshape(cipher.shape)
+    identities = np.broadcast_to(np.eye(2 ** n, dtype=complex), cipher.shape).reshape(len(a), -1)
+    unitaries = _run_blocks(n, fuse_blocks(n, steps), identities, False).reshape(cipher.shape)
+    evaluated = unitaries @ cipher @ unitaries.conj().swapaxes(1, 2)
     return cipher, evaluated, linalg._pauli_conjugates(evaluated, a, b, n)
 
 

@@ -198,9 +198,10 @@ def _report_distances(cipher, evaluated, decrypted, expected):
 @pytest.mark.parametrize("shape", ["random", "pauli_tail", "all_pauli", "empty"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_key_stacks_equal_the_per_gate_tables_bit_for_bit(n, shape):
-    # against the oracle's blocks through two gemm passes each: Pauli gathers are exact,
-    # and every other block is the same product, run by the same gemm on the same
-    # operands in the same order
+    # against the oracle's blocks run on the identity rows, then the same two products:
+    # Pauli gathers are exact, and every other block is the same product, run by the
+    # same gemm on the same operands in the same order; the two-pass slow oracle agrees
+    # within ATOL_EXACT
     for seed in range(4):
         rng = RandomSource(100 * n + seed)
         gates = {
@@ -212,9 +213,10 @@ def test_key_stacks_equal_the_per_gate_tables_bit_for_bit(n, shape):
         circuit = Circuit(n, gates)
         sigma = rng.density_state(n) if seed % 2 else rng.pure_state(n).to_density()
         got, want = _key_stacks(circuit, sigma), key_stacks_blocks(circuit, sigma)
-        for g, w in zip(got, want):
+        for g, w, slow in zip(got, want, key_stacks_per_gate(circuit, sigma)):
             assert g.shape == w.shape == (4 ** n, 2 ** n, 2 ** n)
             assert g.tobytes() == w.tobytes()
+            assert np.max(np.abs(g - slow)) <= ATOL_EXACT
         report = verify_security(circuit, sigma, 1e-9)
         distances = (report.worst_encrypt_distance, report.worst_evaluate_distance, report.worst_decrypt_distance)
         want_distances = _report_distances(*want, simulate(circuit, sigma))
@@ -238,6 +240,23 @@ def test_key_stacks_match_the_circuit_matrix_under_every_key(n):
         for got, w in zip(stacks, want):
             assert got.shape == (4 ** n, 2 ** n, 2 ** n)
             assert np.max(np.abs(got - w)) <= ATOL_EXACT
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_key_unitary_is_its_rewritten_circuit(n):
+    # the row-only run of the key ops on the identity stack gives key k's twin circuit
+    # as one matrix U_k, and U_k P = (-1)^f P C for its mask P and dropped signs f
+    rng = RandomSource(160 + n)
+    circuit = rng.circuit(n, 24)
+    a, b = divmod(np.arange(4 ** n), 2 ** n)
+    identities = np.broadcast_to(np.eye(2 ** n, dtype=complex), (4 ** n, 2 ** n, 2 ** n))
+    unitaries = linalg._run(identities, n, (analysis._key_op(g, a, b, n) for g in circuit.gates), columns=False)
+    plain = full_matrix(circuit)
+    for u, key in zip(unitaries, all_keys(n), strict=True):
+        flips = sum(rewrite.rewrite_gate(key, g).phase_flips for g in circuit.gates)
+        mask = pauli_operator(key.x_bits, key.z_bits)
+        assert np.max(np.abs(u - full_matrix(rewrite.rewrite_circuit(key, circuit)))) <= ATOL_EXACT
+        assert np.max(np.abs(u @ mask - (-1) ** flips * mask @ plain)) <= ATOL_EXACT
 
 
 def test_a_key_ignoring_evaluator_fails_only_the_decrypt_check(monkeypatch):
@@ -326,7 +345,8 @@ def test_the_key_batch_checks_every_key(monkeypatch):
 
 
 def test_pauli_twins_run_as_frames_and_each_distinct_twin_folds_once(monkeypatch):
-    # a fold is one call of linalg._fuse on a twin's gate matrices; record each twin's bytes
+    # a fold is one call of linalg._fuse; cnot's uncorrected twin is one gate, built
+    # straight from its GateSpec, and its three corrected twins per wire pair fold once
     folds = []
     fuse = linalg._fuse
 
@@ -336,19 +356,28 @@ def test_pauli_twins_run_as_frames_and_each_distinct_twin_folds_once(monkeypatch
         return fuse(ops)
 
     monkeypatch.setattr(linalg, "_fuse", recording)
+    analysis._fold.cache_clear()
     a, b = divmod(np.arange(16), 4)
-    # rz and ry negate their angle by one parity and u by two; h lifts to u with beta = 0
-    # and delta = pi, which negate to themselves; cnot gains a correction per bit
-    want_folds = {"x": 0, "y": 0, "z": 0, "h": 2, "rz": 2, "ry": 2, "u": 4, "cnot": 4}
-    for gate in KIND_GATES:
-        folds.clear()
-        op, wires = analysis._key_op(gate, a, b, 2)
+    for _ in range(3):
+        for gate in (Gate.cnot(0, 1), Gate.cnot(1, 0)):
+            analysis._key_op(gate, a, b, 2)
+    assert len(folds) == len(set(folds)) == 6
+    monkeypatch.undo()
+    # every gate kind and every gate of a random pool, against linalg._fuse folding each
+    # key's twin from its gates' matrices; Paulis shared by every key stay frames
+    n = 3
+    a, b = divmod(np.arange(4 ** n), 2 ** n)
+    for gate in KIND_GATES + RandomSource(12).circuit(n, 64).gates:
+        op, wires = analysis._key_op(gate, a, b, n)
         assert wires == gate.wires
-        assert len(folds) == len(set(folds)) == want_folds[gate.kind]
         if GATE_SPECS[gate.kind].pauli:
             assert op == GATE_SPECS[gate.kind].pauli
-        else:
-            assert op.shape == (16, 2 ** len(wires), 2 ** len(wires))
+            continue
+        assert op.shape == (4 ** n, 2 ** len(wires), 2 ** len(wires))
+        for k in range(4 ** n):
+            x, z = a[k] >> (n - 1 - wires[0]) & 1, b[k] >> (n - 1 - wires[-1]) & 1
+            (want, _), = linalg._fuse((g.matrix(), g.wires) for g in rewrite.twin(gate, int(x), int(z)).gates)
+            assert op[k].tobytes() == want.tobytes()
 
 
 def test_a_key_dependent_pauli_twin_takes_the_per_key_path(monkeypatch):

@@ -2,7 +2,7 @@
 
 ``linalg._check_density`` decides lambda_min >= -ATOL_STATE by one Cholesky
 factorization of M + ATOL_STATE * I; ``oracles.min_eigenvalue`` finds
-lambda_min itself.
+lambda_min itself. RandomSource checks every size argument before it draws.
 """
 import re
 
@@ -116,6 +116,24 @@ def test_a_rejected_rank_draws_nothing():
     with pytest.raises(ValueError, match="rank must be in"):
         rng.density_state(2, 0)
     assert np.array_equal(rng.density_state(2, 3).matrix, RandomSource(5).density_state(2, 3).matrix)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rng: rng.circuit(0, 3), "n_qubits must be >= 1, got 0"),
+    (lambda rng: rng.circuit(2, -1), "n_gates must be >= 0, got -1"),
+    (lambda rng: rng.circuit(2, 1.0), "n_gates must be an integer, got 1.0"),
+    (lambda rng: rng.angles(-2), "count must be >= 0, got -2"),
+    (lambda rng: rng.unitary(0), "dim must be >= 1, got 0"),
+    (lambda rng: rng.bit_string(-1), "n must be >= 0, got -1"),
+], ids=["circuit_n_qubits", "circuit_n_gates", "circuit_float", "angles", "unitary", "bit_string"])
+def test_size_arguments_are_checked_before_any_draw(call, message):
+    rng = RandomSource(6)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(rng)
+    fresh = RandomSource(6)
+    assert rng.circuit(2, 5) == fresh.circuit(2, 5)
+    assert rng.bit_string(0) == fresh.bit_string(0) == "" and rng.angles(0) == []
+    assert np.array_equal(rng.unitary(2), fresh.unitary(2))
 
 
 @pytest.mark.parametrize("n, rank", [(1, 1), (2, 3), (3, None)])
