@@ -19,8 +19,8 @@ apply loop, row-only, to each key's twin unitary U_k, and conjugates the
 ciphertexts by two batched products. ``rewrite.twin`` reads two key bits,
 so its four entries give every key's twin of a gate: one Pauli for all four
 is key-independent and shared, else each key takes its own. The loop fuses
-each wire's run of twins, shared Paulis multiplied in, into one operator per
-key; a shared Pauli with no run pending is a frame. Sizes are hard-guarded.
+each wire's run of twins on its four entries, shared Paulis in, gathered per
+key when a block takes it; a lone shared Pauli is a frame. Sizes are hard-guarded.
 """
 from __future__ import annotations
 
@@ -67,9 +67,10 @@ class SecurityReport(NamedTuple):
     passed: bool
 
 
-def _check_tolerance(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
+def _check_tolerance(tol: float) -> float:
+    if isinstance(tol, (bool, np.bool_)) or not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return float(tol)
 
 
 def average_over_keys(sigma: DensityState) -> DensityState:
@@ -97,26 +98,23 @@ def _fold(twin: tuple[Gate, ...]) -> np.ndarray:
     return next(linalg._fuse((g.matrix(), g.wires) for g in twin))[0]
 
 
-def _key_op(gate: Gate, a: np.ndarray, b: np.ndarray, n: int) -> tuple:
+def _key_op(gate: Gate, index: np.ndarray) -> tuple:
     """The gate's (operator, wires) pair for the key stack's apply loop: every key's twin.
 
-    Key k masks with X^a[k] Z^b[k]. The twin reads the x bit of the gate's
-    first wire and the z bit of its last, so its four entries give every
-    key's twin. When they are one and the same Pauli gate, it goes in as
-    its exponents, shared by every key. Otherwise each entry becomes one
-    operator of a (4, 2^k, 2^k) table, a one-gate twin straight from its
-    ``GateSpec.build``, a cnot with corrections by ``_fold``, and each key
-    picks its own by those two bits of a[k] and b[k].
+    The twin reads the x bit of the gate's first wire i and the z bit of its
+    last j, so its four entries give every key's twin, key k's the entry
+    index[i, j, k] = 2x + z. One Pauli for all four goes in as its exponents,
+    shared; a one-qubit gate as ``linalg._Keyed``, its four ``GateSpec.build``
+    entries; cnot as its table gathered per key, corrected twins by ``_fold``.
     """
     twins = [rewrite.twin(gate, j, k).gates for j in (0, 1) for k in (0, 1)]
     first = twins[0]
     pauli = linalg.GATE_SPECS[first[0].kind].pauli if len(first) == 1 else None
     if pauli and twins.count(first) == 4:
         return pauli, first[0].wires
-    table = np.array([linalg.GATE_SPECS[t[0].kind].build(*t[0].params) if len(t) == 1 else _fold(t) for t in twins])
-    x = a >> (n - 1 - gate.wires[0]) & 1
-    z = b >> (n - 1 - gate.wires[-1]) & 1
-    return table.reshape(4, 1 << len(gate.wires), -1)[2 * x + z], gate.wires
+    table = [linalg.GATE_SPECS[t[0].kind].build(*t[0].params) if len(t) == 1 else _fold(t) for t in twins]
+    rows = index[gate.wires[0], gate.wires[-1]]
+    return linalg._Keyed(tuple(table), rows) if len(gate.wires) == 1 else np.array(table).take(rows, axis=0), gate.wires
 
 
 def _key_stacks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,9 +130,11 @@ def _key_stacks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray, np.n
     """
     n = circuit.n_qubits
     a, b = divmod(np.arange(4 ** n), 2 ** n)
+    x, z = (bits >> np.arange(n - 1, -1, -1)[:, None] & 1 for bits in (a, b))  # each wire's bits, read once
+    index = 2 * x[:, None] + z  # [i, j, k] = 2 x_i + z_j: key k's twin-table row for wires i, j
     cipher = linalg._pauli_conjugates(sigma.matrix, a, b, n)
     identities = np.broadcast_to(np.eye(2 ** n, dtype=complex), cipher.shape)
-    unitaries = linalg._run(identities, n, (_key_op(g, a, b, n) for g in circuit.gates), columns=False)
+    unitaries = linalg._run(identities, n, (_key_op(g, index) for g in circuit.gates), columns=False)
     evaluated = unitaries @ cipher @ unitaries.conj().swapaxes(1, 2)
     decrypted = linalg._pauli_conjugates(evaluated, a, b, n)
     linalg._check_density(decrypted)
@@ -148,7 +148,7 @@ def verify_security(circuit: Circuit, sigma: DensityState, tol: float) -> Securi
     over every key and reports the trace distances to the mixed state, and
     the worst distance of any key's decrypted evaluation from C sigma C^dagger.
     """
-    _check_tolerance(tol)
+    tol = _check_tolerance(tol)
     linalg._require_density(sigma)
     _require_circuit(circuit)
     n = circuit.n_qubits
@@ -157,10 +157,9 @@ def verify_security(circuit: Circuit, sigma: DensityState, tol: float) -> Securi
     if n > _MAX_QUBITS_EVALUATE:
         raise ValueError(f"security verification is limited to {_MAX_QUBITS_EVALUATE} qubits, got {n}")
     cipher, evaluated, decrypted = _key_stacks(circuit, sigma)
-    expected = simulate(circuit, sigma)
-    mixed = linalg.maximally_mixed(n)
-    d_enc, d_eval = (linalg.trace_distance(DensityState(n, s.sum(axis=0) / len(s)), mixed) for s in (cipher, evaluated))
-    d_dec = float(np.max(linalg._trace_distances(decrypted, expected.matrix)))
+    d_dec = float(np.max(linalg._trace_distances(decrypted, simulate(circuit, sigma).matrix)))
+    averages = np.array([s.sum(axis=0) / len(s) for s in (cipher, evaluated)])  # exact, or checked by decrypted
+    d_enc, d_eval = linalg._trace_distances(averages, np.eye(2 ** n) / 2 ** n).tolist()
     return SecurityReport(
         n_qubits=n,
         worst_encrypt_distance=d_enc,
@@ -227,7 +226,7 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
     near a phase-Pauli the deviation is about twice the second coefficient.
     The conjugates form one stack of 16^n entries, 4,096 (64 KiB) at the 3-qubit guard.
     """
-    _check_tolerance(tol)
+    tol = _check_tolerance(tol)
     operator = np.asarray(operator, dtype=complex)
     linalg._check_unitary(operator)
     dim = operator.shape[0]

@@ -59,8 +59,18 @@ def canonical_angle(theta: float) -> float:
     return r
 
 
+class _Keyed:
+    """One-qubit operators, key k's the row-major entries[index[k]], index[k] = 2x + z of its bits on the wire."""
+    __slots__ = ("entries", "index")
+
+    def __init__(self, entries: tuple, index: np.ndarray):
+        self.entries, self.index = entries, index
+
+
 def _as_array(op):
-    """A one-qubit operator's row-major entries (a, b, c, d) as its 2x2 array; an array unchanged."""
+    """A one-qubit operator's row-major entries (a, b, c, d) as its 2x2 array, keyed as a (K, 2, 2) stack."""
+    if isinstance(op, _Keyed):
+        return np.array(op.entries).take(op.index, axis=0).reshape(-1, 2, 2)
     return np.array(op).reshape(2, 2) if isinstance(op, tuple) else op
 
 
@@ -420,9 +430,9 @@ def _fuse(ops):
     A Pauli (x, z) joins a run pending on its wire as its 2x2, or else passes
     through. A k-qubit operator takes its wires' runs as op @ (run_0 (x) ...
     (x) run_k-1), the identity for a wire with none; the runs left come last,
-    in wire order. Runs of row-major entries multiply by ``_mul`` and become
-    arrays only when yielded; a product with an array is numpy's, so it
-    broadcasts over (K, d, d) stacks of operators.
+    in wire order. Runs of entries multiply by ``_mul``, keyed ones on their
+    four entries, and become arrays only when absorbed or yielded; a product
+    with an array is numpy's, so it broadcasts over (K, d, d) stacks.
     """
     pend = {}
     for op, wires in ops:
@@ -432,7 +442,13 @@ def _fuse(ops):
         elif len(wires) == 1:
             op, run = _PAULIS[op] if pauli else op, pend.get(wires[0])
             if run is not None:
-                op = _mul(op, run) if isinstance(op, tuple) and isinstance(run, tuple) else _as_array(op) @ _as_array(run)
+                if isinstance(op, tuple) and isinstance(run, tuple):
+                    op = _mul(op, run)
+                elif isinstance(op, np.ndarray) or isinstance(run, np.ndarray):
+                    op = _as_array(op) @ _as_array(run)
+                else:  # keyed: entry by entry, a shared side in each entry, under the wire's one index
+                    ls, rs = (o.entries if isinstance(o, _Keyed) else (o,) * 4 for o in (op, run))
+                    op = _Keyed(tuple(map(_mul, ls, rs)), (op if isinstance(op, _Keyed) else run).index)
             pend[wires[0]] = op
         else:
             if not pend.keys().isdisjoint(wires):
@@ -450,8 +466,8 @@ def _run(arr: np.ndarray, n: int, ops, columns: bool) -> np.ndarray:
     column, or ``analysis``'s identity stack taken to each key's twin
     unitary. Each pair is trusted: a complex 2^k x 2^k operator on k distinct
     in-range wires, shared or one per stack entry as in ``_apply_on_axes``, a
-    one-qubit operator as its row-major entries as in ``GateSpec.build``, or
-    a Pauli on one wire given by its exponents (x, z) as in ``GateSpec.pauli``.
+    one-qubit operator as its row-major entries as in ``GateSpec.build`` or
+    ``_Keyed``, or a Pauli on one wire by its exponents as in ``GateSpec.pauli``.
     The pairs run fused by ``_fuse``: one operator per wire's run, a Pauli
     multiplied into a run pending on its wire. Each run of the Paulis left
     is one frame i^k X^a Z^b, one signed gather shared by a whole stack.

@@ -16,7 +16,9 @@ folded to matrices, U on the rows and U* on the columns of every density
 matrix. ``fuse_blocks`` forms, by a plain loop, ``np.kron`` and
 ``matmul_2x2``, a 2x2 product summed entry by entry in Python scalars, the
 blocks the apply loop fuses a sequence of ``gate_steps`` into, in the same
-order; ``simulate_blocks``, ``round_trip_blocks`` and
+order, a keyed run on its four table entries before one gather per key;
+``key_index`` lists every key's table row, wire pair by wire pair;
+``simulate_blocks``, ``round_trip_blocks`` and
 ``key_stacks_blocks`` run them through the uncached kernel, Paulis too,
 the last on the rows of an identity stack, which gives every key's twin
 unitary U_k, and then conjugates each key's ciphertext by its U_k by two
@@ -295,9 +297,20 @@ def _twin_table(gate: Gate) -> list[tuple[Gate, ...]]:
     return [rewrite.twin(gate, x, z).gates for x in (0, 1) for z in (0, 1)]
 
 
+def _rows(gate: Gate, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Each key's row 2x + z of the gate's twin table: x the bit of its first wire, z of its last."""
+    return 2 * (a >> (n - 1 - gate.wires[0]) & 1) + (b >> (n - 1 - gate.wires[-1]) & 1)
+
+
+def key_index(n: int) -> np.ndarray:
+    """(n, n, 4^n): entry [i, j, k] is key k's row 2x + z of a twin table read on first wire i and last wire j."""
+    a, b = divmod(np.arange(4 ** n), 2 ** n)
+    return np.array([[2 * (a >> (n - 1 - i) & 1) + (b >> (n - 1 - j) & 1) for j in range(n)] for i in range(n)])
+
+
 def _per_key(table: np.ndarray, gate: Gate, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Key k's entry of the gate's table: by the x bit of the gate's first wire and the z bit of its last."""
-    return table[2 * (a >> (n - 1 - gate.wires[0]) & 1) + (b >> (n - 1 - gate.wires[-1]) & 1)]
+    """Key k's entry of the gate's table, by ``_rows``."""
+    return table[_rows(gate, a, b, n)]
 
 
 def key_stacks_per_gate(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -334,6 +347,19 @@ def matmul_2x2(l: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.array([[L[i][0] * R[0][j] + L[i][1] * R[1][j] for j in range(2)] for i in range(2)])
 
 
+def _gather(mat) -> np.ndarray:
+    """A keyed (table, rows) matrix as its (K, 2, 2) stack, key k's the table's entry rows[k]; a matrix unchanged."""
+    return np.array(mat[0])[mat[1]] if isinstance(mat, tuple) else mat
+
+
+def _keyed_product(l, r) -> tuple:
+    """l @ r with either side keyed: ``matmul_2x2`` on each of the four entries, a shared side in every one."""
+    rows = (l if isinstance(l, tuple) else r)[1]
+    ls = l[0] if isinstance(l, tuple) else [l] * 4
+    rs = r[0] if isinstance(r, tuple) else [r] * 4
+    return [matmul_2x2(x, y) for x, y in zip(ls, rs)], rows
+
+
 def fuse_blocks(n: int, steps) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """The (matrix, wires) blocks ``linalg._fuse`` forms from (matrix, wires, is_pauli) steps, in its order.
 
@@ -342,29 +368,35 @@ def fuse_blocks(n: int, steps) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     numpy otherwise; a Pauli step joins a run pending on its wire and
     is its own block otherwise. A multi-qubit step takes the runs pending on
     its wires, kron'ed in its wire order with the identity where none is,
-    and the runs left over come last, in wire order. A matrix is shared or
-    a (K, d, d) stack of one per key.
+    and the runs left over come last, in wire order. A matrix is shared, a
+    (K, d, d) stack of one per key, or keyed: a one-qubit (table, rows) pair
+    of four 2x2 entries, key k taking entry rows[k]. A keyed run multiplies
+    by ``matmul_2x2`` on its four entries, a shared matrix into each, and is
+    gathered to its (K, 2, 2) stack only when a block takes it.
     """
-    runs: list[np.ndarray | None] = [None] * n
+    runs: list = [None] * n
     blocks = []
     for mat, wires, is_pauli in steps:
         if len(wires) == 1:
             (w,) = wires
             if runs[w] is not None:
-                shared = mat.ndim == runs[w].ndim == 2
-                runs[w] = matmul_2x2(mat, runs[w]) if shared else mat @ runs[w]
+                if isinstance(mat, tuple) or isinstance(runs[w], tuple):
+                    runs[w] = _keyed_product(mat, runs[w])
+                else:
+                    shared = mat.ndim == runs[w].ndim == 2
+                    runs[w] = matmul_2x2(mat, runs[w]) if shared else mat @ runs[w]
             elif is_pauli:
                 blocks.append((mat, wires))
             else:
                 runs[w] = mat
             continue
         if any(runs[w] is not None for w in wires):
-            factors = [np.eye(2, dtype=complex) if runs[w] is None else runs[w] for w in wires]
+            factors = [np.eye(2, dtype=complex) if runs[w] is None else _gather(runs[w]) for w in wires]
             mat = mat @ _kron_per_key(factors)
             for w in wires:
                 runs[w] = None
         blocks.append((mat, wires))
-    return blocks + [(runs[w], (w,)) for w in range(n) if runs[w] is not None]
+    return blocks + [(_gather(runs[w]), (w,)) for w in range(n) if runs[w] is not None]
 
 
 def gate_steps(gates) -> list[tuple[np.ndarray, tuple[int, ...], bool]]:
@@ -390,9 +422,10 @@ def key_stacks_blocks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray
     """``analysis._key_stacks`` with the key stack's steps fused by ``fuse_blocks``.
 
     A gate whose four ``rewrite.twin`` entries are one and the same Pauli is
-    a shared Pauli step; any other gate is a per-key table of its twins,
-    each folded by ``fuse_blocks`` to one matrix, key k picking its own by
-    the x bit of the gate's first wire and the z bit of its last. The blocks
+    a shared Pauli step; any other gate is a table of its twins, each folded
+    by ``fuse_blocks`` to one matrix, key k picking its own by the x bit of
+    the gate's first wire and the z bit of its last: a keyed step for a
+    one-qubit gate, a per-key stack gathered from the table for cnot. The blocks
     run on the row axes of a stack of identities, which gives every key's
     twin unitary U_k, and two batched products conjugate each key's
     ciphertext by its U_k. Nothing is checked.
@@ -406,8 +439,9 @@ def key_stacks_blocks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray
         if twins.count(twins[0]) == 4 and len(twins[0]) == 1 and linalg.GATE_SPECS[twins[0][0].kind].pauli:
             steps.append((twins[0][0].matrix(), g.wires, True))
             continue
-        table = np.array([fuse_blocks(n, [(t.matrix(), t.wires, False) for t in twin])[0][0] for twin in twins])
-        steps.append((_per_key(table, g, a, b, n), g.wires, False))
+        table = [fuse_blocks(n, [(t.matrix(), t.wires, False) for t in twin])[0][0] for twin in twins]
+        rows = _rows(g, a, b, n)
+        steps.append(((table, rows) if len(g.wires) == 1 else np.array(table)[rows], g.wires, False))
     identities = np.broadcast_to(np.eye(2 ** n, dtype=complex), cipher.shape).reshape(len(a), -1)
     unitaries = _run_blocks(n, fuse_blocks(n, steps), identities, False).reshape(cipher.shape)
     evaluated = unitaries @ cipher @ unitaries.conj().swapaxes(1, 2)

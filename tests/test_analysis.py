@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -49,6 +50,7 @@ from oracles import (
     all_keys,
     average_over_keys_loop,
     full_matrix,
+    key_index,
     key_stacks_blocks,
     key_stacks_per_gate,
     pauli_basis,
@@ -117,6 +119,19 @@ def test_average_checks_only_its_result(monkeypatch):
 def test_verify_security_rejects_invalid_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
         verify_security(Circuit(1), PureState.basis(1, 0).to_density(), tol)
+
+
+@pytest.mark.parametrize("tol", [True, False, np.True_], ids=["True", "False", "np.True_"])
+def test_verify_security_rejects_a_bool_tolerance(tol):
+    with pytest.raises(ValueError, match=f"^tolerance must be a finite number >= 0, got {re.escape(repr(tol))}$"):
+        verify_security(Circuit(1), PureState.basis(1, 0).to_density(), tol)
+
+
+def test_verify_security_keeps_its_tolerance_as_a_float():
+    rho = PureState.basis(1, 0).to_density()
+    for tol, want in ((1, 1.0), (0, 0.0), (np.float32(0.5), 0.5), (np.float64(1e-9), 1e-9)):
+        report = verify_security(Circuit(1), rho, tol)
+        assert type(report.tolerance) is float and report.tolerance == want
 
 
 def test_verify_security_rejects_a_non_circuit_after_the_tolerance_and_state():
@@ -248,9 +263,9 @@ def test_each_key_unitary_is_its_rewritten_circuit(n):
     # as one matrix U_k, and U_k P = (-1)^f P C for its mask P and dropped signs f
     rng = RandomSource(160 + n)
     circuit = rng.circuit(n, 24)
-    a, b = divmod(np.arange(4 ** n), 2 ** n)
     identities = np.broadcast_to(np.eye(2 ** n, dtype=complex), (4 ** n, 2 ** n, 2 ** n))
-    unitaries = linalg._run(identities, n, (analysis._key_op(g, a, b, n) for g in circuit.gates), columns=False)
+    index = key_index(n)
+    unitaries = linalg._run(identities, n, (analysis._key_op(g, index) for g in circuit.gates), columns=False)
     plain = full_matrix(circuit)
     for u, key in zip(unitaries, all_keys(n), strict=True):
         flips = sum(rewrite.rewrite_gate(key, g).phase_flips for g in circuit.gates)
@@ -327,15 +342,16 @@ def test_dropping_the_cnot_correction_fails_the_table_and_the_security_check(mon
 
 
 def test_the_key_batch_checks_every_key(monkeypatch):
-    # h takes a per-key table (a Pauli would run as a shared frame); doubling key 5's
-    # twin scales its decryption by 4, and the trace of I/4 under it comes out 4.0
+    # h takes a keyed table (a Pauli would run as a shared frame); gathered to one
+    # operator per key, doubling key 5's twin alone scales its decryption by 4, and
+    # the trace of I/4 under it comes out 4.0
     circuit, sigma = Circuit(2, (Gate.named("h", 1),)), maximally_mixed(2)
     assert verify_security(circuit, sigma, 1e-9).passed
     key_op = analysis._key_op
 
-    def doubled(gate, a, b, n):
-        op, wires = key_op(gate, a, b, n)
-        op = op.copy()
+    def doubled(gate, index):
+        op, wires = key_op(gate, index)
+        op = linalg._as_array(op)  # a fresh (16, 2, 2) gather
         op[5] *= 2
         return op, wires
 
@@ -357,22 +373,27 @@ def test_pauli_twins_run_as_frames_and_each_distinct_twin_folds_once(monkeypatch
 
     monkeypatch.setattr(linalg, "_fuse", recording)
     analysis._fold.cache_clear()
-    a, b = divmod(np.arange(16), 4)
+    index = key_index(2)
     for _ in range(3):
         for gate in (Gate.cnot(0, 1), Gate.cnot(1, 0)):
-            analysis._key_op(gate, a, b, 2)
+            analysis._key_op(gate, index)
     assert len(folds) == len(set(folds)) == 6
     monkeypatch.undo()
     # every gate kind and every gate of a random pool, against linalg._fuse folding each
-    # key's twin from its gates' matrices; Paulis shared by every key stay frames
+    # key's twin from its gates' matrices; Paulis shared by every key stay frames, and a
+    # one-qubit gate is keyed: its four build entries, gathered here to one per key
     n = 3
     a, b = divmod(np.arange(4 ** n), 2 ** n)
+    index = key_index(n)
     for gate in KIND_GATES + RandomSource(12).circuit(n, 64).gates:
-        op, wires = analysis._key_op(gate, a, b, n)
+        op, wires = analysis._key_op(gate, index)
         assert wires == gate.wires
         if GATE_SPECS[gate.kind].pauli:
             assert op == GATE_SPECS[gate.kind].pauli
             continue
+        if len(wires) == 1:
+            assert isinstance(op, linalg._Keyed) and len(op.entries) == 4
+            op = linalg._as_array(op)
         assert op.shape == (4 ** n, 2 ** len(wires), 2 ** len(wires))
         for k in range(4 ** n):
             x, z = a[k] >> (n - 1 - wires[0]) & 1, b[k] >> (n - 1 - wires[-1]) & 1
@@ -387,12 +408,65 @@ def test_a_key_dependent_pauli_twin_takes_the_per_key_path(monkeypatch):
     monkeypatch.setattr(
         rewrite, "twin", lambda gate, x, z: rewrite.RewriteResult((Gate.named("x" if x else "z", gate.wires[0]),), 0)
     )
-    a, b = divmod(np.arange(16), 4)
-    op, wires = analysis._key_op(circuit.gates[0], a, b, 2)
-    assert isinstance(op, np.ndarray) and op.shape == (16, 2, 2) and wires == (1,)
+    op, wires = analysis._key_op(circuit.gates[0], key_index(2))
+    assert isinstance(op, linalg._Keyed) and wires == (1,)
+    # the fuser takes it for no Pauli: it comes out as one operator per key
+    ((got, got_wires),) = linalg._fuse([(op, wires)])
+    assert isinstance(got, np.ndarray) and got.shape == (16, 2, 2) and got_wires == (1,)
     report = verify_security(circuit, sigma, 1e-9)
     assert report.worst_decrypt_distance > 0.1
     assert not report.passed
+
+
+def test_a_keyed_run_on_one_wire_is_gathered_once(monkeypatch):
+    # ten keyed twins on wire 0 multiply on their four table entries, so the run becomes
+    # one (16, 2, 2) stack, when it ends; gathering gate by gate would make ten
+    gathers = []
+    as_array = linalg._as_array
+
+    def counting(op):
+        out = as_array(op)
+        if out.ndim == 3:
+            gathers.append(out.shape)
+        return out
+
+    monkeypatch.setattr(linalg, "_as_array", counting)
+    rng = RandomSource(170)
+    kinds = ("rz", "ry", "h", "u", "rz", "u", "ry", "h", "u", "rz")
+    gates = tuple(Gate(k, (0,), tuple(rng.angles(len(GATE_SPECS[k].params)))) for k in kinds)
+    circuit, sigma = Circuit(2, gates), rng.density_state(2)
+    got = _key_stacks(circuit, sigma)
+    assert gathers == [(16, 2, 2)]
+    for g, want in zip(got, key_stacks_per_gate(circuit, sigma)):
+        assert np.max(np.abs(g - want)) <= ATOL_EXACT
+
+
+def _keyed_run(rng, wire):
+    """Every one-qubit kind that is not a Pauli, on one wire: a run of keyed twins."""
+    t = rng.angles(6)
+    return [Gate.rz(t[0], wire), Gate.named("h", wire), Gate.ry(t[1], wire), Gate("u", (wire,), tuple(t[2:]))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mixed_keyed_runs_match_the_per_gate_tables(n):
+    # shared Paulis before a keyed run (frames) and after one (multiplied into each
+    # entry), keyed runs on both wires absorbed by cnot(0, 1) and by cnot(1, 0), and
+    # runs left at the end, against every gate run as each key's folded twin
+    rng = RandomSource(180 + n)
+    last = n - 1
+    gates = [Gate.named("x", 0), *_keyed_run(rng, 0), Gate.named("y", 0), Gate.named("z", last)]
+    gates += [*_keyed_run(rng, last), Gate.named("x", last)]
+    if n > 1:
+        for c, t in ((0, 1), (1, 0)):
+            gates += [*_keyed_run(rng, c), Gate.named("z", t), *_keyed_run(rng, t), Gate.named("y", c)]
+            gates += [Gate.cnot(c, t), Gate.named("x", c), *_keyed_run(rng, t)]
+    circuit = Circuit(n, tuple(gates + _keyed_run(rng, last)))
+    for sigma in (rng.density_state(n), rng.pure_state(n).to_density()):
+        stacks = _key_stacks(circuit, sigma)
+        for got, want in zip(stacks, key_stacks_per_gate(circuit, sigma)):
+            assert got.shape == (4 ** n, 2 ** n, 2 ** n)
+            assert np.max(np.abs(got - want)) <= ATOL_EXACT
+        assert verify_security(circuit, sigma, 1e-9).passed
 
 
 @pytest.mark.parametrize("call", [
@@ -617,6 +691,14 @@ def test_classify_random_non_paulis_negative():
 def test_classify_rejects_invalid_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
         classify_key_independent(gate_matrix("z"), tol)
+
+
+@pytest.mark.parametrize("tol", [True, False, np.True_], ids=["True", "False", "np.True_"])
+def test_classify_rejects_a_bool_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        classify_key_independent(gate_matrix("z"), tol)
+    with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+        classify_key_independent(gate_matrix("z"), tol=tol)
 
 
 def test_zero_qubit_operator(tmp_path, capsys):

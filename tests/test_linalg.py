@@ -589,6 +589,30 @@ def test_fuse_multiplies_entry_tuples_in_python_scalars():
     assert _same_bits(got[0], stack @ mats[0])
 
 
+def test_fuse_multiplies_a_keyed_run_on_its_entries_and_gathers_it_once():
+    rng = RandomSource(137)
+    index = np.array([3, 0, 2, 1, 1, 3])  # each of six keys' row of the tables
+    tables = [[rng.unitary(2) for _ in range(4)] for _ in range(3)]
+    k1, k2, k3 = (linalg._Keyed(tuple(tuple(m.reshape(-1).tolist()) for m in t), index) for t in tables)
+    mat = rng.unitary(2)
+    u = tuple(mat.reshape(-1).tolist())
+    # keyed after a shared run, keyed after keyed, a Pauli after keyed: each entry in scalars
+    (got,) = _fuse([(u, (0,)), (k1, (0,)), (k2, (0,)), ((1, 1), (0,))])
+    assert got[1] == (0,) and got[0].shape == (6, 2, 2)
+    for key, row in enumerate(index):
+        want = matmul_2x2(gate_matrix("y"), matmul_2x2(tables[1][row], matmul_2x2(tables[0][row], mat)))
+        assert _same_bits(got[0][key], want)
+    # a cnot takes a keyed run as its per-key stack, kron'ed with the other wire's run
+    cnot = gate_matrix("cnot")
+    (got,) = _fuse([(k1, (1,)), (u, (0,)), (cnot, (1, 0))])
+    assert got[1] == (1, 0) and got[0].shape == (6, 4, 4)
+    for key, row in enumerate(index):
+        assert np.max(np.abs(got[0][key] - cnot @ np.kron(tables[0][row], mat))) <= ATOL_EXACT
+    # a keyed run meeting an array is gathered and multiplied by numpy
+    (got,) = _fuse([(k3, (2,)), (mat, (2,))])
+    assert _same_bits(got[0], mat @ np.array(tables[2])[index])
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_fused_simulate_and_round_trip_match_the_circuit_matrix(n):
     # the fused loop and the per-gate oracle, each against the dense product of the gates
