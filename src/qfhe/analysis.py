@@ -9,14 +9,13 @@ Three families of checks, all numerical at desk scale:
 
 No Pauli operator is built as a matrix. Column i of X^a Z^b holds
 S[b, i] = (-1)^popcount(b & i) in row i ^ a, so decomposing is a gather
-with the sign row ``linalg._parity_signs``. Conjugating by masks is
-``linalg._pauli_conjugates``: a matrix read as a 2n-qubit row takes the
-mask on both halves by the one signed gather, the gather the apply loop
-runs for Pauli frames. Key averaging (n one-wire twirls of four masks), the
-classifier and the key stack's encryption and decryption all use it.
-``verify_security`` takes 4^n identities, one per key, through ``linalg``'s
-apply loop, row-only, to each key's twin unitary U_k, and conjugates the
-ciphertexts by two batched products. ``rewrite.twin`` reads two key bits,
+with the sign row ``linalg._parity_signs``, and masking is the one signed
+gather the apply loop runs for Pauli frames: key averaging (n one-wire
+twirls of four masks) and the classifier conjugate by it, a matrix read as
+a 2n-qubit row. ``verify_security`` factors the state, sigma = V S V^dagger
+with S a diagonal of signs, masks V's rows under every key by one gather,
+takes the 4^n factors through ``linalg``'s apply loop, row-only, each by its
+key's twin circuit, and decrypts by the gather again. ``rewrite.twin`` reads two key bits,
 so its four entries give every key's twin of a gate: one Pauli for all four
 is key-independent and shared, else each key takes its own. The loop fuses
 each wire's run of twins on its four entries, shared Paulis in, gathered per
@@ -31,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, rewrite
-from .circuits import Circuit, Gate, _require_circuit, simulate
-from .linalg import DensityState, canonical_angle
+from .circuits import Circuit, Gate, _ops, _require_circuit
+from .linalg import DensityState, PureState, canonical_angle
 from .rng import RandomSource
 
 _MAX_QUBITS_AVERAGE = 4
@@ -117,48 +116,74 @@ def _key_op(gate: Gate, index: np.ndarray) -> tuple:
     return linalg._Keyed(tuple(table), rows) if len(gate.wires) == 1 else np.array(table).take(rows, axis=0), gate.wires
 
 
-def _key_stacks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ciphertext, evaluated ciphertext and its decryption under every key, as (4^n, 2^n, 2^n) stacks.
+def _factor(sigma: PureState | DensityState) -> tuple[np.ndarray, np.ndarray]:
+    """V and signs s, sigma = V diag(s) V^dagger: a pure state's amplitudes as one column, else
+    Q |L|^(1/2) and sign(L) on every eigenvalue that is not 0, padded by zero columns to a power of two."""
+    if isinstance(sigma, PureState):
+        return sigma.amplitudes[:, None], np.ones(1)
+    lam, q = np.linalg.eigh(sigma.matrix)
+    cols = 1 << (int(np.count_nonzero(lam)) - 1).bit_length()
+    pick = np.argsort(lam == 0, kind="stable")[:cols]  # every eigenvalue that is not 0, then zeros
+    return q[:, pick] * np.sqrt(np.abs(lam[pick])), np.sign(lam[pick])
 
-    Key k masks with X^a Z^b for (a, b) = divmod(k, 2^n), so the keys run in
-    lexicographic order of their (x_bits, z_bits) strings. One row-only run of
-    the apply loop takes an identity stack to each key's twin circuit U_k, and
-    two batched products conjugate each key's ciphertext by its U_k; the peak
-    is about five such stacks, 64 KiB each at the 3-qubit guard. Encryption
-    and decryption are exact signed permutations, so only the decryption is
-    checked: that checks the evaluation, and sigma was checked when built.
-    """
-    n = circuit.n_qubits
+
+@functools.lru_cache(maxsize=_MAX_QUBITS_EVALUATE)
+def _keys(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Key k's masks (a, b) = divmod(k, 2^n), and index[i, j, k] = 2 x_i + z_j, its twin-table row on wires i, j."""
     a, b = divmod(np.arange(4 ** n), 2 ** n)
     x, z = (bits >> np.arange(n - 1, -1, -1)[:, None] & 1 for bits in (a, b))  # each wire's bits, read once
-    index = 2 * x[:, None] + z  # [i, j, k] = 2 x_i + z_j: key k's twin-table row for wires i, j
-    cipher = linalg._pauli_conjugates(sigma.matrix, a, b, n)
-    identities = np.broadcast_to(np.eye(2 ** n, dtype=complex), cipher.shape)
-    unitaries = linalg._run(identities, n, (_key_op(g, index) for g in circuit.gates), columns=False)
-    evaluated = unitaries @ cipher @ unitaries.conj().swapaxes(1, 2)
-    decrypted = linalg._pauli_conjugates(evaluated, a, b, n)
-    linalg._check_density(decrypted)
-    return cipher, evaluated, decrypted
+    return a, b, 2 * x[:, None] + z  # shared, so never written to
 
 
-def verify_security(circuit: Circuit, sigma: DensityState, tol: float) -> SecurityReport:
+def _key_stacks(circuit: Circuit, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every key's factor of the ciphertext, evaluated ciphertext and decryption, as (4^n, 2^n, r) stacks.
+
+    Key k masks with P_k = X^a Z^b for (a, b) = divmod(k, 2^n), so the keys
+    run in lexicographic order of their (x_bits, z_bits) strings. One signed
+    gather of V as one row gives every F_k = P_k V, one row-only run of the
+    apply loop E_k = U_k F_k, U_k the twin circuit, and one more D_k = P_k E_k.
+    """
+    n = circuit.n_qubits
+    a, b, index = _keys(n)
+    cols = v.shape[1]
+    m, masks = n + cols.bit_length() - 1, (a[:, None] * cols, b[:, None] * cols)
+    cipher = linalg._signed_gather(v.reshape(-1), *masks, m).reshape(-1, *v.shape)
+    evaluated = linalg._run(cipher, n, (_key_op(g, index) for g in circuit.gates), columns=False)
+    return cipher, evaluated, linalg._signed_gather(evaluated.reshape(len(a), -1), *masks, m).reshape(cipher.shape)
+
+
+def _gram(f: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """F diag(s) F^dagger, or per entry of a stack."""
+    return (f * s) @ f.conj().swapaxes(-1, -2)
+
+
+def verify_security(circuit: Circuit, sigma: PureState | DensityState, tol: float) -> SecurityReport:
     """Exhaustive check that encryption and evaluation hide the state and evaluation is correct.
 
     Averages encrypt(key, sigma) and evaluate(key, C, encrypt(key, sigma))
     over every key and reports the trace distances to the mixed state, and
     the worst distance of any key's decrypted evaluation from C sigma C^dagger.
+    Each decryption D S D^dagger of sigma's factor is Hermitian and as positive
+    as sigma, a PureState or a DensityState: only entries and traces are checked.
     """
     tol = _check_tolerance(tol)
-    linalg._require_density(sigma)
+    linalg._require_state(sigma)
     _require_circuit(circuit)
     n = circuit.n_qubits
     if n != sigma.n_qubits:
         raise ValueError(f"circuit has {n} qubit(s), state has {sigma.n_qubits}")
     if n > _MAX_QUBITS_EVALUATE:
         raise ValueError(f"security verification is limited to {_MAX_QUBITS_EVALUATE} qubits, got {n}")
-    cipher, evaluated, decrypted = _key_stacks(circuit, sigma)
-    d_dec = float(np.max(linalg._trace_distances(decrypted, simulate(circuit, sigma).matrix)))
-    averages = np.array([s.sum(axis=0) / len(s) for s in (cipher, evaluated)])  # exact, or checked by decrypted
+    v, s = _factor(sigma)
+    cipher, evaluated, decrypted = _key_stacks(circuit, v)
+    linalg._check_entries(decrypted)
+    decrypted = _gram(decrypted, s)
+    linalg._check_traces(decrypted)
+    plain = _gram(linalg._run(v, n, _ops(circuit.gates), columns=False), s)
+    d_dec = float(np.max(linalg._trace_distances(decrypted, plain)))
+    # each average one gemm over every key's columns side by side; exact, or checked by decrypted
+    averages = np.array([_gram(f.swapaxes(0, 1).reshape(2 ** n, -1), np.tile(s, len(f))) for f in (cipher, evaluated)])
+    averages /= len(cipher)
     d_enc, d_eval = linalg._trace_distances(averages, np.eye(2 ** n) / 2 ** n).tolist()
     return SecurityReport(
         n_qubits=n,

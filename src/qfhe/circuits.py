@@ -182,9 +182,13 @@ def _apply_gates(n_qubits: int, gates, state):
         raise ValueError(f"circuit has {n_qubits} qubit(s), state has {state.n_qubits}")
     if not gates:
         return state
-    # wires checked by the caller; a Pauli as its exponents, any other one-qubit gate as its entries
+    return linalg._evolve(state, _ops(gates))  # wires checked by the caller
+
+
+def _ops(gates):
+    """The gates as the apply loop's (operator, wires) pairs: a Pauli as its exponents, any other gate as its build."""
     specs = linalg.GATE_SPECS
-    return linalg._evolve(state, ((specs[g.kind].pauli or specs[g.kind].build(*g.params), g.wires) for g in gates))
+    return ((specs[g.kind].pauli or specs[g.kind].build(*g.params), g.wires) for g in gates)
 
 
 # --- circuit file format -------------------------------------------------

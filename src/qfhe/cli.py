@@ -218,10 +218,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify_security(args) -> int:
     circ = _load_circuit(args.circuit)
-    state = _load_state(args.state)
-    if isinstance(state, PureState):
-        state = state.to_density()
-    report = analysis.verify_security(circ, state, args.tol)
+    report = analysis.verify_security(circ, _load_state(args.state), args.tol)
     if args.format == "json":
         doc = {
             "n_qubits": report.n_qubits,

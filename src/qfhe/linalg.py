@@ -11,7 +11,7 @@ multiplies them by one gemm, never building a 2^n x 2^n operator, and the
 one signed gather applies a Pauli mask X^a Z^b. The one apply loop runs a
 statevector, a density matrix (U on the row half, U* on the column half) or
 a stack of them, each operator shared or one per stack entry; row-only, it
-takes ``analysis.verify_security``'s identity stack to all 4^n twin unitaries.
+takes ``analysis.verify_security``'s 4^n ciphertext factors by their twins.
 It fuses each wire's run of one-qubit gates, Paulis multiplied in, into one
 operator the next cnot on the wire absorbs, and each run of the Paulis left
 into one frame i^k X^a Z^b for the gather, also ``analysis``'s masks. A
@@ -195,6 +195,14 @@ def _check_entries(arr: np.ndarray) -> None:
         raise ValueError(f"entries must be finite, with real and imaginary parts at most {MAX_ENTRY_PART:g}")
 
 
+def _check_traces(mat: np.ndarray) -> None:
+    """ValueError unless the matrix, or each of a stack, has trace within ATOL_STATE of 1; a NaN trace passes."""
+    tr = np.trace(mat, axis1=-2, axis2=-1).real
+    tr = tr.reshape(-1)[np.argmax(np.abs(tr - 1.0))]
+    if abs(tr - 1.0) > ATOL_STATE:
+        raise ValueError(f"trace {tr} is not 1 within {ATOL_STATE}")
+
+
 def _check_density(mat: np.ndarray) -> None:
     """DensityState's invariants on one matrix, or on each matrix of a (B, d, d) stack.
 
@@ -204,10 +212,7 @@ def _check_density(mat: np.ndarray) -> None:
     _check_entries(mat)
     if np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))) > ATOL_STATE:
         raise ValueError(f"matrix is not Hermitian within {ATOL_STATE}")
-    tr = np.trace(mat, axis1=-2, axis2=-1).real
-    tr = tr.reshape(-1)[np.argmax(np.abs(tr - 1.0))]
-    if abs(tr - 1.0) > ATOL_STATE:
-        raise ValueError(f"trace {tr} is not 1 within {ATOL_STATE}")
+    _check_traces(mat)
     try:
         np.linalg.cholesky(mat + ATOL_STATE * np.eye(mat.shape[-1]))
     except np.linalg.LinAlgError:
@@ -369,9 +374,11 @@ def _signed_gather(flat: np.ndarray, a, b, m: int) -> np.ndarray:
     """
     rows = _indices(m) ^ a
     signs = _parity_signs(m)[rows & b]
-    if flat.ndim > 1:  # with every index advanced the stack comes out C-contiguous
-        return flat[np.arange(len(flat))[:, None], rows] * signs
-    return flat[rows] * signs
+    if flat.ndim == 1:
+        return flat[rows] * signs
+    if rows.ndim > 1:  # one mask per row: each row's indices into the flattened stack
+        return flat.reshape(-1)[rows + (np.arange(len(flat))[:, None] << m)] * signs
+    return flat.take(rows, axis=-1) * signs  # one mask for the whole stack
 
 
 def _pauli_conjugates(mats: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -463,11 +470,12 @@ def _run(arr: np.ndarray, n: int, ops, columns: bool) -> np.ndarray:
     The loop keeps one flat view, each (2^n, cols) matrix a row, and U acts
     on its row axes. With the column pass U* acts on the column axes too: a
     density matrix or a stack of them. Without it arr is a statevector as one
-    column, or ``analysis``'s identity stack taken to each key's twin
-    unitary. Each pair is trusted: a complex 2^k x 2^k operator on k distinct
-    in-range wires, shared or one per stack entry as in ``_apply_on_axes``, a
-    one-qubit operator as its row-major entries as in ``GateSpec.build`` or
-    ``_Keyed``, or a Pauli on one wire by its exponents as in ``GateSpec.pauli``.
+    column, a state's factor or ``analysis``'s stack of every key's factor,
+    with a power of two columns. Each pair is trusted: a complex 2^k x 2^k
+    operator on k distinct in-range wires, shared or one per stack entry as
+    in ``_apply_on_axes``, a one-qubit operator as its row-major entries as
+    in ``GateSpec.build`` or ``_Keyed``, or a Pauli on one wire by its
+    exponents as in ``GateSpec.pauli``.
     The pairs run fused by ``_fuse``: one operator per wire's run, a Pauli
     multiplied into a run pending on its wire. Each run of the Paulis left
     is one frame i^k X^a Z^b, one signed gather shared by a whole stack.

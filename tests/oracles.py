@@ -11,18 +11,19 @@ product of its rotation matrices, and ``all_keys`` lists every key.
 ``apply_on_axes_uncached`` is the gate kernel with its dispatch worked out
 on every call, and ``simulate_per_gate`` runs every gate, Paulis too, as its
 matrix through it: one gemm per gate, no Pauli frames. ``key_stacks_per_gate``
-evaluates the key stack the same way, each gate as a table of its four twins
-folded to matrices, U on the rows and U* on the columns of every density
-matrix. ``fuse_blocks`` forms, by a plain loop, ``np.kron`` and
-``matmul_2x2``, a 2x2 product summed entry by entry in Python scalars, the
-blocks the apply loop fuses a sequence of ``gate_steps`` into, in the same
-order, a keyed run on its four table entries before one gather per key;
-``key_index`` lists every key's table row, wire pair by wire pair;
-``simulate_blocks``, ``round_trip_blocks`` and
-``key_stacks_blocks`` run them through the uncached kernel, Paulis too,
-the last on the rows of an identity stack, which gives every key's twin
-unitary U_k, and then conjugates each key's ciphertext by its U_k by two
-batched products.
+evaluates the key stack of a state factor the same way, each gate as a table
+of its four twins folded to matrices, by dense masks. ``key_stacks_dense``
+is the density-shaped key stack: an identity stack run row-only to every
+key's twin unitary U_k, U_k C U_k^dagger for every ciphertext C, and the
+2n-qubit mask gathers; ``verify_security_dense`` reports from it, with the
+density-mode ``simulate`` as reference. ``fuse_blocks`` forms, by a plain
+loop, ``np.kron`` and ``matmul_2x2``, a 2x2 product summed entry by entry in
+Python scalars, the blocks the apply loop fuses a sequence of ``gate_steps``
+into, in the same order, a keyed run on its four table entries before one
+gather per key; ``key_index`` lists every key's table row, wire pair by wire
+pair; ``simulate_blocks``, ``round_trip_blocks`` and ``key_stacks_blocks``
+run them through the uncached kernel, Paulis too, the last on the rows of
+every key's factor P_k V, which ``mask_rows`` gathers.
 ``phase_adjusted_distance`` is the classifier's criterion for one conjugate
 at a time, and ``min_eigenvalue`` is the eigensolve that the density check's
 Cholesky test of positivity stands in for.
@@ -43,6 +44,7 @@ from qfhe.analysis import (
     OVERLAP_FLOOR,
     SecurityReport,
     _check_tolerance,
+    _key_op,
 )
 from qfhe.circuits import Circuit, Gate, is_finite_number, simulate
 from qfhe.cli import EXIT_PARSE, CliError
@@ -313,23 +315,24 @@ def _per_key(table: np.ndarray, gate: Gate, a: np.ndarray, b: np.ndarray, n: int
     return table[_rows(gate, a, b, n)]
 
 
-def key_stacks_per_gate(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``analysis._key_stacks`` with every gate, Paulis too, run as each key's folded twin by two gemm passes.
+def key_stacks_per_gate(circuit: Circuit, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``analysis._key_stacks`` with every gate, Paulis too, run as each key's folded twin by one gemm pass.
 
-    Each gate's four ``rewrite.twin`` entries are folded to matrices, key k
-    picks its own by the x bit of the gate's first wire and the z bit of its
-    last, and U acts on the row axes and U* on the column axes of every
-    entry. Nothing is checked.
+    Key k's factor P_k V is the dense product with its mask, each gate's four
+    ``rewrite.twin`` entries are folded to matrices, key k picks its own by
+    the x bit of the gate's first wire and the z bit of its last, and U acts
+    on the row axes of every factor. Nothing is checked.
     """
     n = circuit.n_qubits
     a, b = divmod(np.arange(4 ** n), 2 ** n)
-    cipher = linalg._pauli_conjugates(sigma.matrix, a, b, n)
+    masks = np.array([p for _, p in pauli_basis(n)])
+    cipher = masks @ v
     blocks = []
     for g in circuit.gates:
         table = np.array([_fold_per_gate(twin, g.wires) for twin in _twin_table(g)])
         blocks.append((_per_key(table, g, a, b, n), g.wires))
-    evaluated = _run_blocks(n, blocks, cipher.reshape(len(a), -1), True).reshape(cipher.shape)
-    return cipher, evaluated, linalg._pauli_conjugates(evaluated, a, b, n)
+    evaluated = _run_blocks(n, blocks, cipher.reshape(len(a), -1), False).reshape(cipher.shape)
+    return cipher, evaluated, masks @ evaluated
 
 
 def _kron_per_key(factors: list[np.ndarray]) -> np.ndarray:
@@ -418,21 +421,32 @@ def round_trip_blocks(key: qotp.QotpKey, circuit: Circuit, state) -> tuple:
     return cipher, evaluated, simulate_blocks(Circuit(circuit.n_qubits, mask.gates[::-1]), evaluated)
 
 
-def key_stacks_blocks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mask_rows(mats: np.ndarray, n: int) -> np.ndarray:
+    """P_k M for every key's mask P_k = X^a Z^b, (a, b) = divmod(k, 2^n), by ``linalg._signed_gather``: exact.
+
+    mats is one (2^n, r) matrix, shared, or a stack of one per key.
+    """
+    a, b = divmod(np.arange(4 ** n), 2 ** n)
+    cols = mats.shape[-1]
+    flat = mats.reshape(*mats.shape[:-2], -1)
+    out = linalg._signed_gather(flat, a[:, None] * cols, b[:, None] * cols, n + cols.bit_length() - 1)
+    return out.reshape(4 ** n, 2 ** n, cols)
+
+
+def key_stacks_blocks(circuit: Circuit, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``analysis._key_stacks`` with the key stack's steps fused by ``fuse_blocks``.
 
     A gate whose four ``rewrite.twin`` entries are one and the same Pauli is
     a shared Pauli step; any other gate is a table of its twins, each folded
     by ``fuse_blocks`` to one matrix, key k picking its own by the x bit of
     the gate's first wire and the z bit of its last: a keyed step for a
-    one-qubit gate, a per-key stack gathered from the table for cnot. The blocks
-    run on the row axes of a stack of identities, which gives every key's
-    twin unitary U_k, and two batched products conjugate each key's
-    ciphertext by its U_k. Nothing is checked.
+    one-qubit gate, a per-key stack gathered from the table for cnot. The
+    blocks run on the row axes of every key's factor P_k V, by ``mask_rows``,
+    and ``mask_rows`` decrypts. Nothing is checked.
     """
     n = circuit.n_qubits
     a, b = divmod(np.arange(4 ** n), 2 ** n)
-    cipher = linalg._pauli_conjugates(sigma.matrix, a, b, n)
+    cipher = mask_rows(v, n)
     steps = []
     for g in circuit.gates:
         twins = _twin_table(g)
@@ -442,10 +456,43 @@ def key_stacks_blocks(circuit: Circuit, sigma: DensityState) -> tuple[np.ndarray
         table = [fuse_blocks(n, [(t.matrix(), t.wires, False) for t in twin])[0][0] for twin in twins]
         rows = _rows(g, a, b, n)
         steps.append(((table, rows) if len(g.wires) == 1 else np.array(table)[rows], g.wires, False))
-    identities = np.broadcast_to(np.eye(2 ** n, dtype=complex), cipher.shape).reshape(len(a), -1)
-    unitaries = _run_blocks(n, fuse_blocks(n, steps), identities, False).reshape(cipher.shape)
+    evaluated = _run_blocks(n, fuse_blocks(n, steps), cipher.reshape(len(a), -1), False).reshape(cipher.shape)
+    return cipher, evaluated, mask_rows(evaluated, n)
+
+
+def key_stacks_dense(circuit: Circuit, sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ciphertext, evaluated ciphertext and its decryption under every key, as (4^n, 2^n, 2^n) density stacks.
+
+    One row-only run of the apply loop takes an identity stack to each key's
+    twin circuit U_k, two batched products conjugate each key's ciphertext,
+    a 2n-qubit mask gather of sigma, by its U_k, and the gather again decrypts.
+    A pure sigma enters as its density matrix. Nothing is checked.
+    """
+    n = circuit.n_qubits
+    mat = sigma.to_density().matrix if isinstance(sigma, PureState) else sigma.matrix
+    a, b = divmod(np.arange(4 ** n), 2 ** n)
+    cipher = linalg._pauli_conjugates(mat, a, b, n)
+    identities, index = np.broadcast_to(np.eye(2 ** n, dtype=complex), cipher.shape), key_index(n)
+    unitaries = linalg._run(identities, n, (_key_op(g, index) for g in circuit.gates), columns=False)
     evaluated = unitaries @ cipher @ unitaries.conj().swapaxes(1, 2)
     return cipher, evaluated, linalg._pauli_conjugates(evaluated, a, b, n)
+
+
+def verify_security_dense(circuit: Circuit, sigma, tol: float) -> SecurityReport:
+    """``analysis.verify_security`` on ``key_stacks_dense``: every decryption checked as a density matrix.
+
+    The reference is the density-mode ``simulate``, and each key average the
+    sum of its density stack.
+    """
+    n = circuit.n_qubits
+    cipher, evaluated, decrypted = key_stacks_dense(circuit, sigma)
+    for mat in decrypted:
+        DensityState(n, mat)
+    rho = sigma.to_density() if isinstance(sigma, PureState) else sigma
+    d_dec = float(np.max(linalg._trace_distances(decrypted, simulate(circuit, rho).matrix)))
+    mixed = np.eye(2 ** n) / 2 ** n
+    d_enc, d_eval = (float(linalg._trace_distances(s.sum(axis=0) / len(s), mixed)) for s in (cipher, evaluated))
+    return SecurityReport(n, d_enc, d_eval, d_dec, tol, d_enc <= tol and d_eval <= tol and d_dec <= tol)
 
 
 def phase_adjusted_distance(candidate: np.ndarray, reference: np.ndarray) -> float:

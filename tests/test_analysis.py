@@ -21,12 +21,12 @@ from qfhe import (
     maximally_mixed,
     qotp,
     rewrite,
-    simulate,
     trace_distance,
     verify_security,
 )
 from qfhe.analysis import (
     CLASSIFY_TOL,
+    _factor,
     _key_stacks,
     pauli_decompose,
 )
@@ -34,10 +34,10 @@ from qfhe.circuits import euler_decompose
 from qfhe.cli import main
 from qfhe.linalg import (
     ATOL_EXACT,
+    ATOL_STATE,
     GATE_SPECS,
     _pauli_conjugates,
     _signed_gather,
-    _trace_distances,
     all_bit_strings,
     canonical_angle,
     gate_matrix,
@@ -52,6 +52,7 @@ from oracles import (
     full_matrix,
     key_index,
     key_stacks_blocks,
+    key_stacks_dense,
     key_stacks_per_gate,
     pauli_basis,
     pauli_conjugates,
@@ -59,6 +60,7 @@ from oracles import (
     pauli_table,
     phase_adjusted_distance,
     twin_error,
+    verify_security_dense,
     verify_security_loop,
 )
 
@@ -140,8 +142,8 @@ def test_verify_security_rejects_a_non_circuit_after_the_tolerance_and_state():
         verify_security([], rho, 1e-9)
     with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
         verify_security([], rho, -1.0)
-    with pytest.raises(TypeError, match=r"^expected DensityState, got PureState$"):
-        verify_security([], PureState.basis(1, 0), 1e-9)
+    with pytest.raises(TypeError, match=r"^expected PureState or DensityState, got ndarray$"):
+        verify_security([], rho.matrix, 1e-9)
 
 
 def test_verify_security_empty_circuit():
@@ -172,6 +174,21 @@ def test_verify_security_size_guard():
         verify_security(Circuit(4), maximally_mixed(4), 1e-9)
 
 
+def _gram(f, s):
+    """F diag(s) F^dagger, or per entry of a stack."""
+    return (f * s) @ f.conj().swapaxes(-1, -2)
+
+
+def _states(rng, n):
+    """A PureState, its density matrix, every rank below full drawn by density_state, a full-rank one,
+    and one whose lowest eigenvalue, -0.99 ATOL_STATE, takes a sign of -1 in the factor."""
+    psi, q = rng.pure_state(n), rng.unitary(2 ** n)
+    lam = np.append(-0.99 * ATOL_STATE, np.full(2 ** n - 1, (1 + 0.99 * ATOL_STATE) / (2 ** n - 1)))
+    negative = (q * lam) @ q.conj().T
+    return [psi, psi.to_density(), *(rng.density_state(n, rank=r) for r in range(1, 2 ** n)), rng.density_state(n),
+            DensityState(n, (negative + negative.conj().T) / 2)]
+
+
 @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_verify_security_matches_the_per_key_loop(n, mixed):
@@ -180,15 +197,16 @@ def test_verify_security_matches_the_per_key_loop(n, mixed):
     # on one qubit a drawn cnot becomes x
     assert {g.kind for g in circuit.gates} == set(GATE_SPECS) - ({"cnot"} if n == 1 else set())
     sigma = rng.density_state(n) if mixed else rng.pure_state(n).to_density()
-    cipher, evaluated, decrypted = _key_stacks(circuit, sigma)
+    v, s = _factor(sigma)
+    cipher, evaluated, decrypted = _key_stacks(circuit, v)
     keys = all_keys(n)
-    assert cipher.shape == evaluated.shape == decrypted.shape == (len(keys), 2 ** n, 2 ** n)
+    assert cipher.shape == evaluated.shape == decrypted.shape == (len(keys), 2 ** n, v.shape[1])
     for k, key in enumerate(keys):
         want_cipher = encrypt(key, sigma)
         want_evaluated = evaluate(key, circuit, want_cipher)
-        assert np.max(np.abs(cipher[k] - want_cipher.matrix)) <= ATOL_EXACT
-        assert np.max(np.abs(evaluated[k] - want_evaluated.matrix)) <= ATOL_EXACT
-        assert np.max(np.abs(decrypted[k] - decrypt(key, want_evaluated).matrix)) <= ATOL_EXACT
+        assert np.max(np.abs(_gram(cipher[k], s) - want_cipher.matrix)) <= ATOL_EXACT
+        assert np.max(np.abs(_gram(evaluated[k], s) - want_evaluated.matrix)) <= ATOL_EXACT
+        assert np.max(np.abs(_gram(decrypted[k], s) - decrypt(key, want_evaluated).matrix)) <= ATOL_EXACT
     for tol in (1e-9, 0.0):
         got, want = verify_security(circuit, sigma, tol), verify_security_loop(circuit, sigma, tol)
         for name in ("worst_encrypt_distance", "worst_evaluate_distance", "worst_decrypt_distance"):
@@ -196,27 +214,65 @@ def test_verify_security_matches_the_per_key_loop(n, mixed):
         assert got.passed == want.passed
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_security_matches_the_dense_oracle(n):
+    # pure, every rank below full and full rank: each reported distance, and each key's
+    # decryption D S D^dagger, against the density-shaped key stack
+    rng = RandomSource(60 + n)
+    for sigma in _states(rng, n):
+        circuit = rng.circuit(n, 20)
+        v, s = _factor(sigma)
+        got, want = verify_security(circuit, sigma, 1e-9), verify_security_dense(circuit, sigma, 1e-9)
+        assert got.passed and want.passed
+        for name in ("worst_encrypt_distance", "worst_evaluate_distance", "worst_decrypt_distance"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= ATOL_EXACT
+        for stack, dense in zip(_key_stacks(circuit, v), key_stacks_dense(circuit, sigma), strict=True):
+            assert np.max(np.abs(_gram(stack, s) - dense)) <= ATOL_EXACT
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_pure_state_and_its_density_matrix_give_the_same_report(n):
+    rng = RandomSource(65 + n)
+    for _ in range(4):
+        psi, circuit = rng.pure_state(n), rng.circuit(n, 20)
+        for tol in (1e-9, 0.0):
+            got, want = verify_security(circuit, psi, tol), verify_security(circuit, psi.to_density(), tol)
+            assert got.passed == want.passed and got.tolerance == want.tolerance
+            for name in ("worst_encrypt_distance", "worst_evaluate_distance", "worst_decrypt_distance"):
+                assert abs(getattr(got, name) - getattr(want, name)) <= ATOL_EXACT
+
+
+def test_the_factor_keeps_every_nonzero_eigenvalue_and_pads_to_a_power_of_two():
+    # exact zero eigenvalues drop out, then zero columns pad: diag weights of rank 1, 2, 3
+    # and 8 take 1, 2, 4 and 8 columns; a pure state is its amplitudes as one column
+    for weights, cols in (((1,), 1), ((0.5, 0.5), 2), ((0.5, 0.25, 0.25), 4), ((0.125,) * 8, 8)):
+        sigma = DensityState(3, np.diag(np.pad(weights, (0, 8 - len(weights)))))
+        v, s = _factor(sigma)
+        assert v.shape == (8, cols) and s.shape == (cols,)
+        assert np.max(np.abs(_gram(v, s) - sigma.matrix)) <= ATOL_EXACT
+    rng = RandomSource(64)
+    for sigma in _states(rng, 3)[1:]:
+        v, s = _factor(sigma)
+        assert set(s.tolist()) <= {-1.0, 0.0, 1.0}
+        assert np.max(np.abs(_gram(v, s) - sigma.matrix)) <= ATOL_EXACT
+    assert s[0] == -1.0  # the last state's eigenvalue of -0.99 ATOL_STATE
+    psi = rng.pure_state(3)
+    v, s = _factor(psi)
+    assert v.shape == (8, 1) and s.tolist() == [1.0] and np.array_equal(v[:, 0], psi.amplitudes)
+
+
 def _pauli_gates(rng, n, count):
     return tuple(Gate.named("xyz"[rng.integer(0, 3)], rng.integer(0, n)) for _ in range(count))
-
-
-def _report_distances(cipher, evaluated, decrypted, expected):
-    n = expected.n_qubits
-    mixed = maximally_mixed(n)
-    return (
-        trace_distance(DensityState(n, cipher.sum(axis=0) / len(cipher)), mixed),
-        trace_distance(DensityState(n, evaluated.sum(axis=0) / len(evaluated)), mixed),
-        float(np.max(_trace_distances(decrypted, expected.matrix))),
-    )
 
 
 @pytest.mark.parametrize("shape", ["random", "pauli_tail", "all_pauli", "empty"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_key_stacks_equal_the_per_gate_tables_bit_for_bit(n, shape):
-    # against the oracle's blocks run on the identity rows, then the same two products:
-    # Pauli gathers are exact, and every other block is the same product, run by the
-    # same gemm on the same operands in the same order; the two-pass slow oracle agrees
-    # within ATOL_EXACT
+    # against the oracle's blocks run on every key's factor P_k V: Pauli gathers are exact,
+    # and every other block is the same product, run by the same gemm on the same operands
+    # in the same order, so every entry is equal (eigh's eigenvectors hold exact zeros, and
+    # a Pauli the oracle runs by gemm can turn the gather's -0.0 into 0.0); the per-gate slow
+    # oracle agrees within ATOL_EXACT, and the report with the density-shaped dense oracle
     for seed in range(4):
         rng = RandomSource(100 * n + seed)
         gates = {
@@ -226,35 +282,36 @@ def test_key_stacks_equal_the_per_gate_tables_bit_for_bit(n, shape):
             "empty": lambda: (),
         }[shape]()
         circuit = Circuit(n, gates)
-        sigma = rng.density_state(n) if seed % 2 else rng.pure_state(n).to_density()
-        got, want = _key_stacks(circuit, sigma), key_stacks_blocks(circuit, sigma)
-        for g, w, slow in zip(got, want, key_stacks_per_gate(circuit, sigma)):
-            assert g.shape == w.shape == (4 ** n, 2 ** n, 2 ** n)
-            assert g.tobytes() == w.tobytes()
+        sigma = rng.density_state(n) if seed % 2 else rng.pure_state(n)
+        v, _ = _factor(sigma)
+        got, want = _key_stacks(circuit, v), key_stacks_blocks(circuit, v)
+        for g, w, slow in zip(got, want, key_stacks_per_gate(circuit, v), strict=True):
+            assert g.shape == w.shape == (4 ** n, 2 ** n, v.shape[1])
+            assert np.array_equal(g, w)
             assert np.max(np.abs(g - slow)) <= ATOL_EXACT
-        report = verify_security(circuit, sigma, 1e-9)
-        distances = (report.worst_encrypt_distance, report.worst_evaluate_distance, report.worst_decrypt_distance)
-        want_distances = _report_distances(*want, simulate(circuit, sigma))
-        assert struct.pack("<3d", *distances) == struct.pack("<3d", *want_distances)
+        report, dense = verify_security(circuit, sigma, 1e-9), verify_security_dense(circuit, sigma, 1e-9)
+        assert report.passed and dense.passed
+        for name in ("worst_encrypt_distance", "worst_evaluate_distance", "worst_decrypt_distance"):
+            assert abs(getattr(report, name) - getattr(dense, name)) <= ATOL_EXACT
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_key_stacks_match_the_circuit_matrix_under_every_key(n):
     # the fused key stack and the per-gate tables, each against dense products: key k's
-    # ciphertext is P sigma P^dagger, its evaluation P C sigma C^dagger P^dagger (a twin's
-    # dropped sign is a global phase), and its decryption C sigma C^dagger
+    # ciphertext factor is P V, its evaluation P C V up to a sign (a twin's dropped sign
+    # is a global phase), and its decryption C V up to that sign
     rng = RandomSource(150 + n)
     circuit = rng.circuit(n, 24)
-    sigma = rng.density_state(n)
+    v, s = _factor(rng.density_state(n))
     full = full_matrix(circuit)
-    plain = full @ sigma.matrix @ full.conj().T
     masks = np.array([p for _, p in pauli_basis(n)])
     masks_dagger = masks.conj().swapaxes(1, 2)
-    want = (masks @ sigma.matrix @ masks_dagger, masks @ plain @ masks_dagger, plain)
-    for stacks in (_key_stacks(circuit, sigma), key_stacks_per_gate(circuit, sigma)):
-        for got, w in zip(stacks, want):
+    plain = _gram(full @ v, s)
+    want = (_gram(masks @ v, s), masks @ plain @ masks_dagger, plain)
+    for stacks in (_key_stacks(circuit, v), key_stacks_per_gate(circuit, v)):
+        for got, w in zip(stacks, want, strict=True):
             assert got.shape == (4 ** n, 2 ** n, 2 ** n)
-            assert np.max(np.abs(got - w)) <= ATOL_EXACT
+            assert np.max(np.abs(_gram(got, s) - w)) <= ATOL_EXACT
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -360,6 +417,24 @@ def test_the_key_batch_checks_every_key(monkeypatch):
         verify_security(circuit, sigma, 1e-9)
 
 
+@pytest.mark.parametrize("sigma", [maximally_mixed(2), PureState.basis(2, 1)], ids=["density", "pure"])
+def test_a_nan_in_one_key_fails_the_entry_check(monkeypatch, sigma):
+    # a NaN passes a trace test alone (abs(nan - 1) > tol is False), so the
+    # decrypted factors' entries are checked first
+    circuit = Circuit(2, (Gate.named("h", 1),))
+    key_op = analysis._key_op
+
+    def poisoned(gate, index):
+        op, wires = key_op(gate, index)
+        op = linalg._as_array(op)
+        op[5, 0, 0] = np.nan
+        return op, wires
+
+    monkeypatch.setattr(analysis, "_key_op", poisoned)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        verify_security(circuit, sigma, 1e-9)
+
+
 def test_pauli_twins_run_as_frames_and_each_distinct_twin_folds_once(monkeypatch):
     # a fold is one call of linalg._fuse; cnot's uncorrected twin is one gate, built
     # straight from its GateSpec, and its three corrected twins per wire pair fold once
@@ -434,10 +509,10 @@ def test_a_keyed_run_on_one_wire_is_gathered_once(monkeypatch):
     rng = RandomSource(170)
     kinds = ("rz", "ry", "h", "u", "rz", "u", "ry", "h", "u", "rz")
     gates = tuple(Gate(k, (0,), tuple(rng.angles(len(GATE_SPECS[k].params)))) for k in kinds)
-    circuit, sigma = Circuit(2, gates), rng.density_state(2)
-    got = _key_stacks(circuit, sigma)
+    circuit, (v, _) = Circuit(2, gates), _factor(rng.density_state(2))
+    got = _key_stacks(circuit, v)
     assert gathers == [(16, 2, 2)]
-    for g, want in zip(got, key_stacks_per_gate(circuit, sigma)):
+    for g, want in zip(got, key_stacks_per_gate(circuit, v), strict=True):
         assert np.max(np.abs(g - want)) <= ATOL_EXACT
 
 
@@ -461,20 +536,20 @@ def test_mixed_keyed_runs_match_the_per_gate_tables(n):
             gates += [*_keyed_run(rng, c), Gate.named("z", t), *_keyed_run(rng, t), Gate.named("y", c)]
             gates += [Gate.cnot(c, t), Gate.named("x", c), *_keyed_run(rng, t)]
     circuit = Circuit(n, tuple(gates + _keyed_run(rng, last)))
-    for sigma in (rng.density_state(n), rng.pure_state(n).to_density()):
-        stacks = _key_stacks(circuit, sigma)
-        for got, want in zip(stacks, key_stacks_per_gate(circuit, sigma)):
-            assert got.shape == (4 ** n, 2 ** n, 2 ** n)
+    for sigma in (rng.density_state(n), rng.density_state(n, rank=1), rng.pure_state(n)):
+        v, _ = _factor(sigma)
+        stacks = _key_stacks(circuit, v)
+        for got, want in zip(stacks, key_stacks_per_gate(circuit, v), strict=True):
+            assert got.shape == (4 ** n, 2 ** n, v.shape[1])
             assert np.max(np.abs(got - want)) <= ATOL_EXACT
         assert verify_security(circuit, sigma, 1e-9).passed
 
 
 @pytest.mark.parametrize("call", [
-    lambda psi: verify_security(Circuit(1), psi, 1e-9),
     average_over_keys,
     lambda psi: trace_distance(psi, maximally_mixed(1)),
     lambda psi: trace_distance(maximally_mixed(1), psi),
-], ids=["verify_security", "average_over_keys", "trace_distance_first", "trace_distance_second"])
+], ids=["average_over_keys", "trace_distance_first", "trace_distance_second"])
 def test_density_inputs_reject_a_pure_state(call):
     with pytest.raises(TypeError, match="expected DensityState, got PureState"):
         call(PureState.basis(1, 0))
@@ -530,6 +605,20 @@ def test_signed_gather_on_rows_equals_the_dense_products(m):
         assert one_mask.flags.c_contiguous and one_mask_stack.flags.c_contiguous
     assert per_row_shared.shape == per_row_stack.shape == stack.shape
     assert per_row_shared.flags.c_contiguous and per_row_stack.flags.c_contiguous
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_a_shared_mask_on_a_stack_equals_the_per_row_path(m):
+    # one mask for the whole stack, as a shared frame flushes, against the same mask given
+    # to every row: the same bytes, C-contiguous
+    rng = np.random.default_rng(90 + m)
+    dim = 2 ** m
+    stack = rng.normal(size=(2 * dim, dim)) + 1j * rng.normal(size=(2 * dim, dim))
+    for a, b in ((0, 0), (dim - 1, 0), (0, dim - 1), *rng.integers(0, dim, (4, 2)).tolist()):
+        shared = _signed_gather(stack, a, b, m)
+        per_row = _signed_gather(stack, np.full((len(stack), 1), a), np.full((len(stack), 1), b), m)
+        assert shared.shape == stack.shape and shared.flags.c_contiguous
+        assert shared.tobytes() == per_row.tobytes()
 
 
 # --- Pauli decomposition -------------------------------------------------

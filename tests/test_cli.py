@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from qfhe import Circuit, DensityState, Gate, PureState, cli, simulate
 from qfhe.circuits import canonical_json
 from qfhe.cli import CliError, _parse_grid, _state_to_bytes, build_parser, main
-from qfhe.linalg import gate_matrix
+from qfhe.linalg import ATOL_EXACT, gate_matrix
 from qfhe.rng import RandomSource
 
 from oracles import parse_pairs_loop
@@ -590,6 +590,30 @@ def test_verify_security_zero_tol_fails(tmp_path):
     )
     state = write(tmp_path / "s.json", pure_state_doc(np.array([0.6, 0.8j])))
     assert main(["verify-security", "--circuit", circ, "--state", state, "--tol", "0"]) == 1
+
+
+@pytest.mark.parametrize("tol", ["1e-9", "0"])
+def test_verify_security_takes_a_pure_state_as_is_with_its_density_verdict(tmp_path, capsys, monkeypatch, tol):
+    # the pure file reaches the library as a PureState; its report, exit code included,
+    # is the density file's within ATOL_EXACT
+    seen = []
+    verify = cli.analysis.verify_security
+    monkeypatch.setattr(cli.analysis, "verify_security", lambda c, state, t: seen.append(type(state)) or verify(c, state, t))
+    rng = RandomSource(47)
+    for n in (1, 2, 3):
+        psi = rng.pure_state(n)
+        circ = write(tmp_path / f"c{n}.json", cli.circuits.serialize_circuit(rng.circuit(n, 12)).decode("utf-8"))
+        reports = []
+        for name, state in (("pure", psi), ("density", psi.to_density())):
+            path = tmp_path / f"{name}{n}.json"
+            path.write_bytes(_state_to_bytes(state))
+            code = main(["verify-security", "--circuit", circ, "--state", str(path), "--tol", tol, "--format", "json"])
+            reports.append((code, json.loads(capsys.readouterr().out)))
+        (code, got), (want_code, want) = reports
+        assert code == want_code == (0 if got["pass"] else 1) and got["pass"] == want["pass"]
+        for name in ("worst_encrypt_distance", "worst_evaluate_distance", "worst_decrypt_distance"):
+            assert abs(got[name] - want[name]) <= ATOL_EXACT
+    assert seen == [PureState, DensityState] * 3
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
