@@ -12,6 +12,7 @@ factor run: one column, or one per eigenvalue of every rank.
 import argparse
 
 from qfhe import average_over_keys, maximally_mixed, trace_distance, verify_security
+from qfhe.analysis import VERIFY_TOL
 from qfhe.rng import RandomSource
 
 
@@ -20,7 +21,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--states", type=int, default=20)
     parser.add_argument("--circuits", type=int, default=10)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=float, default=VERIFY_TOL)
     args = parser.parse_args()
     rng = RandomSource(args.seed)
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, rewrite
-from .circuits import Circuit, Gate, _ops, _require_circuit
+from .circuits import Circuit, Gate, _ops
 from .linalg import DensityState, PureState, canonical_angle
 from .rng import RandomSource
 
@@ -41,6 +41,10 @@ _MAX_QUBITS_CLASSIFY = 3
 
 #: default tolerance separating exact phase-Paulis from everything else
 CLASSIFY_TOL = 1e-8
+#: default bound on verify_security's distances: ATOL_STATE, far above their 1e-16-scale rounding
+VERIFY_TOL = 1e-9
+#: check_appendix_identities draws every angle before any check, about 150 us of work each
+_MAX_SAMPLES = 100_000
 
 
 class ClassifyResult(NamedTuple):
@@ -79,7 +83,7 @@ def average_over_keys(sigma: DensityState) -> DensityState:
     conjugates by the wire's four masks at once and averages the stack. Only
     the result is checked, as a DensityState.
     """
-    linalg._require_density(sigma)
+    linalg._require(sigma, linalg.DensityState)
     n = sigma.n_qubits
     if n > _MAX_QUBITS_AVERAGE:
         raise ValueError(f"key averaging is limited to {_MAX_QUBITS_AVERAGE} qubits, got {n}")
@@ -167,8 +171,8 @@ def verify_security(circuit: Circuit, sigma: PureState | DensityState, tol: floa
     as sigma, a PureState or a DensityState: only entries and traces are checked.
     """
     tol = _check_tolerance(tol)
-    linalg._require_state(sigma)
-    _require_circuit(circuit)
+    linalg._require(sigma, PureState, DensityState)
+    linalg._require(circuit, Circuit)
     n = circuit.n_qubits
     if n != sigma.n_qubits:
         raise ValueError(f"circuit has {n} qubit(s), state has {sigma.n_qubits}")
@@ -287,16 +291,27 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
     return ClassifyResult(by_conjugation, witness, max_dev)
 
 
+#: R(t) P^j = P^j R((-1)^j t): (rule, rotation R, mask P)
+_ROTATION_RULES = (("rz-through-x", "rz", "x"), ("ry-through-x", "ry", "x"),
+                   ("ry-through-z", "ry", "z"), ("ry-through-h", "ry", "h"))
+#: CNOT (A^j (x) B^j) = (C^j (x) D^j) CNOT: (rule, (A, B), (C, D)), "i" the identity
+_CNOT_RULES = (("cnot-x-control", ("x", "i"), ("x", "x")), ("cnot-z-control", ("z", "i"), ("z", "i")),
+               ("cnot-x-target", ("i", "x"), ("i", "x")), ("cnot-z-target", ("i", "z"), ("z", "z")))
+
+
 def check_appendix_identities(samples: int, rng: RandomSource) -> dict[str, float]:
     """Worst entrywise error of each commutation rule over all bits and sampled angles.
 
     Returns one entry per rule, in a fixed order: the nine displayed rules
-    plus the Ry rule for the hy mask.
+    (Z and X anticommute, the rotation rows, the cnot rows) plus the Ry rule
+    for the hy mask. samples is at most 100,000, checked before any draw.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    X, Y, Z, H, CNOT = map(linalg.gate_matrix, ("x", "y", "z", "h", "cnot"))
-    I = np.eye(2, dtype=complex)
+    samples = linalg._as_size(samples, "samples", 1)
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {_MAX_SAMPLES}, got {samples}")
+    G = linalg.gate_matrix  # a rotation R(t) is G(kind, (t,))
+    X, Y, Z, H, CNOT = map(G, ("x", "y", "z", "h", "cnot"))
+    P = {"x": X, "z": Z, "h": H, "i": np.eye(2, dtype=complex)}
     _pow = np.linalg.matrix_power  # a matrix to the power 0 or 1: the identity or itself
     thetas = rng.angles(samples)
     bits = (0, 1)
@@ -309,44 +324,18 @@ def check_appendix_identities(samples: int, rng: RandomSource) -> dict[str, floa
         (_pow(Z, k) @ _pow(X, j), (-1) ** (j * k) * _pow(X, j) @ _pow(Z, k))
         for j in bits for k in bits
     )
-    report["rz-through-x"] = max_err(
-        (linalg.rotation_z(t) @ _pow(X, j), _pow(X, j) @ linalg.rotation_z((-1) ** j * t))
-        for j in bits for t in thetas
-    )
-    report["ry-through-x"] = max_err(
-        (linalg.rotation_y(t) @ _pow(X, j), _pow(X, j) @ linalg.rotation_y((-1) ** j * t))
-        for j in bits for t in thetas
-    )
-    report["ry-through-z"] = max_err(
-        (linalg.rotation_y(t) @ _pow(Z, k), _pow(Z, k) @ linalg.rotation_y((-1) ** k * t))
-        for k in bits for t in thetas
-    )
-    report["ry-through-h"] = max_err(
-        (linalg.rotation_y(t) @ _pow(H, j), _pow(H, j) @ linalg.rotation_y((-1) ** j * t))
-        for j in bits for t in thetas
-    )
-    report["cnot-x-control"] = max_err(
-        (CNOT @ np.kron(_pow(X, j), I), np.kron(_pow(X, j), _pow(X, j)) @ CNOT)
-        for j in bits
-    )
-    report["cnot-z-control"] = max_err(
-        (CNOT @ np.kron(_pow(Z, k), I), np.kron(_pow(Z, k), I) @ CNOT)
-        for k in bits
-    )
-    report["cnot-x-target"] = max_err(
-        (CNOT @ np.kron(I, _pow(X, l)), np.kron(I, _pow(X, l)) @ CNOT)
-        for l in bits
-    )
-    report["cnot-z-target"] = max_err(
-        (CNOT @ np.kron(I, _pow(Z, m)), np.kron(_pow(Z, m), _pow(Z, m)) @ CNOT)
-        for m in bits
-    )
-    report["ry-through-hy-mask"] = max_err(
-        (
-            linalg.rotation_y((-1) ** j * t) @ _pow(H, j) @ _pow(Y, k),
-            _pow(H, j) @ _pow(Y, k) @ linalg.rotation_y(t),
+    for name, kind, mask in _ROTATION_RULES:
+        report[name] = max_err(
+            (G(kind, (t,)) @ _pow(P[mask], j), _pow(P[mask], j) @ G(kind, ((-1) ** j * t,)))
+            for j in bits for t in thetas
         )
+    for name, before, after in _CNOT_RULES:
+        report[name] = max_err(
+            (CNOT @ np.kron(*(_pow(P[k], j) for k in before)), np.kron(*(_pow(P[k], j) for k in after)) @ CNOT)
+            for j in bits
+        )
+    report["ry-through-hy-mask"] = max_err(
+        (G("ry", ((-1) ** j * t,)) @ _pow(H, j) @ _pow(Y, k), _pow(H, j) @ _pow(Y, k) @ G("ry", (t,)))
         for j in bits for k in bits for t in thetas
     )
     return report
-

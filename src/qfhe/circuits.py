@@ -117,6 +117,8 @@ class Circuit:
         return len(self.gates)
 
 
+#: |u[1, 0]| or |u[0, 0]| at or below this counts as 0 in euler_decompose: that moves no entry by more than
+#: about 1e-12, far below ATOL_STATE, while so small an entry's phase is off by about 1e-16 / |entry| >= 1e-4 rad
 _DEGENERATE_EPS = 1e-12
 
 
@@ -164,20 +166,15 @@ def euler_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
     return alpha, beta, gamma, delta
 
 
-def _require_circuit(circuit) -> None:
-    if not isinstance(circuit, Circuit):
-        raise TypeError(f"expected Circuit, got {type(circuit).__name__}")
-
-
 def simulate(circuit: Circuit, state):
     """Apply the circuit's gates left to right to a pure or density state; check only the result."""
-    _require_circuit(circuit)
+    linalg._require(circuit, Circuit)
     return _apply_gates(circuit.n_qubits, circuit.gates, state)
 
 
 def _apply_gates(n_qubits: int, gates, state):
     """``simulate`` on gates a caller has already checked against n_qubits, with no Circuit built."""
-    linalg._require_state(state)
+    linalg._require(state, linalg.PureState, linalg.DensityState)
     if state.n_qubits != n_qubits:
         raise ValueError(f"circuit has {n_qubits} qubit(s), state has {state.n_qubits}")
     if not gates:

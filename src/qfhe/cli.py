@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-security", help="exhaustive key-averaging security check")
     p.add_argument("--circuit", required=True)
     p.add_argument("--state", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=analysis.VERIFY_TOL)
     p.add_argument("--format", choices=["human", "json"], default="human")
     p.set_defaults(func=_cmd_verify_security)
 

@@ -17,9 +17,7 @@ operator the next cnot on the wire absorbs, and each run of the Paulis left
 into one frame i^k X^a Z^b for the gather, also ``analysis``'s masks. A
 one-qubit gate is a row-major 4-tuple of Python complex numbers, built in
 closed form; runs multiply in Python scalars, so numpy sees one array per
-fused block. A state is checked once per gate sequence. On a 2-core Xeon with
-one BLAS thread, 200 random gates take about 1.1 ms on a pure n=12 state and
-7.2 ms on a density n=7 one, 0.86x and 0.97x the time with 2x2 numpy products.
+fused block. A state is checked once per gate sequence.
 """
 from __future__ import annotations
 
@@ -97,18 +95,6 @@ def _u(alpha: float, beta: float, gamma: float, delta: float) -> tuple:
     plus = half_beta * half_delta  # e^(-i(beta+delta)/2)
     minus = half_beta * half_delta.conjugate()  # e^(-i(beta-delta)/2)
     return phase * plus * c, -phase * minus * s, phase * minus.conjugate() * s, phase * plus.conjugate() * c
-
-
-def rotation_z(theta: float) -> np.ndarray:
-    return _as_array(_rz(theta))
-
-
-def rotation_y(theta: float) -> np.ndarray:
-    return _as_array(_ry(theta))
-
-
-def single_qubit_unitary(alpha: float, beta: float, gamma: float, delta: float) -> np.ndarray:
-    return _as_array(_u(alpha, beta, gamma, delta))
 
 
 class GateSpec(NamedTuple):
@@ -514,24 +500,20 @@ def apply_to_wires(unitary: np.ndarray, wires, state):
     into a 2^n x 2^n matrix. This is the checked entry to the apply loop
     that ``circuits.simulate`` runs for whole circuits.
     """
-    _require_state(state)
+    _require(state, PureState, DensityState)
     return _evolve(state, [_checked_operator(unitary, wires, state.n_qubits)])
 
 
-def _require_state(state) -> None:
-    if not isinstance(state, (PureState, DensityState)):
-        raise TypeError(f"expected PureState or DensityState, got {type(state).__name__}")
-
-
-def _require_density(state) -> None:
-    if not isinstance(state, DensityState):
-        raise TypeError(f"expected DensityState, got {type(state).__name__}")
+def _require(value, *types: type) -> None:
+    """TypeError, naming the types, unless value is an instance of one: the one argument-type check."""
+    if not isinstance(value, types):
+        raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {type(value).__name__}")
 
 
 def trace_distance(rho: DensityState, sigma: DensityState) -> float:
     """(1/2) * sum |eigenvalues(rho - sigma)|."""
-    _require_density(rho)
-    _require_density(sigma)
+    _require(rho, DensityState)
+    _require(sigma, DensityState)
     if rho.n_qubits != sigma.n_qubits:
         raise ValueError(f"qubit counts differ: {rho.n_qubits} vs {sigma.n_qubits}")
     return float(_trace_distances(rho.matrix, sigma.matrix))

@@ -51,6 +51,7 @@ _MASK_GATES = {VARIANT_XZ: ("x", "z"), VARIANT_HY: ("h", "y")}
 
 def _mask(key: QotpKey, state) -> tuple[Gate, ...]:
     """The encryption mask's gates, per wire the z-bit gate then the x-bit gate; checked against the state."""
+    linalg._require(key, QotpKey)
     if isinstance(state, (PureState, DensityState)) and state.n_qubits != key.n_qubits:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), state has {state.n_qubits}")
     first, second = _MASK_GATES[key.variant]
@@ -65,9 +66,11 @@ def _mask(key: QotpKey, state) -> tuple[Gate, ...]:
 
 def encrypt(key: QotpKey, state):
     """Conjugate by the key mask: X^a Z^b (or H^a Y^b) on each qubit."""
-    return circuits._apply_gates(key.n_qubits, _mask(key, state), state)
+    gates = _mask(key, state)
+    return circuits._apply_gates(key.n_qubits, gates, state)
 
 
 def decrypt(key: QotpKey, state):
     """Exact inverse of encrypt for the same key: the mask gates in reverse order."""
-    return circuits._apply_gates(key.n_qubits, _mask(key, state)[::-1], state)
+    gates = _mask(key, state)[::-1]
+    return circuits._apply_gates(key.n_qubits, gates, state)

@@ -5,6 +5,10 @@ on a QOTP ciphertext equals encrypting the plaintext result. ``twin`` is the
 one rule: it reads the mask's x bit on the gate's first wire and its z bit on
 the last. Single-qubit gates map to exactly one gate; cnot maps to at most three.
 
+The restricted single-gate schemes are the same rule with fewer gates permitted,
+one row of permitted kinds and key variant per ``Scheme``. Under the hy mask
+H^a Y^b, Y commutes with Ry and H negates its angle: the twin is ``twin`` with z = 0.
+
 Density-matrix semantics are blind to global phase, but the matrix-level test
 oracles are not: every dropped (-1) factor -- the cnot sign, a Pauli's sign
 and each angle negation that wraps past zero during canonicalization -- is
@@ -98,13 +102,15 @@ def _require_xz(key: QotpKey) -> None:
 
 def rewrite_gate(key: QotpKey, gate: Gate) -> RewriteResult:
     """The gate's twin under the key: ``twin`` with the key's bits on the gate's wires."""
+    linalg._require(key, QotpKey)
     _require_xz(key)
     return twin(gate, int(key.x_bits[gate.wires[0]]), int(key.z_bits[gate.wires[-1]]))
 
 
 def _twins(key: QotpKey, circuit: Circuit) -> tuple[Gate, ...]:
     """Every gate's twin under the key, in order, after checking the circuit against the key; an hy key fails even with no gate."""
-    circuits._require_circuit(circuit)
+    linalg._require(circuit, Circuit)
+    linalg._require(key, QotpKey)
     if key.n_qubits != circuit.n_qubits:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), circuit has {circuit.n_qubits}")
     _require_xz(key)  # once per circuit, so ``twin`` takes the bits directly
@@ -114,41 +120,41 @@ def _twins(key: QotpKey, circuit: Circuit) -> tuple[Gate, ...]:
 
 def rewrite_circuit(key: QotpKey, circuit: Circuit) -> Circuit:
     """The evaluable twin C' of C under a fixed key; size grows at most 3x."""
-    return Circuit(key.n_qubits, _twins(key, circuit))
+    gates = _twins(key, circuit)
+    return Circuit(key.n_qubits, gates)
 
 
 def evaluate(key: QotpKey, circuit: Circuit, ciphertext):
     """Run the rewritten circuit on the ciphertext; no decryption happens here."""
-    return circuits._apply_gates(key.n_qubits, _twins(key, circuit), ciphertext)
+    gates = _twins(key, circuit)
+    return circuits._apply_gates(key.n_qubits, gates, ciphertext)
 
 
-_PERMITTED = {
-    Scheme.RZ_ONLY: {"rz"},
-    Scheme.RY_ONLY: {"ry"},
-    Scheme.RY_HY: {"ry"},
-    Scheme.COMBINED: {"rz", "ry"},
-    Scheme.CNOT_ONLY: {"cnot"},
+#: per scheme, the gate kinds Evaluate accepts and the key variant it masks with
+_SCHEMES = {
+    Scheme.RZ_ONLY: ({"rz"}, qotp.VARIANT_XZ),
+    Scheme.RY_ONLY: ({"ry"}, qotp.VARIANT_XZ),
+    Scheme.RY_HY: ({"ry"}, qotp.VARIANT_HY),
+    Scheme.COMBINED: ({"rz", "ry"}, qotp.VARIANT_XZ),
+    Scheme.CNOT_ONLY: ({"cnot"}, qotp.VARIANT_XZ),
 }
 
 
 def scheme_evaluate(scheme: Scheme, key: QotpKey, op: Gate, ciphertext: DensityState) -> DensityState:
     """Single-gate Evaluate for the restricted schemes; rejects op outside the permitted set."""
-    if op.kind not in _PERMITTED[scheme]:
-        raise OperatorNotPermitted(
-            f"operator {op.kind!r} is not permitted by scheme {scheme.value!r}"
-        )
-    expected_variant = qotp.VARIANT_HY if scheme is Scheme.RY_HY else qotp.VARIANT_XZ
-    if key.variant != expected_variant:
-        raise ValueError(f"scheme {scheme.value!r} requires a {expected_variant!r} key")
-    linalg._require_state(ciphertext)
+    linalg._require(scheme, Scheme)
+    linalg._require(key, QotpKey)
+    linalg._require(op, Gate)
+    permitted, variant = _SCHEMES[scheme]
+    if op.kind not in permitted:
+        raise OperatorNotPermitted(f"operator {op.kind!r} is not permitted by scheme {scheme.value!r}")
+    if key.variant != variant:
+        raise ValueError(f"scheme {scheme.value!r} requires a {variant!r} key")
+    linalg._require(ciphertext, linalg.PureState, DensityState)
     if ciphertext.n_qubits != key.n_qubits:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), state has {ciphertext.n_qubits}")
     if max(op.wires) >= key.n_qubits:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), gate acts on wire {max(op.wires)}")
-    if scheme is Scheme.RY_HY:
-        # moving H^a Y^b past Ry negates the angle by the H bit alone
-        wire = op.wires[0]
-        twin = (Gate.ry(_negate_if(op.params[0], int(key.x_bits[wire]))[0], wire),)
-    else:
-        twin = rewrite_gate(key, op).gates
-    return circuits._apply_gates(key.n_qubits, twin, ciphertext)
+    z = int(key.z_bits[op.wires[-1]]) if variant == qotp.VARIANT_XZ else 0  # an hy key's z bit is Y's
+    twins = twin(op, int(key.x_bits[op.wires[0]]), z).gates
+    return circuits._apply_gates(key.n_qubits, twins, ciphertext)

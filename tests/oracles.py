@@ -178,7 +178,7 @@ def verify_security_loop(circuit: Circuit, sigma: DensityState, tol: float) -> S
     the worst distance of any key's decrypted evaluation from C sigma C^dagger.
     """
     _check_tolerance(tol)
-    linalg._require_density(sigma)
+    linalg._require(sigma, DensityState)
     n = circuit.n_qubits
     if n != sigma.n_qubits:
         raise ValueError(f"circuit has {n} qubit(s), state has {sigma.n_qubits}")
@@ -217,7 +217,7 @@ def average_over_keys_loop(sigma: DensityState) -> DensityState:
     Each twirl averages four encryptions, under the keys whose bits are 0
     except on the one wire, and checks every state on the way.
     """
-    linalg._require_density(sigma)
+    linalg._require(sigma, DensityState)
     n = sigma.n_qubits
     if n > _MAX_QUBITS_AVERAGE:
         raise ValueError(f"key averaging is limited to {_MAX_QUBITS_AVERAGE} qubits, got {n}")

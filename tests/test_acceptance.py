@@ -28,7 +28,7 @@ from qfhe import (
 from qfhe.analysis import pauli_decompose
 from qfhe.circuits import euler_decompose
 from qfhe.cli import main
-from qfhe.linalg import all_bit_strings, gate_matrix, single_qubit_unitary
+from qfhe.linalg import all_bit_strings, gate_matrix
 from qfhe.qotp import VARIANT_HY
 from qfhe.rewrite import Scheme, rewrite_gate, scheme_evaluate
 from qfhe.rng import RandomSource
@@ -145,7 +145,7 @@ def test_criterion_6_euler_decomposition():
     for _ in range(100):
         u = rng.unitary(2)
         angles = euler_decompose(u)
-        worst = max(worst, float(np.max(np.abs(single_qubit_unitary(*angles) - u))))
+        worst = max(worst, float(np.max(np.abs(gate_matrix("u", angles) - u))))
     fixed = (
         euler_decompose(np.eye(2)) == (0.0, 0.0, 0.0, 0.0)
         and euler_decompose(gate_matrix("h")) == (math.pi / 2, 0.0, math.pi / 2, math.pi)

@@ -41,7 +41,6 @@ from qfhe.linalg import (
     all_bit_strings,
     canonical_angle,
     gate_matrix,
-    single_qubit_unitary,
 )
 from qfhe.rng import RandomSource
 
@@ -833,6 +832,26 @@ def test_appendix_identities_reject_zero_samples():
         check_appendix_identities(0, RandomSource(0))
 
 
+class _NoDraws:
+    """A random source that fails any draw."""
+
+    def angles(self, count):
+        raise AssertionError(f"drew {count} angles")
+
+
+@pytest.mark.parametrize("samples,message", [
+    ("3", "samples must be an integer, got '3'"),
+    (2.0, "samples must be an integer, got 2.0"),
+    (True, "samples must be an integer, got True"),
+    (100_001, "samples must be at most 100000, got 100001"),
+    (10 ** 9, "samples must be at most 100000, got 1000000000"),
+    (10 ** 30, f"samples must be at most 100000, got {10 ** 30}"),
+])
+def test_appendix_identities_reject_bad_samples_before_any_draw(samples, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_appendix_identities(samples, _NoDraws())
+
+
 def test_single_sample_still_passes():
     report = check_appendix_identities(1, RandomSource(5))
     assert max(report.values()) <= 1e-12
@@ -844,10 +863,10 @@ def test_u_rewrite_endpoints():
     worst = 0.0
     for _ in range(100):
         a, b, g, d = rng.angles(4)
-        u = single_qubit_unitary(a, b, g, d)
+        u = gate_matrix("u", (a, b, g, d))
         for j in (0, 1):
             for k in (0, 1):
                 mask = pauli_operator(str(j), str(k))
-                twin = single_qubit_unitary(a, (-1) ** j * b, (-1) ** ((k + j) % 2) * g, (-1) ** j * d)
+                twin = gate_matrix("u", (a, (-1) ** j * b, (-1) ** ((k + j) % 2) * g, (-1) ** j * d))
                 worst = max(worst, float(np.max(np.abs(mask @ u - twin @ mask))))
     assert worst <= 1e-12

@@ -19,7 +19,7 @@ from qfhe import (
 )
 from qfhe import linalg
 from qfhe.circuits import euler_decompose
-from qfhe.linalg import gate_matrix, single_qubit_unitary
+from qfhe.linalg import gate_matrix
 from qfhe.rng import RandomSource
 
 from oracles import apply_to_density, full_matrix, simulate_per_gate
@@ -340,7 +340,7 @@ def test_euler_random_reconstruction():
     for _ in range(100):
         u = rng.unitary(2)
         angles = euler_decompose(u)
-        assert np.max(np.abs(single_qubit_unitary(*angles) - u)) <= 1e-9
+        assert np.max(np.abs(gate_matrix("u", angles) - u)) <= 1e-9
         alpha, beta, gamma, delta = angles
         assert all(0.0 <= angle < 2 * math.pi for angle in (alpha, beta, delta))
         assert 0.0 <= gamma <= math.pi

@@ -708,3 +708,9 @@ def test_check_identities_single_sample(capsys):
 
 def test_check_identities_rejects_zero_samples():
     assert main(["check-identities", "--samples", "0"]) == 2
+
+
+def test_check_identities_rejects_samples_past_the_cap_before_any_draw(monkeypatch, capsys):
+    monkeypatch.setattr(RandomSource, "angles", lambda self, count: pytest.fail(f"drew {count} angles"))
+    assert main(["check-identities", "--samples", "1000000000"]) == 2
+    assert capsys.readouterr().err == "error: samples must be at most 100000, got 1000000000\n"

@@ -63,6 +63,11 @@ def steps():
                                      "--out", "mismatch.json"]
     for name in UNITARIES:
         yield f"classify_{name}", ["classify", "--unitary", f"unitary_{name}.json", "--format", "json"]
+    # the human formats, and the commutation report at its default seed and sample count
+    yield "verify_bell_rz_human", ["verify-security", "--circuit", "bell_rz.json", "--state", "state_n2_density.json"]
+    yield "classify_phase_xz_zx_human", ["classify", "--unitary", "unitary_phase_xz_zx.json"]
+    for fmt in ("json", "human"):
+        yield f"check_identities_{fmt}", ["check-identities", "--format", fmt]
 
 
 def run_steps(workdir: Path) -> dict[str, bytes]:

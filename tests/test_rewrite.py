@@ -18,7 +18,7 @@ from qfhe import (
     simulate,
     trace_distance,
 )
-from qfhe.linalg import ATOL_EXACT, GATE_SPECS, TAU, gate_matrix, rotation_y, rotation_z
+from qfhe.linalg import ATOL_EXACT, GATE_SPECS, TAU, gate_matrix
 from qfhe.qotp import VARIANT_HY
 from qfhe.rewrite import RewriteResult, Scheme, rewrite_gate, scheme_evaluate, twin
 from qfhe.rng import RandomSource
@@ -51,14 +51,14 @@ def test_rz_commutation_with_raw_angle():
         for j in (0, 1):
             for k in (0, 1):
                 mask = pauli_operator(str(j), str(k))
-                lhs = rotation_z((-1) ** j * theta) @ mask
-                rhs = mask @ rotation_z(theta)
+                lhs = gate_matrix("rz", ((-1) ** j * theta,)) @ mask
+                rhs = mask @ gate_matrix("rz", (theta,))
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_rewrite_rz_canonical_differs_by_global_sign():
     theta = 1.1
-    raw = rotation_z(-theta)
+    raw = gate_matrix("rz", (-theta,))
     twin, flips = _twin("rz", (theta,), 1, 0)
     assert flips == 1  # the tracked sign is the one canonicalization dropped
     assert np.max(np.abs(twin.matrix() + raw)) <= 1e-12
@@ -74,7 +74,7 @@ def test_rewrite_ry_values():
     rho = RandomSource(1).density_state(1)
     for j, k, angle in ((1, 1, 2 * math.pi - theta), (0, 1, theta)):
         out = scheme_evaluate(Scheme.RY_HY, QotpKey(1, str(j), str(k), VARIANT_HY), Gate.ry(theta, 0), rho)
-        expected = apply_to_density(rotation_y(angle), rho)
+        expected = apply_to_density(gate_matrix("ry", (angle,)), rho)
         assert np.max(np.abs(out.matrix - expected.matrix)) <= 1e-12
 
 
@@ -84,8 +84,8 @@ def test_ry_commutation_with_raw_angle():
         for j in (0, 1):
             for k in (0, 1):
                 mask = pauli_operator(str(j), str(k))
-                lhs = rotation_y((-1) ** (k + j) * theta) @ mask
-                assert np.max(np.abs(lhs - mask @ rotation_y(theta))) <= 1e-12
+                lhs = gate_matrix("ry", ((-1) ** (k + j) * theta,)) @ mask
+                assert np.max(np.abs(lhs - mask @ gate_matrix("ry", (theta,)))) <= 1e-12
 
 
 def test_rewrite_u_values():
@@ -410,6 +410,31 @@ def test_scheme_rejects_non_permitted_operator():
 def test_scheme_rejects_a_non_state(not_a_state):
     with pytest.raises(TypeError, match=r"^expected PureState or DensityState, got (ndarray|str)$"):
         scheme_evaluate(Scheme.RZ_ONLY, QotpKey(1, "1", "0"), Gate.rz(0.4, 0), not_a_state)
+
+
+@pytest.mark.parametrize("step", [
+    lambda key, rho: encrypt(key, rho),
+    lambda key, rho: decrypt(key, rho),
+    lambda key, rho: evaluate(key, Circuit(1), rho),
+    lambda key, rho: rewrite_circuit(key, Circuit(1)),
+    lambda key, rho: rewrite_gate(key, Gate.rz(0.4, 0)),
+    lambda key, rho: scheme_evaluate(Scheme.RZ_ONLY, key, Gate.rz(0.4, 0), rho),
+], ids=["encrypt", "decrypt", "evaluate", "rewrite_circuit", "rewrite_gate", "scheme_evaluate"])
+@pytest.mark.parametrize("not_a_key", [None, "x_bits", (1, "1", "0")], ids=["None", "str", "tuple"])
+def test_a_non_key_raises_type_error(step, not_a_key):
+    with pytest.raises(TypeError, match=rf"^expected QotpKey, got {type(not_a_key).__name__}$"):
+        step(not_a_key, RandomSource(0).density_state(1))
+
+
+@pytest.mark.parametrize("scheme,op,message", [
+    ("rz-only", Gate.rz(0.4, 0), "expected Scheme, got str"),
+    (None, Gate.rz(0.4, 0), "expected Scheme, got NoneType"),
+    (Scheme.RZ_ONLY, ("rz", (0,), (0.4,)), "expected Gate, got tuple"),
+    (Scheme.RZ_ONLY, Circuit(1, (Gate.rz(0.4, 0),)), "expected Gate, got Circuit"),
+], ids=["scheme-str", "scheme-none", "op-tuple", "op-circuit"])
+def test_scheme_rejects_a_non_scheme_or_a_non_gate(scheme, op, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        scheme_evaluate(scheme, QotpKey(1, "1", "0"), op, RandomSource(0).density_state(1))
 
 
 def test_scheme_rejects_variant_mismatch():
