@@ -19,7 +19,9 @@ key's twin circuit, and decrypts by the gather again. ``rewrite.twin`` reads two
 so its four entries give every key's twin of a gate: one Pauli for all four
 is key-independent and shared, else each key takes its own. The loop fuses
 each wire's run of twins on its four entries, shared Paulis in, gathered per
-key when a block takes it; a lone shared Pauli is a frame. Sizes are hard-guarded.
+key when a block takes it; a lone shared Pauli is a frame. Two caches hold
+what no call changes, read-only: each angle-free gate's entry per (kind,
+wires, n), and the masks' index and sign rows per (n, r). Sizes are hard-guarded.
 """
 from __future__ import annotations
 
@@ -95,12 +97,6 @@ def average_over_keys(sigma: DensityState) -> DensityState:
     return DensityState(n, mat)
 
 
-@functools.lru_cache(maxsize=64)  # the multi-gate twins are cnot's: three parameter-free ones per wire pair
-def _fold(twin: tuple[Gate, ...]) -> np.ndarray:
-    """A multi-gate twin as the one operator ``linalg._fuse`` makes of its gates' matrices; shared, so never written to."""
-    return next(linalg._fuse((g.matrix(), g.wires) for g in twin))[0]
-
-
 def _key_op(gate: Gate, index: np.ndarray) -> tuple:
     """The gate's (operator, wires) pair for the key stack's apply loop: every key's twin.
 
@@ -108,14 +104,30 @@ def _key_op(gate: Gate, index: np.ndarray) -> tuple:
     last j, so its four entries give every key's twin, key k's the entry
     index[i, j, k] = 2x + z. One Pauli for all four goes in as its exponents,
     shared; a one-qubit gate as ``linalg._Keyed``, its four ``GateSpec.build``
-    entries; cnot as its table gathered per key, corrected twins by ``_fold``.
+    entries; cnot as its table gathered per key, corrected twins folded by
+    ``linalg._fuse``. The twins of an angle-free gate (x, y, z, h, cnot) never
+    change, so ``_fixed_key_op`` builds its pair once per (kind, wires, n):
+    code that replaces the rule at run time must call its ``cache_clear``.
     """
+    return _twin_table(gate, index) if gate.params else _fixed_key_op(gate.kind, gate.wires, len(index))
+
+
+@functools.lru_cache(maxsize=32)  # every angle-free gate at n = 1..3: 4, 10 and 18 of them
+def _fixed_key_op(kind: str, wires: tuple[int, ...], n: int) -> tuple:
+    """``_key_op`` of an angle-free gate, built as for any gate; shared, so its arrays are read-only."""
+    op, wires = _twin_table(Gate._unchecked(kind, wires, ()), _keys(n)[2])
+    return linalg._read_only(op) if isinstance(op, np.ndarray) else op, wires
+
+
+def _twin_table(gate: Gate, index: np.ndarray) -> tuple:
+    """``_key_op``'s pair, from the gate's four ``rewrite.twin`` entries."""
     twins = [rewrite.twin(gate, j, k).gates for j in (0, 1) for k in (0, 1)]
     first = twins[0]
     pauli = linalg.GATE_SPECS[first[0].kind].pauli if len(first) == 1 else None
     if pauli and twins.count(first) == 4:
         return pauli, first[0].wires
-    table = [linalg.GATE_SPECS[t[0].kind].build(*t[0].params) if len(t) == 1 else _fold(t) for t in twins]
+    table = [linalg.GATE_SPECS[t[0].kind].build(*t[0].params) if len(t) == 1
+             else next(linalg._fuse((g.matrix(), g.wires) for g in t))[0] for t in twins]
     rows = index[gate.wires[0], gate.wires[-1]]
     return linalg._Keyed(tuple(table), rows) if len(gate.wires) == 1 else np.array(table).take(rows, axis=0), gate.wires
 
@@ -136,7 +148,18 @@ def _keys(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Key k's masks (a, b) = divmod(k, 2^n), and index[i, j, k] = 2 x_i + z_j, its twin-table row on wires i, j."""
     a, b = divmod(np.arange(4 ** n), 2 ** n)
     x, z = (bits >> np.arange(n - 1, -1, -1)[:, None] & 1 for bits in (a, b))  # each wire's bits, read once
-    return a, b, 2 * x[:, None] + z  # shared, so never written to
+    return tuple(map(linalg._read_only, (a, b, 2 * x[:, None] + z)))
+
+
+@functools.lru_cache(maxsize=9)  # every (n, r) within the guard: r = 1, 2, ..., 2^n for n = 1..3
+def _masks(n: int, cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every key's mask on a (2^n, r) factor as one row, built as by ``linalg._signed_gather``: key k's
+    index row into the shared row, the same offset into its own row of a (4^n, 2^n r) stack, and its sign row."""
+    a, b, _ = _keys(n)
+    m = n + cols.bit_length() - 1
+    rows = linalg._indices(m) ^ a[:, None] * cols
+    own = rows + (np.arange(len(a))[:, None] << m)
+    return tuple(map(linalg._read_only, (rows, own, linalg._parity_signs(m)[rows & b[:, None] * cols])))
 
 
 def _key_stacks(circuit: Circuit, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -148,12 +171,11 @@ def _key_stacks(circuit: Circuit, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     apply loop E_k = U_k F_k, U_k the twin circuit, and one more D_k = P_k E_k.
     """
     n = circuit.n_qubits
-    a, b, index = _keys(n)
-    cols = v.shape[1]
-    m, masks = n + cols.bit_length() - 1, (a[:, None] * cols, b[:, None] * cols)
-    cipher = linalg._signed_gather(v.reshape(-1), *masks, m).reshape(-1, *v.shape)
+    rows, own, signs = _masks(n, v.shape[1])
+    index = _keys(n)[2]
+    cipher = (v.reshape(-1)[rows] * signs).reshape(-1, *v.shape)
     evaluated = linalg._run(cipher, n, (_key_op(g, index) for g in circuit.gates), columns=False)
-    return cipher, evaluated, linalg._signed_gather(evaluated.reshape(len(a), -1), *masks, m).reshape(cipher.shape)
+    return cipher, evaluated, (evaluated.reshape(-1)[own] * signs).reshape(cipher.shape)
 
 
 def _gram(f: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -331,12 +331,16 @@ def _apply_on_axes(op: np.ndarray, axes: tuple[int, ...], flat: np.ndarray, m: i
 _I_POWERS = (1, 1j, -1, -1j)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, flagged read-only: the form in which a cache shares an array."""
+    arr.setflags(write=False)
+    return arr
+
+
 @functools.lru_cache(maxsize=None)
 def _indices(m: int) -> np.ndarray:
     """arange(2^m), read-only: the index row every signed gather shifts by its mask."""
-    idx = np.arange(1 << m)
-    idx.setflags(write=False)
-    return idx
+    return _read_only(np.arange(1 << m))
 
 
 @functools.lru_cache(maxsize=None)
@@ -347,9 +351,7 @@ def _parity_signs(m: int) -> np.ndarray:
     table. Complex, so a gather multiplies by it with no cast; at 16 B per
     entry the cached row is as large as the statevector it serves.
     """
-    signs = functools.reduce(np.kron, [(1.0, -1.0)] * m, np.ones(1)).astype(complex)
-    signs.setflags(write=False)
-    return signs
+    return _read_only(functools.reduce(np.kron, [(1.0, -1.0)] * m, np.ones(1)).astype(complex))
 
 
 def _signed_gather(flat: np.ndarray, a, b, m: int) -> np.ndarray:

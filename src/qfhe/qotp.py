@@ -42,6 +42,7 @@ class QotpKey:
 def keygen(n_qubits: int, rng: RandomSource, variant: str = VARIANT_XZ) -> QotpKey:
     """Draw 2n uniform key bits from the given source."""
     n_qubits = linalg._as_qubit_count(n_qubits)
+    linalg._require(rng, RandomSource)
     return QotpKey(n_qubits, rng.bit_string(n_qubits), rng.bit_string(n_qubits), variant)
 
 

@@ -103,6 +103,7 @@ def _require_xz(key: QotpKey) -> None:
 def rewrite_gate(key: QotpKey, gate: Gate) -> RewriteResult:
     """The gate's twin under the key: ``twin`` with the key's bits on the gate's wires."""
     linalg._require(key, QotpKey)
+    linalg._require(gate, Gate)
     _require_xz(key)
     return twin(gate, int(key.x_bits[gate.wires[0]]), int(key.z_bits[gate.wires[-1]]))
 

@@ -436,7 +436,8 @@ def test_a_nan_in_one_key_fails_the_entry_check(monkeypatch, sigma):
 
 def test_pauli_twins_run_as_frames_and_each_distinct_twin_folds_once(monkeypatch):
     # a fold is one call of linalg._fuse; cnot's uncorrected twin is one gate, built
-    # straight from its GateSpec, and its three corrected twins per wire pair fold once
+    # straight from its GateSpec, and its three corrected twins per wire pair fold once,
+    # when the angle-free cache first builds the gate's pair
     folds = []
     fuse = linalg._fuse
 
@@ -446,7 +447,7 @@ def test_pauli_twins_run_as_frames_and_each_distinct_twin_folds_once(monkeypatch
         return fuse(ops)
 
     monkeypatch.setattr(linalg, "_fuse", recording)
-    analysis._fold.cache_clear()
+    analysis._fixed_key_op.cache_clear()
     index = key_index(2)
     for _ in range(3):
         for gate in (Gate.cnot(0, 1), Gate.cnot(1, 0)):
@@ -473,6 +474,74 @@ def test_pauli_twins_run_as_frames_and_each_distinct_twin_folds_once(monkeypatch
             x, z = a[k] >> (n - 1 - wires[0]) & 1, b[k] >> (n - 1 - wires[-1]) & 1
             (want, _), = linalg._fuse((g.matrix(), g.wires) for g in rewrite.twin(gate, int(x), int(z)).gates)
             assert op[k].tobytes() == want.tobytes()
+
+
+def _angle_free_gates(n):
+    """Every gate with no angle on n wires: each Pauli and h on each wire, cnot on each ordered pair."""
+    return [Gate.named(k, w) for k in "xyzh" for w in range(n)] + [
+        Gate.cnot(c, t) for c in range(n) for t in range(n) if c != t]
+
+
+def test_an_angle_free_gate_builds_its_key_op_once():
+    # 4, 10 and 18 angle-free gates at n = 1, 2, 3: the cache holds all 32, so a second
+    # call of each hits it and returns the very pair the first call built
+    cache = analysis._fixed_key_op
+    pairs = {}
+    for n in (1, 2, 3):
+        before = cache.cache_info().currsize
+        for gate in _angle_free_gates(n):
+            pairs[gate, n] = analysis._key_op(gate, key_index(n))
+        assert cache.cache_info().currsize - before == {1: 4, 2: 10, 3: 18}[n]
+    info = cache.cache_info()
+    assert info.currsize == info.maxsize == len(pairs) == info.misses == 32
+    for (gate, n), (op, wires) in pairs.items():
+        again, again_wires = analysis._key_op(gate, key_index(n))
+        assert again is op and again_wires == wires == gate.wires
+    assert cache.cache_info().hits == 32
+
+
+def test_the_cached_arrays_are_read_only():
+    # a cnot's per-key stack, h's table rows, and the key and mask rows every call shares
+    n = 3
+    cnot, _ = analysis._key_op(Gate.cnot(2, 0), key_index(n))
+    h, _ = analysis._key_op(Gate.named("h", 1), key_index(n))
+    assert isinstance(h, linalg._Keyed) and isinstance(h.entries, tuple)
+    for arr in (cnot, h.index, *analysis._keys(n), *analysis._masks(n, 4)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1
+
+
+def test_a_gate_with_angles_never_enters_the_cache():
+    rng = RandomSource(190)
+    t = rng.angles(6)
+    for gate in (Gate.rz(t[0], 0), Gate.ry(t[1], 1), Gate("u", (2,), tuple(t[2:]))):
+        op, _ = analysis._key_op(gate, key_index(3))
+        assert isinstance(op, linalg._Keyed)
+    info = analysis._fixed_key_op.cache_info()
+    assert info.currsize == info.hits == info.misses == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_warm_cache_changes_no_report_and_no_stack(n):
+    # the second call reads every angle-free pair and the masks from the caches: the
+    # same report, every stack byte for byte, and still the blocks oracle entry for entry
+    rng = RandomSource(195 + n)
+    circuit = Circuit(n, rng.circuit(n, 16).gates + tuple(_angle_free_gates(n)))
+    caches = (analysis._fixed_key_op, analysis._masks)
+    for sigma in (rng.pure_state(n), rng.density_state(n, rank=1), rng.density_state(n)):
+        v, _ = _factor(sigma)
+        for cache in caches:
+            cache.cache_clear()
+        cold_report = verify_security(circuit, sigma, 1e-9)
+        for cache in caches:
+            cache.cache_clear()
+        cold = _key_stacks(circuit, v)
+        report, warm = verify_security(circuit, sigma, 1e-9), _key_stacks(circuit, v)
+        assert report == cold_report and report.passed
+        assert all(cache.cache_info().hits > 0 for cache in caches)
+        for got, cold_stack, want in zip(warm, cold, key_stacks_blocks(circuit, v), strict=True):
+            assert got.tobytes() == cold_stack.tobytes()
+            assert np.array_equal(got, want)
 
 
 def test_a_key_dependent_pauli_twin_takes_the_per_key_path(monkeypatch):

@@ -426,6 +426,16 @@ def test_a_non_key_raises_type_error(step, not_a_key):
         step(not_a_key, RandomSource(0).density_state(1))
 
 
+@pytest.mark.parametrize("call,expected", [
+    (lambda bad: rewrite_gate(QotpKey(1, "1", "0"), bad), "Gate"),
+    (lambda bad: keygen(2, bad), "RandomSource"),
+], ids=["rewrite_gate", "keygen"])
+@pytest.mark.parametrize("bad", [None, 7, ("rz", (0,), (0.4,))], ids=["None", "int", "tuple"])
+def test_a_wrong_type_gate_or_source_raises_type_error(call, expected, bad):
+    with pytest.raises(TypeError, match=rf"^expected {expected}, got {type(bad).__name__}$"):
+        call(bad)
+
+
 @pytest.mark.parametrize("scheme,op,message", [
     ("rz-only", Gate.rz(0.4, 0), "expected Scheme, got str"),
     (None, Gate.rz(0.4, 0), "expected Scheme, got NoneType"),
