@@ -153,8 +153,8 @@ def _keys(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=9)  # every (n, r) within the guard: r = 1, 2, ..., 2^n for n = 1..3
 def _masks(n: int, cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every key's mask on a (2^n, r) factor as one row, built as by ``linalg._signed_gather``: key k's
-    index row into the shared row, the same offset into its own row of a (4^n, 2^n r) stack, and its sign row."""
+    """Every key's mask on a (2^n, r) factor as one row: key k's index row into the shared row, as
+    ``linalg._signed_gather`` builds it, the same offset into key k's own row of a (4^n, 2^n r) stack, and its sign row."""
     a, b, _ = _keys(n)
     m = n + cols.bit_length() - 1
     rows = linalg._indices(m) ^ a[:, None] * cols

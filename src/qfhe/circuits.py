@@ -173,13 +173,15 @@ def simulate(circuit: Circuit, state):
 
 
 def _apply_gates(n_qubits: int, gates, state):
-    """``simulate`` on gates a caller has already checked against n_qubits, with no Circuit built."""
+    """``simulate`` on gates already checked against n_qubits, no Circuit built: the apply loop's one checked entry."""
     linalg._require(state, linalg.PureState, linalg.DensityState)
     if state.n_qubits != n_qubits:
         raise ValueError(f"circuit has {n_qubits} qubit(s), state has {state.n_qubits}")
     if not gates:
         return state
-    return linalg._evolve(state, _ops(gates))  # wires checked by the caller
+    pure = isinstance(state, linalg.PureState)
+    out = linalg._run(state.amplitudes if pure else state.matrix, n_qubits, _ops(gates), columns=not pure)
+    return type(state)(n_qubits, out)  # the one check; the wires were the caller's to check
 
 
 def _ops(gates):

@@ -14,10 +14,10 @@ a stack of them, each operator shared or one per stack entry; row-only, it
 takes ``analysis.verify_security``'s 4^n ciphertext factors by their twins.
 It fuses each wire's run of one-qubit gates, Paulis multiplied in, into one
 operator the next cnot on the wire absorbs, and each run of the Paulis left
-into one frame i^k X^a Z^b for the gather, also ``analysis``'s masks. A
-one-qubit gate is a row-major 4-tuple of Python complex numbers, built in
-closed form; runs multiply in Python scalars, so numpy sees one array per
-fused block. A state is checked once per gate sequence.
+into one frame i^k X^a Z^b for the gather. A one-qubit gate is a row-major
+4-tuple of Python complex numbers, built in closed form; runs multiply in
+Python scalars, so numpy sees one array per fused block. Its one checked
+entry, ``circuits._apply_gates``, checks a state once per gate sequence.
 """
 from __future__ import annotations
 
@@ -266,21 +266,7 @@ def _check_unitary(mat: np.ndarray) -> None:
         raise ValueError("matrix is not unitary within 1e-9")
 
 
-def _checked_operator(unitary, wires, n_qubits: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The operator as a complex array and the wires as a tuple; ValueError unless they fit."""
-    unitary = np.asarray(unitary, dtype=complex)
-    wires = tuple(_as_index(w, "wire") for w in wires)
-    k = len(wires)
-    if len(set(wires)) != k:
-        raise ValueError(f"duplicate wires in {wires}")
-    if any(w < 0 or w >= n_qubits for w in wires):
-        raise ValueError(f"wires {wires} out of range for {n_qubits} qubits")
-    if unitary.shape != (2 ** k, 2 ** k):
-        raise ValueError(f"operator shape {unitary.shape} does not match {k} wire(s)")
-    return unitary, wires
-
-
-@functools.lru_cache(maxsize=1024)  # bounded: apply_to_wires takes any wire set
+@functools.lru_cache(maxsize=1024)  # bounded: one entry per wire set, size and stack shape that runs meet
 def _plan(axes: tuple[int, ...], m: int, lead: tuple[int, ...]) -> tuple:
     """How ``_apply_on_axes`` gathers the axes: (shape, perm, back, gemm shape).
 
@@ -357,30 +343,26 @@ def _parity_signs(m: int) -> np.ndarray:
 def _signed_gather(flat: np.ndarray, a, b, m: int) -> np.ndarray:
     """X^a Z^b on the last axis of a row or of a (B, 2^m) stack: out[..., i] = S[b, i ^ a] flat[..., i ^ a].
 
-    a and b are ints, one mask, or (B, 1) columns, one mask per row, over one
-    shared row or over the stack. Returns a new C-contiguous array, exact.
+    a and b are ints, one mask on the row or on every row of the stack, or (K, 1)
+    columns, K masks on one shared row. Returns a new C-contiguous array, exact.
     """
     rows = _indices(m) ^ a
     signs = _parity_signs(m)[rows & b]
     if flat.ndim == 1:
         return flat[rows] * signs
-    if rows.ndim > 1:  # one mask per row: each row's indices into the flattened stack
-        return flat.reshape(-1)[rows + (np.arange(len(flat))[:, None] << m)] * signs
     return flat.take(rows, axis=-1) * signs  # one mask for the whole stack
 
 
-def _pauli_conjugates(mats: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """X^a Z^b M (X^a Z^b)^dagger for each key (a[k], b[k]), as a C-contiguous (K, 2^n, 2^n) stack.
+def _pauli_conjugates(mat: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """X^a Z^b M (X^a Z^b)^dagger of one matrix for each key (a[k], b[k]), as a C-contiguous (K, 2^n, 2^n) stack.
 
     Entry (r, c) is S[b, r] S[b, c] M[r ^ a, c ^ a]: read as a 2n-qubit row,
     M takes the mask on both halves, X^(a(2^n+1)) Z^(b(2^n+1)), one signed
-    gather, so exact. mats is one shared matrix or one matrix per key, and
-    a and b hold one key per matrix or one key shared by a stack of K
-    matrices. The inverse mask Z^b X^a = +-X^a Z^b gives the same stack.
+    gather of K masks on the shared row, so exact. The inverse mask
+    Z^b X^a = +-X^a Z^b gives the same stack.
     """
     lift = (1 << n) + 1
-    out = _signed_gather(mats.reshape(*mats.shape[:-2], -1), a[:, None] * lift, b[:, None] * lift, 2 * n)
-    return out.reshape(-1, 1 << n, 1 << n)
+    return _signed_gather(mat.reshape(-1), a[:, None] * lift, b[:, None] * lift, 2 * n).reshape(-1, 1 << n, 1 << n)
 
 
 def _compose(frame: tuple[int, int, int], pauli: tuple[int, int], wire: int, n: int) -> tuple[int, int, int]:
@@ -484,26 +466,6 @@ def _run(arr: np.ndarray, n: int, ops, columns: bool) -> np.ndarray:
     if any(frame):
         flat = _apply_frame(flat, frame, lift, m, columns)
     return flat.reshape(arr.shape)
-
-
-def _evolve(state, ops):
-    """Run the apply loop on a checked state's array, then check the result."""
-    n = state.n_qubits
-    if isinstance(state, PureState):
-        return PureState(n, _run(state.amplitudes, n, ops, columns=False))
-    return DensityState(n, _run(state.matrix, n, ops, columns=True))
-
-
-def apply_to_wires(unitary: np.ndarray, wires, state):
-    """Apply a k-qubit operator to the named wires of a state.
-
-    Accepts a PureState or DensityState and returns the same kind. The
-    operator is contracted with the wire axes of the state, never embedded
-    into a 2^n x 2^n matrix. This is the checked entry to the apply loop
-    that ``circuits.simulate`` runs for whole circuits.
-    """
-    _require(state, PureState, DensityState)
-    return _evolve(state, [_checked_operator(unitary, wires, state.n_qubits)])
 
 
 def _require(value, *types: type) -> None:

@@ -100,11 +100,17 @@ def _require_xz(key: QotpKey) -> None:
         raise ValueError(f"circuit rewriting requires the xz key variant, got {key.variant!r}")
 
 
+def _check_wires(key: QotpKey, gate: Gate) -> None:  # a lone gate's; a Circuit checks its own wires
+    if max(gate.wires) >= key.n_qubits:
+        raise ValueError(f"key is for {key.n_qubits} qubit(s), gate acts on wire {max(gate.wires)}")
+
+
 def rewrite_gate(key: QotpKey, gate: Gate) -> RewriteResult:
     """The gate's twin under the key: ``twin`` with the key's bits on the gate's wires."""
     linalg._require(key, QotpKey)
     linalg._require(gate, Gate)
     _require_xz(key)
+    _check_wires(key, gate)
     return twin(gate, int(key.x_bits[gate.wires[0]]), int(key.z_bits[gate.wires[-1]]))
 
 
@@ -154,8 +160,7 @@ def scheme_evaluate(scheme: Scheme, key: QotpKey, op: Gate, ciphertext: DensityS
     linalg._require(ciphertext, linalg.PureState, DensityState)
     if ciphertext.n_qubits != key.n_qubits:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), state has {ciphertext.n_qubits}")
-    if max(op.wires) >= key.n_qubits:
-        raise ValueError(f"key is for {key.n_qubits} qubit(s), gate acts on wire {max(op.wires)}")
+    _check_wires(key, op)
     z = int(key.z_bits[op.wires[-1]]) if variant == qotp.VARIANT_XZ else 0  # an hy key's z bit is Y's
     twins = twin(op, int(key.x_bits[op.wires[0]]), z).gates
     return circuits._apply_gates(key.n_qubits, twins, ciphertext)

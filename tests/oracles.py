@@ -3,27 +3,31 @@
 Most build full 2^n x 2^n matrices: Pauli operators one at a time, gates
 tensor-embedded into the whole register, circuits as the product of those
 embeddings, and ``twin_error`` checks one gate's rewrite rule against them
-under every key. ``zyz_matrix`` builds an rz, ry or u matrix as the
-product of its rotation matrices, and ``all_keys`` lists every key.
+under every key. ``zyz_matrix`` builds an rz, ry or u matrix as the product
+of its rotation matrices, and ``all_keys`` lists every key.
 ``verify_security_loop`` visits the 4^n keys one at a time,
 ``average_over_keys_loop`` averages ``qotp.encrypt`` over one-wire keys, and
 ``parse_pairs_loop`` reads a CLI grid of [re, im] pairs one entry at a time.
 ``apply_on_axes_uncached`` is the gate kernel with its dispatch worked out
 on every call, and ``simulate_per_gate`` runs every gate, Paulis too, as its
-matrix through it: one gemm per gate, no Pauli frames. ``key_stacks_per_gate``
-evaluates the key stack of a state factor the same way, each gate as a table
-of its four twins folded to matrices, by dense masks. ``key_stacks_dense``
-is the density-shaped key stack: an identity stack run row-only to every
-key's twin unitary U_k, U_k C U_k^dagger for every ciphertext C, and the
-2n-qubit mask gathers; ``verify_security_dense`` reports from it, with the
-density-mode ``simulate`` as reference. ``fuse_blocks`` forms, by a plain
-loop, ``np.kron`` and ``matmul_2x2``, a 2x2 product summed entry by entry in
+matrix through it: one gemm per gate, no Pauli frames.
+``key_stacks_per_gate`` evaluates the key stack of a state factor the same
+way, each gate as a table of its four twins folded to matrices, by dense
+masks. ``key_stacks_dense`` is the density-shaped key stack: an identity
+stack run row-only to every key's twin unitary U_k, U_k C U_k^dagger for
+every ciphertext C, and every key's mask on both sides by ``mask_rows``;
+``verify_security_dense`` reports from it, with the density-mode
+``simulate`` as reference. ``fuse_blocks`` forms, by a plain loop,
+``np.kron`` and ``matmul_2x2``, a 2x2 product summed entry by entry in
 Python scalars, the blocks the apply loop fuses a sequence of ``gate_steps``
 into, in the same order, a keyed run on its four table entries before one
 gather per key; ``key_index`` lists every key's table row, wire pair by wire
 pair; ``simulate_blocks``, ``round_trip_blocks`` and ``key_stacks_blocks``
 run them through the uncached kernel, Paulis too, the last on the rows of
-every key's factor P_k V, which ``mask_rows`` gathers.
+every key's factor P_k V, which ``mask_rows`` gathers one key at a time by
+index arithmetic. ``apply_to_wires`` is the apply loop's checked entry for
+one operator on any wire set: ``checked_operator`` checks the operator and
+wires, ``evolve`` runs trusted pairs on a state and checks the result.
 ``phase_adjusted_distance`` is the classifier's criterion for one conjugate
 at a time, and ``min_eigenvalue`` is the eigensolve that the density check's
 Cholesky test of positivity stands in for.
@@ -48,7 +52,7 @@ from qfhe.analysis import (
 )
 from qfhe.circuits import Circuit, Gate, is_finite_number, simulate
 from qfhe.cli import EXIT_PARSE, CliError
-from qfhe.linalg import DensityState, PureState, _checked_operator, all_bit_strings
+from qfhe.linalg import DensityState, PureState, all_bit_strings
 
 
 def _check_bits(bits: str, name: str) -> None:
@@ -106,9 +110,46 @@ def apply_to_density(unitary: np.ndarray, rho: DensityState) -> DensityState:
     return DensityState(rho.n_qubits, unitary @ rho.matrix @ unitary.conj().T)
 
 
+def checked_operator(unitary, wires, n_qubits: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The operator as a complex array and the wires as a tuple of ints; ValueError unless they fit.
+
+    A wire is an int or a numpy integer, not a bool: True would index wire 1.
+    """
+    unitary = np.asarray(unitary, dtype=complex)
+    if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) for w in wires):
+        raise ValueError(f"wires must be integers, got {wires!r}")
+    wires = tuple(int(w) for w in wires)
+    k = len(wires)
+    if len(set(wires)) != k:
+        raise ValueError(f"duplicate wires in {wires}")
+    if any(w < 0 or w >= n_qubits for w in wires):
+        raise ValueError(f"wires {wires} out of range for {n_qubits} qubits")
+    if unitary.shape != (2 ** k, 2 ** k):
+        raise ValueError(f"operator shape {unitary.shape} does not match {k} wire(s)")
+    return unitary, wires
+
+
+def evolve(state, ops):
+    """The apply loop's (operator, wires) pairs, trusted, run on a state's array; the result checked as the state's kind."""
+    n = state.n_qubits
+    if isinstance(state, PureState):
+        return PureState(n, linalg._run(state.amplitudes, n, ops, columns=False))
+    return DensityState(n, linalg._run(state.matrix, n, ops, columns=True))
+
+
+def apply_to_wires(unitary: np.ndarray, wires, state):
+    """A k-qubit operator on the named wires of a PureState or DensityState, by the apply loop; returns the same kind.
+
+    The operator and wires are checked by ``checked_operator``, and the result
+    as a state. The operator is contracted with the wire axes of the state,
+    never embedded into a 2^n x 2^n matrix.
+    """
+    return evolve(state, [checked_operator(unitary, wires, state.n_qubits)])
+
+
 def embed_on_wires(unitary: np.ndarray, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
     """Tensor-embed a k-qubit operator onto the named wires of an n-qubit register."""
-    unitary, wires = _checked_operator(unitary, wires, n_qubits)
+    unitary, wires = checked_operator(unitary, wires, n_qubits)
     k = len(wires)
     if k == n_qubits and wires == tuple(range(n_qubits)):
         return unitary
@@ -422,15 +463,21 @@ def round_trip_blocks(key: qotp.QotpKey, circuit: Circuit, state) -> tuple:
 
 
 def mask_rows(mats: np.ndarray, n: int) -> np.ndarray:
-    """P_k M for every key's mask P_k = X^a Z^b, (a, b) = divmod(k, 2^n), by ``linalg._signed_gather``: exact.
+    """P_k M for every key's mask P_k = X^a Z^b, (a, b) = divmod(k, 2^n), one key at a time: exact.
 
-    mats is one (2^n, r) matrix, shared, or a stack of one per key.
+    mats is one (2^n, r) matrix, shared, or a stack of one per key. Row i of
+    P_k M is (-1)^popcount(b & (i ^ a)) times row i ^ a of M, the sign a
+    complex +-1 as ``linalg._parity_signs`` holds it, so each entry is the
+    same complex product as the package's gathers make, signed zeros too.
     """
-    a, b = divmod(np.arange(4 ** n), 2 ** n)
-    cols = mats.shape[-1]
-    flat = mats.reshape(*mats.shape[:-2], -1)
-    out = linalg._signed_gather(flat, a[:, None] * cols, b[:, None] * cols, n + cols.bit_length() - 1)
-    return out.reshape(4 ** n, 2 ** n, cols)
+    dim = 2 ** n
+    index = np.arange(dim)
+    out = np.empty((4 ** n, dim, mats.shape[-1]), dtype=complex)
+    for k in range(4 ** n):
+        a, b = divmod(k, dim)
+        parity = np.array([bin(b & (i ^ a)).count("1") & 1 for i in range(dim)])
+        out[k] = (mats if mats.ndim == 2 else mats[k])[index ^ a] * (1 - 2 * parity).astype(complex)[:, None]
+    return out
 
 
 def key_stacks_blocks(circuit: Circuit, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -465,17 +512,22 @@ def key_stacks_dense(circuit: Circuit, sigma) -> tuple[np.ndarray, np.ndarray, n
 
     One row-only run of the apply loop takes an identity stack to each key's
     twin circuit U_k, two batched products conjugate each key's ciphertext,
-    a 2n-qubit mask gather of sigma, by its U_k, and the gather again decrypts.
+    P_k sigma P_k^dagger by ``mask_rows`` on both sides, by its U_k, and the
+    same masks again decrypt.
     A pure sigma enters as its density matrix. Nothing is checked.
     """
     n = circuit.n_qubits
     mat = sigma.to_density().matrix if isinstance(sigma, PureState) else sigma.matrix
-    a, b = divmod(np.arange(4 ** n), 2 ** n)
-    cipher = linalg._pauli_conjugates(mat, a, b, n)
+    cipher = _conjugate_by_keys(mat, n)
     identities, index = np.broadcast_to(np.eye(2 ** n, dtype=complex), cipher.shape), key_index(n)
     unitaries = linalg._run(identities, n, (_key_op(g, index) for g in circuit.gates), columns=False)
     evaluated = unitaries @ cipher @ unitaries.conj().swapaxes(1, 2)
-    return cipher, evaluated, linalg._pauli_conjugates(evaluated, a, b, n)
+    return cipher, evaluated, _conjugate_by_keys(evaluated, n)
+
+
+def _conjugate_by_keys(mats: np.ndarray, n: int) -> np.ndarray:
+    """P_k M P_k^dagger for every key, M shared or one per key: ``mask_rows`` on M's rows, then on the rows of the adjoint."""
+    return mask_rows(mask_rows(mats, n).conj().swapaxes(1, 2), n).conj().swapaxes(1, 2)
 
 
 def verify_security_dense(circuit: Circuit, sigma, tol: float) -> SecurityReport:

@@ -632,27 +632,27 @@ def test_pauli_conjugates_equal_the_dense_products(n):
     a, b = divmod(np.arange(4 ** n), dim)
     shape = (len(a), dim, dim)
     shared = rng.normal(size=shape[1:]) + 1j * rng.normal(size=shape[1:])
-    per_key = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    got_shared, got_per_key = _pauli_conjugates(shared, a, b, n), _pauli_conjugates(per_key, a, b, n)
-    assert got_shared.shape == got_per_key.shape == shape
-    bits = all_bit_strings(n)
-    for k in range(len(a)):
-        p = pauli_operator(bits[a[k]], bits[b[k]])
-        assert np.max(np.abs(got_shared[k] - p @ shared @ p.conj().T)) <= ATOL_EXACT
-        assert np.max(np.abs(got_per_key[k] - p @ per_key[k] @ p.conj().T)) <= ATOL_EXACT
-    # one key over a whole stack, as the apply loop flushes a shared frame: entry by entry
-    # the same gather, and C-contiguous so that the stack sums in a gemm result's order
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = _pauli_conjugates(shared, a, b, n)
+    assert got.shape == shape and got.flags.c_contiguous
+    for k, (_, p) in enumerate(pauli_basis(n)):
+        assert np.max(np.abs(got[k] - p @ shared @ p.conj().T)) <= ATOL_EXACT
+    # one key over a whole stack, as the apply loop flushes a shared frame on a density
+    # stack: entry by entry the same gather, and C-contiguous so that the stack sums in a
+    # gemm result's order
+    lift = dim + 1
     for k in (1, len(a) - 1):
-        got_one_key = _pauli_conjugates(per_key, a[k:k + 1], b[k:k + 1], n)
-        assert got_one_key.shape == shape and got_one_key.flags.c_contiguous
+        got_one_key = _signed_gather(stack.reshape(len(a), -1), int(a[k]) * lift, int(b[k]) * lift, 2 * n)
+        assert got_one_key.flags.c_contiguous
         for entry in range(len(a)):
-            want = _pauli_conjugates(per_key[entry], a[k:k + 1], b[k:k + 1], n)[0]
+            want = _pauli_conjugates(stack[entry], a[k:k + 1], b[k:k + 1], n)[0]
             assert got_one_key[entry].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_signed_gather_on_rows_equals_the_dense_products(m):
-    # the statevector frames' forms of the one gather: each row exactly X^a Z^b times its source row
+    # the statevector frames' and the conjugates' forms of the one gather: each row exactly
+    # X^a Z^b times its source row
     rng = np.random.default_rng(80 + m)
     dim = 2 ** m
     a = np.array([0, dim - 1, *rng.integers(0, dim, 10)])
@@ -661,30 +661,27 @@ def test_signed_gather_on_rows_equals_the_dense_products(m):
     stack = rng.normal(size=(len(a), dim)) + 1j * rng.normal(size=(len(a), dim))
     bits = all_bit_strings(m)
     ops = [pauli_operator(bits[x], bits[z]) for x, z in zip(a, b)]
-    per_row_shared = _signed_gather(row, a[:, None], b[:, None], m)
-    per_row_stack = _signed_gather(stack, a[:, None], b[:, None], m)
+    per_key_shared = _signed_gather(row, a[:, None], b[:, None], m)
     for k, op in enumerate(ops):
         one_mask = _signed_gather(row, int(a[k]), int(b[k]), m)
         one_mask_stack = _signed_gather(stack, int(a[k]), int(b[k]), m)
         assert np.array_equal(one_mask, op @ row)
         assert np.array_equal(one_mask_stack, stack @ op.T)
-        assert np.array_equal(per_row_shared[k], op @ row)
-        assert np.array_equal(per_row_stack[k], op @ stack[k])
+        assert np.array_equal(per_key_shared[k], op @ row)
         assert one_mask.flags.c_contiguous and one_mask_stack.flags.c_contiguous
-    assert per_row_shared.shape == per_row_stack.shape == stack.shape
-    assert per_row_shared.flags.c_contiguous and per_row_stack.flags.c_contiguous
+    assert per_key_shared.shape == stack.shape and per_key_shared.flags.c_contiguous
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_a_shared_mask_on_a_stack_equals_the_per_row_path(m):
-    # one mask for the whole stack, as a shared frame flushes, against the same mask given
-    # to every row: the same bytes, C-contiguous
+    # one mask for the whole stack, as a shared frame flushes, against the same mask
+    # gathered row by row in a plain loop: the same bytes, C-contiguous
     rng = np.random.default_rng(90 + m)
     dim = 2 ** m
     stack = rng.normal(size=(2 * dim, dim)) + 1j * rng.normal(size=(2 * dim, dim))
     for a, b in ((0, 0), (dim - 1, 0), (0, dim - 1), *rng.integers(0, dim, (4, 2)).tolist()):
         shared = _signed_gather(stack, a, b, m)
-        per_row = _signed_gather(stack, np.full((len(stack), 1), a), np.full((len(stack), 1), b), m)
+        per_row = np.array([_signed_gather(row, a, b, m) for row in stack])
         assert shared.shape == stack.shape and shared.flags.c_contiguous
         assert shared.tobytes() == per_row.tobytes()
 

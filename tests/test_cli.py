@@ -88,6 +88,25 @@ def test_bad_flag_exits_2(tmp_path):
     assert main(["keygen", "-n", "2", "-o", str(tmp_path / "k.json")]) == 2  # missing --seed
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["keygen", "-n", "2", "--seed", "42"], 0),
+    (["keygen", "-n", "0", "--seed", "42"], 2),
+    (["keygen", "-n", "2"], 2),
+], ids=["keygen", "zero-qubits", "missing-seed"])
+def test_entry_exits_with_the_code_main_returns(tmp_path, monkeypatch, capsys, argv, code):
+    # the installed qfhe script's function: sys.argv in, main's code out as the exit status
+    out, again = tmp_path / "k.json", tmp_path / "again.json"
+    monkeypatch.setattr(sys, "argv", ["qfhe", *argv, "-o", str(out)])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    entry_err = capsys.readouterr().err
+    assert exit_info.value.code == code == main([*argv, "-o", str(again)])
+    assert capsys.readouterr().err == entry_err
+    assert out.exists() == again.exists() == (code == 0)
+    if code == 0:
+        assert out.read_bytes() == again.read_bytes()
+
+
 # --- encrypt / decrypt ---------------------------------------------------
 
 def test_encrypt_decrypt_round_trip(tmp_path):

@@ -6,6 +6,10 @@ their imports are the re-exported API, and so are ``from __future__`` imports.
 Every single-underscore name that a module of ``src/qfhe`` defines at top level
 is read somewhere in ``src/qfhe``, ``tests`` or ``scripts``.
 
+Every top-level def, class and assignment of ``src/qfhe`` is reached from the
+package's entry points: ``qfhe.__all__``, ``cli.entry`` and the module entry
+points README documents. Code that only tests reach belongs in the oracles.
+
 The package's ``__all__`` lists exactly the public names it binds, once each,
 and the demos and the benchmark's workloads take only those from the package.
 
@@ -58,9 +62,8 @@ def test_detector_flags_an_unused_name():
     assert unused_imports(tree) == ["line 2: os"]
 
 
-def private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Single-underscore names bound at module level by an assignment, def or class."""
-    defined: dict[str, int] = {}
+def top_level_definitions(tree: ast.Module):
+    """(name, node) for each name bound at module level by an assignment, def or class, dunders aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -69,13 +72,19 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                defined.setdefault(name, node.lineno)
+        yield from ((name, node) for name in names if not name.startswith("__"))
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Single-underscore names bound at module level by an assignment, def or class."""
+    defined: dict[str, int] = {}
+    for name, node in top_level_definitions(tree):
+        if name.startswith("_"):
+            defined.setdefault(name, node.lineno)
     return defined
 
 
-def names_read(tree: ast.Module) -> set[str]:
+def names_read(tree: ast.AST) -> set[str]:
     """Names loaded, attributes loaded, and names imported from another module."""
     read = set()
     for node in ast.walk(tree):
@@ -116,6 +125,64 @@ def test_detector_flags_a_dead_private_name():
     reader = ast.parse("from m import _f\nimport m\nprint(m._b, m._K)\nm._dead = 0\n")
     assert dead_private_names({"m": module}, [module, reader]) == [
         "m line 1: _dead", "m line 2: _a", "m line 11: _dead2"
+    ]
+
+
+def unreached_definitions(modules: dict[str, ast.Module], roots) -> list[str]:
+    """Top-level definitions that no walk from the root names reaches.
+
+    A reached definition reaches every top-level definition, in any module, of
+    each name it reads (``names_read``, its decorators included): a name read
+    anywhere keeps every definition of that name.
+    """
+    defined: dict[str, list[tuple[str, ast.AST]]] = {}
+    for where, tree in modules.items():
+        for name, node in top_level_definitions(tree):
+            defined.setdefault(name, []).append((where, node))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached and name in defined:
+            reached.add(name)
+            todo += [read for _, node in defined[name] for read in names_read(node)]
+    return [f"{where} line {node.lineno}: {name}"
+            for name, found in defined.items() if name not in reached for where, node in found]
+
+
+#: module entry points that README documents beyond ``qfhe.__all__``, as module.name
+DOCUMENTED_ENTRY_POINTS = ("rewrite.scheme_evaluate", "rewrite.rewrite_gate")
+
+
+def test_every_definition_in_the_package_is_reached():
+    readme = (ROOT / "README.md").read_text()
+    assert all(f"`{entry}" in readme for entry in DOCUMENTED_ENTRY_POINTS)
+    package = ROOT / "src" / "qfhe"
+    modules = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))}
+    for entry in DOCUMENTED_ENTRY_POINTS:
+        where, name = entry.split(".")
+        assert name in dict(top_level_definitions(modules[where]))
+    roots = [*qfhe.__all__, "entry", *(entry.split(".")[1] for entry in DOCUMENTED_ENTRY_POINTS)]
+    assert unreached_definitions(modules, roots) == []
+
+
+def test_detector_flags_an_unreached_definition():
+    modules = {
+        "m": ast.parse(
+            "import os\n_TABLE = {1: 2}\n"
+            "def root():\n    return helper(_TABLE)\n"
+            "@_cache\ndef helper(x):\n    return K().method(x)\n"
+            "class K:\n    def method(self):\n        return _inner()\n"
+            "def _inner():\n    os.sep\n"
+            "def _dead():\n    return _only_from_dead(root)\n"
+            "def _only_from_dead(f):\n    pass\n"
+            "_cache = functools.lru_cache\nDEAD = _dead\n__all__ = ['root']\n"
+        ),
+        "n": ast.parse("def method():\n    pass\ndef unused():\n    pass\n_TABLE = None\n"),
+    }
+    # a decorator is read by its def; a name read reaches its definitions in every module,
+    # and a dead definition reaches nothing
+    assert unreached_definitions(modules, ["root"]) == [
+        "m line 13: _dead", "m line 15: _only_from_dead", "m line 18: DEAD", "n line 3: unused"
     ]
 
 

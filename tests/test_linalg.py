@@ -25,11 +25,8 @@ from qfhe.linalg import (
     ATOL_EXACT,
     GATE_SPECS,
     _apply_on_axes,
-    _checked_operator,
-    _evolve,
     _fuse,
     all_bit_strings,
-    apply_to_wires,
     canonical_angle,
     gate_matrix,
 )
@@ -40,7 +37,10 @@ from oracles import (
     all_keys,
     apply_on_axes_uncached,
     apply_to_density,
+    apply_to_wires,
+    checked_operator,
     embed_on_wires,
+    evolve,
     full_matrix,
     fuse_blocks,
     gate_steps,
@@ -219,7 +219,7 @@ def test_apply_to_wires_rejects_bad_wires(wires):
 
 
 def test_apply_to_wires_takes_numpy_integer_wires_as_ints():
-    _, wires = _checked_operator(gate_matrix("cnot"), (np.int64(1), np.int32(0)), 2)
+    _, wires = checked_operator(gate_matrix("cnot"), (np.int64(1), np.int32(0)), 2)
     assert wires == (1, 0) and all(type(w) is int for w in wires)
     out = apply_to_wires(gate_matrix("x"), (np.int64(1),), PureState.basis(2, 0))
     assert np.array_equal(out.amplitudes, PureState.basis(2, 1).amplitudes)
@@ -390,7 +390,7 @@ def test_end_of_run_check_catches_a_non_unitary():
     x, double = gate_matrix("x"), 2 * np.eye(2, dtype=complex)
     for state in (rng.pure_state(2), rng.density_state(2)):
         with pytest.raises(ValueError, match="is not 1 within"):
-            _evolve(state, [(x, (0,)), (double, (1,)), (x, (1,))])
+            evolve(state, [(x, (0,)), (double, (1,)), (x, (1,))])
 
 
 # --- fused runs, Pauli frames and kernel plans, against the block oracle -----

@@ -466,3 +466,17 @@ def test_scheme_rejects_a_wire_past_the_key(scheme, op, n):
     rho = RandomSource(0).density_state(n)
     with pytest.raises(ValueError, match=f"key is for {n} qubit\\(s\\), gate acts on wire {max(op.wires)}"):
         scheme_evaluate(scheme, key, op, rho)
+
+
+@pytest.mark.parametrize("op,n", [
+    (Gate.cnot(0, 1), 1),
+    (Gate.cnot(1, 0), 1),
+    (Gate.rz(1.0, 3), 1),
+    (Gate.named("x", 2), 2),
+    (Gate.cnot(0, 2), 2),
+], ids=["cnot-target", "cnot-control", "rz", "x", "cnot-n2"])
+def test_rewrite_gate_rejects_a_wire_past_the_key(op, n):
+    # the same check and message as scheme_evaluate's, not an IndexError from the key's bits
+    key = QotpKey(n, "1" * n, "0" * n)
+    with pytest.raises(ValueError, match=f"^key is for {n} qubit\\(s\\), gate acts on wire {max(op.wires)}$"):
+        rewrite_gate(key, op)
