@@ -174,7 +174,7 @@ def _key_stacks(circuit: Circuit, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     rows, own, signs = _masks(n, v.shape[1])
     index = _keys(n)[2]
     cipher = (v.reshape(-1)[rows] * signs).reshape(-1, *v.shape)
-    evaluated = linalg._run(cipher, n, (_key_op(g, index) for g in circuit.gates), columns=False)
+    evaluated = linalg._run(cipher, n, [_key_op(g, index) for g in circuit.gates], columns=False)
     return cipher, evaluated, (evaluated.reshape(-1)[own] * signs).reshape(cipher.shape)
 
 

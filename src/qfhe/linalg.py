@@ -394,6 +394,11 @@ def _kron(l: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-4], out.shape[-4] * out.shape[-3], -1)
 
 
+#: l (x) r = l's entries at _KRON_LEFT times r's at _KRON_RIGHT, 8 row-major entries l's first: ``_kron``'s products
+_KRON_LEFT, _KRON_RIGHT = _read_only(np.array([np.kron(np.arange(4).reshape(2, 2), np.ones((2, 2), int)),
+                                               np.kron(np.ones((2, 2), int), np.arange(4, 8).reshape(2, 2))]))
+
+
 def _mul(l: tuple, r: tuple) -> tuple:
     """l r of two one-qubit operators given as row-major entries, in Python complex arithmetic."""
     a, b, c, d = l
@@ -409,7 +414,8 @@ def _fuse(ops):
     (x) run_k-1), the identity for a wire with none; the runs left come last,
     in wire order. Runs of entries multiply by ``_mul``, keyed ones on their
     four entries, and become arrays only when absorbed or yielded; a product
-    with an array is numpy's, so it broadcasts over (K, d, d) stacks.
+    with an array is numpy's, so it broadcasts over (K, d, d) stacks. A cnot
+    takes two runs of entries as one array of their 8, two fixed gathers and one product.
     """
     pend = {}
     for op, wires in ops:
@@ -429,7 +435,12 @@ def _fuse(ops):
             pend[wires[0]] = op
         else:
             if not pend.keys().isdisjoint(wires):
-                op = op @ functools.reduce(_kron, [_as_array(pend.pop(w, _PAULIS[0, 0])) for w in wires])
+                runs = [pend.pop(w, _PAULIS[0, 0]) for w in wires]
+                if len(runs) == 2 and type(runs[0]) is type(runs[1]) is tuple:  # 8 entries, one product
+                    entries = np.array(runs[0] + runs[1])
+                    op = op @ (entries[_KRON_LEFT] * entries[_KRON_RIGHT])
+                else:
+                    op = op @ functools.reduce(_kron, map(_as_array, runs))
             yield op, wires
     yield from ((_as_array(pend[w]), (w,)) for w in sorted(pend))
 

@@ -4,6 +4,7 @@ Each source gate is replaced by a twin, so that running the rewritten circuit
 on a QOTP ciphertext equals encrypting the plaintext result. ``twin`` is the
 one rule: it reads the mask's x bit on the gate's first wire and its z bit on
 the last. Single-qubit gates map to exactly one gate; cnot maps to at most three.
+An angle-free gate's twins never change, so ``_fixed_twin`` keeps one per (kind, wires, x, z).
 
 The restricted single-gate schemes are the same rule with fewer gates permitted,
 one row of permitted kinds and key variant per ``Scheme``. Under the hy mask
@@ -17,6 +18,7 @@ counted in RewriteResult.phase_flips so the exact sign can be reconstructed.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import NamedTuple
 
 from . import circuits, linalg, qotp
@@ -66,7 +68,7 @@ def twin(gate: Gate, x: int, z: int) -> RewriteResult:
     cnot becomes Z^z on the control, X^x on the target, then cnot, and drops
     (-1)^(x*z). A Pauli is its own twin and drops its sign. Any other
     single-qubit gate keeps its kind, h lifted to u first, and negates each
-    angle by the parity column of its GateSpec.
+    angle by the parity column of its GateSpec. Every cache of twins calls it.
     """
     if gate.kind == "cnot":
         control, target = gate.wires
@@ -114,7 +116,7 @@ def rewrite_gate(key: QotpKey, gate: Gate) -> RewriteResult:
     return twin(gate, int(key.x_bits[gate.wires[0]]), int(key.z_bits[gate.wires[-1]]))
 
 
-def _twins(key: QotpKey, circuit: Circuit) -> tuple[Gate, ...]:
+def _twins(key: QotpKey, circuit: Circuit) -> list[Gate]:
     """Every gate's twin under the key, in order, after checking the circuit against the key; an hy key fails even with no gate."""
     linalg._require(circuit, Circuit)
     linalg._require(key, QotpKey)
@@ -122,7 +124,18 @@ def _twins(key: QotpKey, circuit: Circuit) -> tuple[Gate, ...]:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), circuit has {circuit.n_qubits}")
     _require_xz(key)  # once per circuit, so ``twin`` takes the bits directly
     x_bits, z_bits = [*map(int, key.x_bits)], [*map(int, key.z_bits)]
-    return tuple(g for gate in circuit.gates for g in twin(gate, x_bits[gate.wires[0]], z_bits[gate.wires[-1]]).gates)
+    gates: list[Gate] = []
+    for gate in circuit.gates:
+        x, z = x_bits[gate.wires[0]], z_bits[gate.wires[-1]]
+        gates += (twin(gate, x, z) if gate.params else _fixed_twin(gate.kind, gate.wires, x, z)).gates
+    return gates
+
+
+@functools.lru_cache(maxsize=1024)  # every angle-free twin up to n = 14: 16n one-wire and 4n(n - 1) cnot entries
+def _fixed_twin(kind: str, wires: tuple[int, ...], x: int, z: int) -> RewriteResult:
+    """``twin`` of an angle-free gate (x, y, z, h, cnot), shared: a RewriteResult holds frozen Gates.
+    Code that replaces the rule at run time must call its ``cache_clear``."""
+    return twin(Gate._unchecked(kind, wires, ()), x, z)
 
 
 def rewrite_circuit(key: QotpKey, circuit: Circuit) -> Circuit:

@@ -613,6 +613,55 @@ def test_fuse_multiplies_a_keyed_run_on_its_entries_and_gathers_it_once():
     assert _same_bits(got[0], mat @ np.array(tables[2])[index])
 
 
+def _entry_runs() -> list:
+    """One-qubit entry tuples as runs pend them: random u/rz/ry builds, the Paulis, entries holding -0.0."""
+    rng = np.random.default_rng(138)
+    runs = [GATE_SPECS[kind].build(*rng.uniform(-20.0, 20.0, size=len(GATE_SPECS[kind].params)).tolist())
+            for kind in ("u", "rz", "ry") for _ in range(6)]
+    runs += [GATE_SPECS[kind].build() for kind in ("x", "y", "z", "h")]
+    # diag(i, -1) with a signed zero in every part that is 0
+    return runs + [(complex(-0.0, 1.0), complex(-0.0, -0.0), complex(0.0, -0.0), complex(-1.0, -0.0))]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("wires", [(0, 1), (1, 0)], ids=["control_first", "target_first"])
+def test_fuse_absorbs_two_runs_of_entries_into_a_cnot_with_the_bits_of_the_generic_kron(n, wires):
+    # the indexed product of the 8 entries against the generic absorption, None a wire with no run;
+    # on 3 qubits a run on wire 2 stays pending past the cnot
+    cnot, eye, spare = gate_matrix("cnot"), linalg._PAULIS[0, 0], GATE_SPECS["h"].build()
+    runs = _entry_runs()
+    for a, b in itertools.product([None, *runs], repeat=2):
+        if a is b is None:
+            continue
+        ops = [(r, (w,)) for r, w in zip((a, b), wires) if r is not None] + [(spare, (2,))] * (n == 3)
+        got = list(_fuse([*ops, (cnot, wires)]))
+        want = cnot @ linalg._kron(linalg._as_array(eye if a is None else a), linalg._as_array(eye if b is None else b))
+        assert got[0][1] == wires and got[0][0].tobytes() == want.tobytes()
+        assert len(got) == n - 1 and (n == 2 or got[1][1] == (2,))
+    # a Pauli by its exponents joins each run first, as its entries
+    u, v = runs[0], runs[7]
+    (got,) = _fuse([(u, (wires[0],)), ((1, 1), (wires[0],)), (v, (wires[1],)), ((0, 1), (wires[1],)), (cnot, wires)])
+    y_u, z_v = linalg._mul(linalg._PAULIS[1, 1], u), linalg._mul(linalg._PAULIS[0, 1], v)
+    assert got[0].tobytes() == (cnot @ linalg._kron(linalg._as_array(y_u), linalg._as_array(z_v))).tobytes()
+
+
+@pytest.mark.parametrize("wires", [(0, 1), (1, 0)], ids=["control_first", "target_first"])
+def test_fuse_absorbs_a_keyed_run_and_a_run_of_entries_as_the_oracle_does(wires):
+    rng = RandomSource(139)
+    index = np.array([2, 0, 3, 1, 1])  # each of five keys' row of the table
+    table = [rng.unitary(2) for _ in range(4)]
+    keyed = linalg._Keyed(tuple(tuple(m.reshape(-1).tolist()) for m in table), index)
+    mat = rng.unitary(2)
+    entries = tuple(mat.reshape(-1).tolist())
+    cnot = gate_matrix("cnot")
+    for runs in (((keyed, wires[0]), (entries, wires[1])), ((entries, wires[0]), (keyed, wires[1]))):
+        (got,) = _fuse([*((r, (w,)) for r, w in runs), (cnot, wires)])
+        steps = [((table, index) if r is keyed else mat, (w,), False) for r, w in runs]
+        ((want, want_wires),) = fuse_blocks(2, [*steps, (cnot, wires, False)])
+        assert got[1] == want_wires == wires and got[0].shape == want.shape == (5, 4, 4)
+        assert np.max(np.abs(got[0] - want)) <= ATOL_EXACT
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_fused_simulate_and_round_trip_match_the_circuit_matrix(n):
     # the fused loop and the per-gate oracle, each against the dense product of the gates

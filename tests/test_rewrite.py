@@ -18,6 +18,8 @@ from qfhe import (
     simulate,
     trace_distance,
 )
+from qfhe import rewrite
+from qfhe.circuits import serialize_circuit
 from qfhe.linalg import ATOL_EXACT, GATE_SPECS, TAU, gate_matrix
 from qfhe.qotp import VARIANT_HY
 from qfhe.rewrite import RewriteResult, Scheme, rewrite_gate, scheme_evaluate, twin
@@ -218,6 +220,51 @@ def test_unchecked_twins_equal_the_checked_rebuild(kind):
                 assert all(type(w) is int for w in g.wires) and all(type(p) is float for p in g.params)
                 pack = f"<{len(g.params)}d"
                 assert struct.pack(pack, *g.params) == struct.pack(pack, *rebuilt.params), (kind, params, x, z)
+
+
+ANGLE_FREE = [kind for kind, spec in GATE_SPECS.items() if not spec.params]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_twins_equal_the_rule_computed_cold(n):
+    # repr tells -0.0 from 0.0 and round-trips every angle, so equal reprs are equal bits
+    for kind in ANGLE_FREE:
+        for wires in itertools.permutations(range(n), len(GATE_SPECS[kind].wires)):
+            for x, z in itertools.product((0, 1), repeat=2):
+                rewrite._fixed_twin.cache_clear()
+                cold = twin(Gate(kind, wires), x, z)
+                cached = rewrite._fixed_twin(kind, wires, x, z)
+                assert cached == cold and repr(cached) == repr(cold), (kind, wires, x, z)
+                assert rewrite._fixed_twin(kind, wires, x, z) is cached
+
+
+def test_only_angle_free_gates_enter_the_twin_cache():
+    rng = RandomSource(23)
+    angled = Circuit(3, tuple(g for g in rng.circuit(3, 60).gates if g.params))
+    key = keygen(3, rng)
+    rewrite_circuit(key, angled)
+    evaluate(key, angled, rng.pure_state(3))
+    assert rewrite._fixed_twin.cache_info().currsize == 0
+    # one entry per distinct (kind, wires, x, z) of the angle-free gates
+    circuit = rng.circuit(3, 60)
+    evaluate(key, circuit, rng.pure_state(3))
+    bits = [(int(key.x_bits[g.wires[0]]), int(key.z_bits[g.wires[-1]])) for g in circuit.gates]
+    fixed = {(g.kind, g.wires, *b) for g, b in zip(circuit.gates, bits) if not g.params}
+    assert 0 < len(fixed) == rewrite._fixed_twin.cache_info().currsize
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rewrite_and_evaluate_give_the_same_bytes_cold_and_warm(n):
+    rng = RandomSource(24 + n)
+    circuit, key = rng.circuit(n, 40), keygen(n, rng)
+    psi, rho = rng.pure_state(n), rng.density_state(n)
+    runs = (lambda: serialize_circuit(rewrite_circuit(key, circuit)),
+            lambda: evaluate(key, circuit, psi).amplitudes.tobytes(),
+            lambda: evaluate(key, circuit, rho).matrix.tobytes())
+    for run in runs:
+        rewrite._fixed_twin.cache_clear()
+        cold = run()
+        assert rewrite._fixed_twin.cache_info().currsize > 0 and run() == cold
 
 
 # --- whole-circuit rewriting --------------------------------------------
