@@ -15,13 +15,13 @@ twirls of four masks) and the classifier conjugate by it, a matrix read as
 a 2n-qubit row. ``verify_security`` factors the state, sigma = V S V^dagger
 with S a diagonal of signs, masks V's rows under every key by one gather,
 takes the 4^n factors through ``linalg``'s apply loop, row-only, each by its
-key's twin circuit, and decrypts by the gather again. ``rewrite.twin`` reads two key bits,
-so its four entries give every key's twin of a gate: one Pauli for all four
+key's twin circuit, and decrypts by the gather again. ``rewrite._rule`` reads two key bits,
+so its four twins give every key's twin of a gate: one Pauli for all four
 is key-independent and shared, else each key takes its own. The loop fuses
 each wire's run of twins on its four entries, shared Paulis in, gathered per
-key when a block takes it; a lone shared Pauli is a frame. Two caches hold
-what no call changes, read-only: each angle-free gate's entry per (kind,
-wires, n), and the masks' index and sign rows per (n, r). Sizes are hard-guarded.
+key when a block takes it; a lone shared Pauli is a frame. Each angle-free
+gate's table of twins is ``rewrite._fixed``'s, and the masks' index and sign
+rows are cached per (n, r), read-only. Sizes are hard-guarded.
 """
 from __future__ import annotations
 
@@ -100,36 +100,20 @@ def average_over_keys(sigma: DensityState) -> DensityState:
 def _key_op(gate: Gate, index: np.ndarray) -> tuple:
     """The gate's (operator, wires) pair for the key stack's apply loop: every key's twin.
 
-    The twin reads the x bit of the gate's first wire i and the z bit of its
-    last j, so its four entries give every key's twin, key k's the entry
-    index[i, j, k] = 2x + z. One Pauli for all four goes in as its exponents,
-    shared; a one-qubit gate as ``linalg._Keyed``, its four ``GateSpec.build``
-    entries; cnot as its table gathered per key, corrected twins folded by
-    ``linalg._fuse``. The twins of an angle-free gate (x, y, z, h, cnot) never
-    change, so ``_fixed_key_op`` builds its pair once per (kind, wires, n):
-    code that replaces the rule at run time must call its ``cache_clear``.
-    """
-    return _twin_table(gate, index) if gate.params else _fixed_key_op(gate.kind, gate.wires, len(index))
-
-
-@functools.lru_cache(maxsize=32)  # every angle-free gate at n = 1..3: 4, 10 and 18 of them
-def _fixed_key_op(kind: str, wires: tuple[int, ...], n: int) -> tuple:
-    """``_key_op`` of an angle-free gate, built as for any gate; shared, so its arrays are read-only."""
-    op, wires = _twin_table(Gate._unchecked(kind, wires, ()), _keys(n)[2])
-    return linalg._read_only(op) if isinstance(op, np.ndarray) else op, wires
-
-
-def _twin_table(gate: Gate, index: np.ndarray) -> tuple:
-    """``_key_op``'s pair, from the gate's four ``rewrite.twin`` entries."""
-    twins = [rewrite.twin(gate, j, k).gates for j in (0, 1) for k in (0, 1)]
-    first = twins[0]
-    pauli = linalg.GATE_SPECS[first[0].kind].pauli if len(first) == 1 else None
-    if pauli and twins.count(first) == 4:
-        return pauli, first[0].wires
-    table = [linalg.GATE_SPECS[t[0].kind].build(*t[0].params) if len(t) == 1
-             else next(linalg._fuse((g.matrix(), g.wires) for g in t))[0] for t in twins]
-    rows = index[gate.wires[0], gate.wires[-1]]
-    return linalg._Keyed(tuple(table), rows) if len(gate.wires) == 1 else np.array(table).take(rows, axis=0), gate.wires
+    The twin reads the x bit of the gate's first wire i and the z bit of its last j, so key k's twin is row
+    index[i, j, k] = 2x + z of ``linalg._key_table``, built from the four ``rewrite._pairs`` (``rewrite._fixed``
+    keeps an angle-free gate's): a Pauli shared by every key goes in as its exponents, four one-qubit entries
+    as ``linalg._Keyed``, and cnot's table gathered per key, a fresh array."""
+    kind, wires, params = gate.kind, gate.wires, gate.params
+    if params:
+        twins = [rewrite._pairs(kind, wires, params, x, z) for x in (0, 1) for z in (0, 1)]
+        table = linalg._key_table(twins)
+    else:
+        table = rewrite._fixed(kind, wires)[1]
+    rows = index[wires[0], wires[-1]]
+    if isinstance(table, np.ndarray):
+        return table.take(rows, axis=0), wires
+    return (table if len(table) == 2 else linalg._Keyed(table, rows)), wires  # a Pauli's exponents, or four entries
 
 
 def _factor(sigma: PureState | DensityState) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,6 @@ Circuits are purely unitary: no measurement, reset, or classical control.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -89,12 +88,6 @@ class Gate:
         return linalg.gate_matrix(self.kind, self.params)
 
 
-@functools.lru_cache(maxsize=1024)
-def _named(kind: str, wire: int) -> Gate:
-    """``Gate.named(kind, wire)`` for a wire already checked, built once: a Gate is frozen, so callers share it."""
-    return Gate.named(kind, wire)
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over n named wires, applied left to right."""
@@ -169,23 +162,23 @@ def euler_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
 def simulate(circuit: Circuit, state):
     """Apply the circuit's gates left to right to a pure or density state; check only the result."""
     linalg._require(circuit, Circuit)
-    return _apply_gates(circuit.n_qubits, circuit.gates, state)
+    return _apply(circuit.n_qubits, _ops(circuit.gates), state)
 
 
-def _apply_gates(n_qubits: int, gates, state):
-    """``simulate`` on gates already checked against n_qubits, no Circuit built: the apply loop's one checked entry."""
+def _apply(n_qubits: int, ops: list, state):
+    """Run (operator, wires) pairs, wires checked against n_qubits, on a state: the apply loop's one checked entry."""
     linalg._require(state, linalg.PureState, linalg.DensityState)
     if state.n_qubits != n_qubits:
         raise ValueError(f"circuit has {n_qubits} qubit(s), state has {state.n_qubits}")
-    if not gates:
+    if not ops:
         return state
     pure = isinstance(state, linalg.PureState)
-    out = linalg._run(state.amplitudes if pure else state.matrix, n_qubits, _ops(gates), columns=not pure)
+    out = linalg._run(state.amplitudes if pure else state.matrix, n_qubits, ops, columns=not pure)
     return type(state)(n_qubits, out)  # the one check; the wires were the caller's to check
 
 
 def _ops(gates) -> list:
-    """The gates as the apply loop's (operator, wires) pairs: a Pauli as its exponents, any other gate as its build.
+    """The gates as apply-loop pairs, as ``rewrite._pairs`` builds a twin's: a Pauli as its exponents, else its build.
 
     A list, not a generator, so every build runs before the kernel loop: on eval_pure_n8 that
     alone took a job to 0.88-0.91x of the generator's time, with GC on or off (interleaved

@@ -17,7 +17,7 @@ operator the next cnot on the wire absorbs, and each run of the Paulis left
 into one frame i^k X^a Z^b for the gather. A one-qubit gate is a row-major
 4-tuple of Python complex numbers, built in closed form; runs multiply in
 Python scalars, so numpy sees one array per fused block. Its one checked
-entry, ``circuits._apply_gates``, checks a state once per gate sequence.
+entry, ``circuits._apply``, checks a state once per run of pairs.
 """
 from __future__ import annotations
 
@@ -104,9 +104,9 @@ class GateSpec(NamedTuple):
     entries (a, b, c, d). ``parity[i]`` holds the weights (x, z) of the wire's
     key bits whose parity negates parameter i when X^x Z^z moves past the gate.
     ``pauli`` holds the exponents (x, z) of a Pauli kind, i^(x*z) X^x Z^z, so
-    y = i XZ: the apply loop fuses and folds Paulis by it, and ``rewrite.twin``
+    y = i XZ: the apply loop fuses and folds Paulis by it, and ``rewrite._rule``
     reads a Pauli's sign weights from it. Kinds with no parity column have
-    their own rule in ``rewrite.twin``: the Paulis are their own twins, h is
+    their own rule in ``rewrite._rule``: the Paulis are their own twins, h is
     rewritten as ``u``, and cnot gains corrections.
     """
 
@@ -443,6 +443,22 @@ def _fuse(ops):
                     op = op @ functools.reduce(_kron, map(_as_array, runs))
             yield op, wires
     yield from ((_as_array(pend[w]), (w,)) for w in sorted(pend))
+
+
+def _key_table(twins) -> tuple | np.ndarray:
+    """The key stack's table of a gate's four twins, lists of (operator, wires) pairs, key bits (x, z) at row 2x + z.
+
+    One Pauli's exponents if it is every twin, shared by every key; else the one-qubit twins' entries, a Pauli's
+    as in ``_PAULIS``, four to a tuple; else each two-qubit twin folded by ``_fuse``, one read-only (4, 4, 4) array.
+    """
+    if len(twins[0][-1][1]) == 1:  # a one-qubit gate's twin is one pair
+        ops = [op for ((op, _),) in twins]
+        if len(ops[0]) == 2 and ops.count(ops[0]) == 4:
+            return ops[0]
+        return tuple(_PAULIS[op] if len(op) == 2 else op for op in ops)
+    folds = [next(_fuse((_as_array(_PAULIS[op]) if isinstance(op, tuple) else op, w) for op, w in twin))
+             for twin in twins]
+    return _read_only(np.array([op for op, _ in folds]))
 
 
 def _run(arr: np.ndarray, n: int, ops, columns: bool) -> np.ndarray:

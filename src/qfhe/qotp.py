@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from . import linalg
 from . import circuits
-from .circuits import Gate
 from .linalg import DensityState, PureState
 from .rng import RandomSource
 
@@ -50,28 +49,23 @@ def keygen(n_qubits: int, rng: RandomSource, variant: str = VARIANT_XZ) -> QotpK
 _MASK_GATES = {VARIANT_XZ: ("x", "z"), VARIANT_HY: ("h", "y")}
 
 
-def _mask(key: QotpKey, state) -> tuple[Gate, ...]:
-    """The encryption mask's gates, per wire the z-bit gate then the x-bit gate; checked against the state."""
+def _mask(key: QotpKey, state) -> list:
+    """The encryption mask as apply-loop pairs, per wire the z-bit gate then the x-bit gate; checked against the state."""
     linalg._require(key, QotpKey)
     if isinstance(state, (PureState, DensityState)) and state.n_qubits != key.n_qubits:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), state has {state.n_qubits}")
-    first, second = _MASK_GATES[key.variant]
-    gates = []
-    for wire, (a, b) in enumerate(zip(key.x_bits, key.z_bits)):
-        if b == "1":
-            gates.append(circuits._named(second, wire))
-        if a == "1":
-            gates.append(circuits._named(first, wire))
-    return tuple(gates)
+    first, second = (spec.pauli or spec.build() for spec in map(linalg.GATE_SPECS.get, _MASK_GATES[key.variant]))
+    bits = enumerate(zip(key.x_bits, key.z_bits))
+    return [(op, (wire,)) for wire, (a, b) in bits for op, bit in ((second, b), (first, a)) if bit == "1"]
 
 
 def encrypt(key: QotpKey, state):
     """Conjugate by the key mask: X^a Z^b (or H^a Y^b) on each qubit."""
-    gates = _mask(key, state)
-    return circuits._apply_gates(key.n_qubits, gates, state)
+    ops = _mask(key, state)
+    return circuits._apply(key.n_qubits, ops, state)
 
 
 def decrypt(key: QotpKey, state):
     """Exact inverse of encrypt for the same key: the mask gates in reverse order."""
-    gates = _mask(key, state)[::-1]
-    return circuits._apply_gates(key.n_qubits, gates, state)
+    ops = _mask(key, state)[::-1]
+    return circuits._apply(key.n_qubits, ops, state)

@@ -1,10 +1,12 @@
 """Key-dependent circuit rewriting and homomorphic evaluation.
 
 Each source gate is replaced by a twin, so that running the rewritten circuit
-on a QOTP ciphertext equals encrypting the plaintext result. ``twin`` is the
+on a QOTP ciphertext equals encrypting the plaintext result. ``_rule`` is the
 one rule: it reads the mask's x bit on the gate's first wire and its z bit on
 the last. Single-qubit gates map to exactly one gate; cnot maps to at most three.
-An angle-free gate's twins never change, so ``_fixed_twin`` keeps one per (kind, wires, x, z).
+Two readers package its parts: ``twin`` as Gates, ``_pairs`` as the apply
+loop's (operator, wires) pairs, which ``evaluate`` and the key stack run. An
+angle-free gate's twins never change, so ``_fixed`` keeps its four per (kind, wires).
 
 The restricted single-gate schemes are the same rule with fewer gates permitted,
 one row of permitted kinds and key variant per ``Scheme``. Under the hy mask
@@ -62,39 +64,56 @@ def _negate_if(theta: float, active: int) -> tuple[float, int]:
 _LIFTED = {"h": circuits.euler_decompose(linalg.gate_matrix("h"))}
 
 
-def twin(gate: Gate, x: int, z: int) -> RewriteResult:
-    """The gate's twin under mask bits x, of its first wire, and z, of its last.
+def _rule(kind: str, wires: tuple[int, ...], params: tuple[float, ...], x: int, z: int) -> tuple:
+    """The twin of the gate (kind, wires, params) under mask bits x, of its first wire, and z, of its last.
 
-    cnot becomes Z^z on the control, X^x on the target, then cnot, and drops
+    Returns (parts, flips), each part a (kind, wires, params) triple. cnot
+    becomes Z^z on the control, X^x on the target, then cnot, and drops
     (-1)^(x*z). A Pauli is its own twin and drops its sign. Any other
     single-qubit gate keeps its kind, h lifted to u first, and negates each
-    angle by the parity column of its GateSpec. Every cache of twins calls it.
+    angle by the parity column of its GateSpec. Every reader of twins calls it.
     """
-    if gate.kind == "cnot":
-        control, target = gate.wires
-        gates: list[Gate] = []
-        if z:
-            gates.append(circuits._named("z", control))
-        if x:
-            gates.append(circuits._named("x", target))
-        gates.append(gate)
-        return RewriteResult(tuple(gates), x * z)
-    pauli = linalg.GATE_SPECS[gate.kind].pauli
+    if kind == "cnot":
+        parts = (("z", wires[:1], ()),) * z + (("x", wires[1:], ()),) * x
+        return (*parts, (kind, wires, params)), x * z
+    pauli = linalg.GATE_SPECS[kind].pauli
     if pauli:
         # moving X^x Z^z past X^p Z^q drops (-1)^(x*q + z*p): the exponents swapped are the weights
         p, q = pauli
-        return RewriteResult((gate,), (q & x) ^ (p & z))
-    kind, params = ("u", _LIFTED[gate.kind]) if gate.kind in _LIFTED else (gate.kind, gate.params)
+        return ((kind, wires, params),), (q & x) ^ (p & z)
+    kind, params = ("u", _LIFTED[kind]) if kind in _LIFTED else (kind, params)
     angles: list[float] = []
     flips = 0
     for theta, (x_weight, z_weight) in zip(params, linalg.GATE_SPECS[kind].parity):
         theta, flip = _negate_if(theta, (x_weight & x) ^ (z_weight & z))
         angles.append(theta)
         flips += flip
-    if kind == gate.kind and tuple(angles) == gate.params:
-        return RewriteResult((gate,), flips)  # no angle negated: the gate is its own twin
+    return ((kind, wires, tuple(angles)),), flips
+
+
+def twin(gate: Gate, x: int, z: int) -> RewriteResult:
+    """``_rule``'s twin of the gate under mask bits x and z as Gates, a part equal to the gate the gate itself."""
+    parts, flips = _rule(gate.kind, gate.wires, gate.params, x, z)
+    own = (gate.kind, gate.wires, gate.params)
     # the wires are the checked gate's, and _negate_if and euler_decompose return canonical angles
-    return RewriteResult((Gate._unchecked(kind, gate.wires, tuple(angles)),), flips)
+    return RewriteResult(tuple([gate if part == own else Gate._unchecked(*part) for part in parts]), flips)
+
+
+def _pairs(kind: str, wires: tuple[int, ...], params: tuple[float, ...], x: int, z: int) -> list:
+    """``_rule``'s twin as apply-loop (operator, wires) pairs: a Pauli part as its exponents, any other as its build."""
+    specs = linalg.GATE_SPECS
+    return [(specs[k].pauli or specs[k].build(*p), w) for k, w, p in _rule(kind, wires, params, x, z)[0]]
+
+
+@functools.lru_cache(maxsize=256)  # 4n one-wire and n(n - 1) cnot entries: 238, every angle-free gate, at n = 14
+def _fixed(kind: str, wires: tuple[int, ...]) -> tuple:
+    """An angle-free gate's (x, y, z, h, cnot) four twins as pairs, key bits (x, z) at row 2x + z, and the key
+    stack's table of them, ``linalg._key_table``; shared, so cnot's arrays are read-only. Code that replaces
+    the rule at run time must call its ``cache_clear``."""
+    twins = tuple(_pairs(kind, wires, (), x, z) for x in (0, 1) for z in (0, 1))
+    for op in (op for pairs in twins for op, _ in pairs if not isinstance(op, tuple)):
+        linalg._read_only(op)
+    return twins, linalg._key_table(twins)
 
 
 def _require_xz(key: QotpKey) -> None:
@@ -116,38 +135,30 @@ def rewrite_gate(key: QotpKey, gate: Gate) -> RewriteResult:
     return twin(gate, int(key.x_bits[gate.wires[0]]), int(key.z_bits[gate.wires[-1]]))
 
 
-def _twins(key: QotpKey, circuit: Circuit) -> list[Gate]:
-    """Every gate's twin under the key, in order, after checking the circuit against the key; an hy key fails even with no gate."""
+def _bits(key: QotpKey, circuit: Circuit) -> list:
+    """Each gate and the key bits its twin reads, (gate, x, z), once the circuit passes the key's checks."""
     linalg._require(circuit, Circuit)
     linalg._require(key, QotpKey)
     if key.n_qubits != circuit.n_qubits:
         raise ValueError(f"key is for {key.n_qubits} qubit(s), circuit has {circuit.n_qubits}")
-    _require_xz(key)  # once per circuit, so ``twin`` takes the bits directly
+    _require_xz(key)  # once per circuit, so the readers take the bits directly; an hy key fails even with no gate
     x_bits, z_bits = [*map(int, key.x_bits)], [*map(int, key.z_bits)]
-    gates: list[Gate] = []
-    for gate in circuit.gates:
-        x, z = x_bits[gate.wires[0]], z_bits[gate.wires[-1]]
-        gates += (twin(gate, x, z) if gate.params else _fixed_twin(gate.kind, gate.wires, x, z)).gates
-    return gates
-
-
-@functools.lru_cache(maxsize=1024)  # every angle-free twin up to n = 14: 16n one-wire and 4n(n - 1) cnot entries
-def _fixed_twin(kind: str, wires: tuple[int, ...], x: int, z: int) -> RewriteResult:
-    """``twin`` of an angle-free gate (x, y, z, h, cnot), shared: a RewriteResult holds frozen Gates.
-    Code that replaces the rule at run time must call its ``cache_clear``."""
-    return twin(Gate._unchecked(kind, wires, ()), x, z)
+    return [(gate, x_bits[gate.wires[0]], z_bits[gate.wires[-1]]) for gate in circuit.gates]
 
 
 def rewrite_circuit(key: QotpKey, circuit: Circuit) -> Circuit:
     """The evaluable twin C' of C under a fixed key; size grows at most 3x."""
-    gates = _twins(key, circuit)
+    gates = [g for gate, x, z in _bits(key, circuit) for g in twin(gate, x, z).gates]
     return Circuit(key.n_qubits, gates)
 
 
 def evaluate(key: QotpKey, circuit: Circuit, ciphertext):
     """Run the rewritten circuit on the ciphertext; no decryption happens here."""
-    gates = _twins(key, circuit)
-    return circuits._apply_gates(key.n_qubits, gates, ciphertext)
+    ops: list = []
+    for gate, x, z in _bits(key, circuit):
+        kind, wires, params = gate.kind, gate.wires, gate.params
+        ops += _pairs(kind, wires, params, x, z) if params else _fixed(kind, wires)[0][2 * x + z]
+    return circuits._apply(key.n_qubits, ops, ciphertext)
 
 
 #: per scheme, the gate kinds Evaluate accepts and the key variant it masks with
@@ -175,5 +186,5 @@ def scheme_evaluate(scheme: Scheme, key: QotpKey, op: Gate, ciphertext: DensityS
         raise ValueError(f"key is for {key.n_qubits} qubit(s), state has {ciphertext.n_qubits}")
     _check_wires(key, op)
     z = int(key.z_bits[op.wires[-1]]) if variant == qotp.VARIANT_XZ else 0  # an hy key's z bit is Y's
-    twins = twin(op, int(key.x_bits[op.wires[0]]), z).gates
-    return circuits._apply_gates(key.n_qubits, twins, ciphertext)
+    pairs = _pairs(op.kind, op.wires, op.params, int(key.x_bits[op.wires[0]]), z)
+    return circuits._apply(key.n_qubits, pairs, ciphertext)

@@ -4,7 +4,8 @@ Most build full 2^n x 2^n matrices: Pauli operators one at a time, gates
 tensor-embedded into the whole register, circuits as the product of those
 embeddings, and ``twin_error`` checks one gate's rewrite rule against them
 under every key. ``zyz_matrix`` builds an rz, ry or u matrix as the product
-of its rotation matrices, and ``all_keys`` lists every key.
+of its rotation matrices, ``all_keys`` lists every key, and ``mask_gates``
+builds a key's mask as Gates, apart from the mask that ``qotp`` runs.
 ``verify_security_loop`` visits the 4^n keys one at a time,
 ``average_over_keys_loop`` averages ``qotp.encrypt`` over one-wire keys, and
 ``parse_pairs_loop`` reads a CLI grid of [re, im] pairs one entry at a time.
@@ -318,9 +319,25 @@ def simulate_per_gate(circuit: Circuit, state):
     return _simulate(circuit.n_qubits, [(g.matrix(), g.wires) for g in circuit.gates], state)
 
 
+#: the gate kinds of each QOTP variant's mask: the x-bit gate, then the z-bit gate
+MASK_GATES = {"xz": ("x", "z"), "hy": ("h", "y")}
+
+
+def mask_gates(key: qotp.QotpKey) -> tuple[Gate, ...]:
+    """The key's encryption mask as Gates, per wire the z-bit gate and then the x-bit gate."""
+    x_kind, z_kind = MASK_GATES[key.variant]
+    gates = []
+    for wire, (a, b) in enumerate(zip(key.x_bits, key.z_bits)):
+        if b == "1":
+            gates.append(Gate.named(z_kind, wire))
+        if a == "1":
+            gates.append(Gate.named(x_kind, wire))
+    return tuple(gates)
+
+
 def round_trip_per_gate(key: qotp.QotpKey, circuit: Circuit, state) -> tuple:
     """Ciphertext, evaluated ciphertext and decryption, each step run by ``simulate_per_gate``."""
-    mask = Circuit(circuit.n_qubits, qotp._mask(key, state))
+    mask = Circuit(circuit.n_qubits, mask_gates(key))
     cipher = simulate_per_gate(mask, state)
     evaluated = simulate_per_gate(rewrite.rewrite_circuit(key, circuit), cipher)
     return cipher, evaluated, simulate_per_gate(Circuit(circuit.n_qubits, mask.gates[::-1]), evaluated)
@@ -456,7 +473,7 @@ def simulate_blocks(circuit: Circuit, state):
 
 def round_trip_blocks(key: qotp.QotpKey, circuit: Circuit, state) -> tuple:
     """Ciphertext, evaluated ciphertext and decryption, each step run by ``simulate_blocks``."""
-    mask = Circuit(circuit.n_qubits, qotp._mask(key, state))
+    mask = Circuit(circuit.n_qubits, mask_gates(key))
     cipher = simulate_blocks(mask, state)
     evaluated = simulate_blocks(rewrite.rewrite_circuit(key, circuit), cipher)
     return cipher, evaluated, simulate_blocks(Circuit(circuit.n_qubits, mask.gates[::-1]), evaluated)

@@ -20,7 +20,9 @@ from qfhe import (
     linalg,
     maximally_mixed,
     qotp,
+    QotpKey,
     rewrite,
+    simulate,
     trace_distance,
     verify_security,
 )
@@ -330,18 +332,51 @@ def test_each_key_unitary_is_its_rewritten_circuit(n):
         assert np.max(np.abs(u @ mask - (-1) ** flips * mask @ plain)) <= ATOL_EXACT
 
 
+def _key_ignoring_rule(kind, wires, params, x, z):
+    """The plain gate as every twin, with no sign dropped."""
+    return ((kind, wires, params),), 0
+
+
+@pytest.mark.mutant
 def test_a_key_ignoring_evaluator_fails_only_the_decrypt_check(monkeypatch):
     # every twin the plain gate: the evaluate average is C (I/2^n) C^dagger = I/2^n,
     # so only decrypting each key's result can notice
     rng = RandomSource(41)
     circuit = rng.circuit(2, 12)
     sigma = rng.pure_state(2).to_density()
-    monkeypatch.setattr(rewrite, "twin", lambda gate, x, z: rewrite.RewriteResult((gate,), 0))
+    monkeypatch.setattr(rewrite, "_rule", _key_ignoring_rule)
     report = verify_security(circuit, sigma, 1e-9)
     assert report.worst_encrypt_distance <= 1e-9
     assert report.worst_evaluate_distance <= 1e-9
     assert report.worst_decrypt_distance > 0.1
     assert not report.passed
+
+
+@pytest.mark.mutant
+def test_a_key_ignoring_rule_reaches_every_reader(monkeypatch):
+    # one patch of the rule: the Gate reader (rewrite_gate, rewrite_circuit), the pairs
+    # reader (evaluate, scheme_evaluate) and the key stack all give the plain gates
+    rng = RandomSource(43)
+    circuit, key, rz = rng.circuit(2, 16), QotpKey(2, "11", "11"), Gate.rz(0.7, 1)
+    psi, rho = rng.pure_state(2), rng.density_state(2)
+
+    def raw(state) -> bytes:
+        return (state.amplitudes if isinstance(state, PureState) else state.matrix).tobytes()
+
+    def outputs(state):
+        """(reader's output, plain output) of evaluate and of scheme_evaluate, as bytes."""
+        scheme = rewrite.scheme_evaluate(rewrite.Scheme.RZ_ONLY, key, rz, state)
+        return [(raw(evaluate(key, circuit, state)), raw(simulate(circuit, state))),
+                (raw(scheme), raw(simulate(Circuit(2, (rz,)), state)))]
+
+    assert rewrite.rewrite_circuit(key, circuit) != circuit and verify_security(circuit, rho, 1e-9).passed
+    assert all(got != want for state in (psi, rho) for got, want in outputs(state))
+    monkeypatch.setattr(rewrite, "_rule", _key_ignoring_rule)
+    rewrite._fixed.cache_clear()  # the honest twins the calls above cached
+    assert all(rewrite.rewrite_gate(key, g) == rewrite.RewriteResult((g,), 0) for g in circuit.gates)
+    assert rewrite.rewrite_circuit(key, circuit) == circuit
+    assert all(got == want for state in (psi, rho) for got, want in outputs(state))
+    assert verify_security(circuit, rho, 1e-9).worst_decrypt_distance > 0.1
 
 
 def _flip(weights, bit):
@@ -354,6 +389,7 @@ def _passes_security():
     return verify_security(Circuit(2, KIND_GATES), sigma, 1e-9).passed
 
 
+@pytest.mark.mutant
 @pytest.mark.parametrize("bit", [0, 1], ids=["x_weight", "z_weight"])
 @pytest.mark.parametrize("kind,index", [
     (kind, i) for kind, spec in GATE_SPECS.items() for i in range(len(spec.parity))
@@ -369,34 +405,35 @@ def test_each_parity_weight_mutant_fails_the_table(monkeypatch, kind, index, bit
     assert _passes_security() == (kind == "u" and index == 0)
 
 
+@pytest.mark.mutant
 @pytest.mark.parametrize("bit", [0, 1], ids=["x_weight", "z_weight"])
 @pytest.mark.parametrize("kind", sorted(k for k, spec in GATE_SPECS.items() if spec.pauli))
 def test_each_pauli_sign_mutant_fails_only_the_table(monkeypatch, kind, bit):
     # the sign weights are the Pauli column swapped; flipping one weight toggles
     # the dropped sign by that key bit, and leaves the gate's own action alone
-    twin = rewrite.twin
+    rule = rewrite._rule
 
-    def mutant(gate, x, z):
-        result = twin(gate, x, z)
-        if gate.kind != kind:
-            return result
-        return rewrite.RewriteResult(result.gates, result.phase_flips ^ (x if bit == 0 else z))
+    def mutant(gate_kind, wires, params, x, z):
+        parts, flips = rule(gate_kind, wires, params, x, z)
+        return parts, (flips ^ (x if bit == 0 else z) if gate_kind == kind else flips)
 
-    monkeypatch.setattr(rewrite, "twin", mutant)
+    monkeypatch.setattr(rewrite, "_rule", mutant)
     assert twin_error(Gate.named(kind, 0), 2) > ATOL_EXACT
     # a wrong sign is a global phase, which the security check cannot see
     assert _passes_security()
 
 
+@pytest.mark.mutant
 def test_dropping_the_cnot_correction_fails_the_table_and_the_security_check(monkeypatch):
-    twin = rewrite.twin
+    rule = rewrite._rule
     monkeypatch.setattr(
-        rewrite, "twin", lambda g, x, z: rewrite.RewriteResult((g,), 0) if g.kind == "cnot" else twin(g, x, z)
+        rewrite, "_rule", lambda kind, *args: (_key_ignoring_rule if kind == "cnot" else rule)(kind, *args)
     )
     assert twin_error(Gate.cnot(0, 1), 2) > ATOL_EXACT
     assert not _passes_security()
 
 
+@pytest.mark.mutant
 def test_the_key_batch_checks_every_key(monkeypatch):
     # h takes a keyed table (a Pauli would run as a shared frame); gathered to one
     # operator per key, doubling key 5's twin alone scales its decryption by 4, and
@@ -416,6 +453,7 @@ def test_the_key_batch_checks_every_key(monkeypatch):
         verify_security(circuit, sigma, 1e-9)
 
 
+@pytest.mark.mutant
 @pytest.mark.parametrize("sigma", [maximally_mixed(2), PureState.basis(2, 1)], ids=["density", "pure"])
 def test_a_nan_in_one_key_fails_the_entry_check(monkeypatch, sigma):
     # a NaN passes a trace test alone (abs(nan - 1) > tol is False), so the
@@ -435,9 +473,10 @@ def test_a_nan_in_one_key_fails_the_entry_check(monkeypatch, sigma):
 
 
 def test_pauli_twins_run_as_frames_and_each_distinct_twin_folds_once(monkeypatch):
-    # a fold is one call of linalg._fuse; cnot's uncorrected twin is one gate, built
-    # straight from its GateSpec, and its three corrected twins per wire pair fold once,
-    # when the angle-free cache first builds the gate's pair
+    # a fold is one call of linalg._fuse; each of cnot's four twins per wire pair folds
+    # once, when the angle-free cache first builds the gate's table: 8 for two pairs. The
+    # uncorrected twin, one gate that passes through the fold unchanged, is folded too,
+    # where the per-(kind, wires, n) cache took it straight from its GateSpec (6 then)
     folds = []
     fuse = linalg._fuse
 
@@ -447,12 +486,12 @@ def test_pauli_twins_run_as_frames_and_each_distinct_twin_folds_once(monkeypatch
         return fuse(ops)
 
     monkeypatch.setattr(linalg, "_fuse", recording)
-    analysis._fixed_key_op.cache_clear()
+    rewrite._fixed.cache_clear()
     index = key_index(2)
     for _ in range(3):
         for gate in (Gate.cnot(0, 1), Gate.cnot(1, 0)):
             analysis._key_op(gate, index)
-    assert len(folds) == len(set(folds)) == 6
+    assert len(folds) == len(set(folds)) == 8
     monkeypatch.undo()
     # every gate kind and every gate of a random pool, against linalg._fuse folding each
     # key's twin from its gates' matrices; Paulis shared by every key stay frames, and a
@@ -483,41 +522,63 @@ def _angle_free_gates(n):
 
 
 def test_an_angle_free_gate_builds_its_key_op_once():
-    # 4, 10 and 18 angle-free gates at n = 1, 2, 3: the cache holds all 32, so a second
-    # call of each hits it and returns the very pair the first call built
-    cache = analysis._fixed_key_op
-    pairs = {}
+    # the cache is keyed on (kind, wires), not on n: the 4, 10 and 18 angle-free gates at
+    # n = 1, 2, 3 add 4, 6 and 8 entries, as the wires of a smaller n are already there.
+    # A later call of each hits it and reads the very table the first call built
+    cache = rewrite._fixed
+    tables = {}
     for n in (1, 2, 3):
         before = cache.cache_info().currsize
         for gate in _angle_free_gates(n):
-            pairs[gate, n] = analysis._key_op(gate, key_index(n))
-        assert cache.cache_info().currsize - before == {1: 4, 2: 10, 3: 18}[n]
+            analysis._key_op(gate, key_index(n))
+            tables[gate] = cache(gate.kind, gate.wires)[1]
+        assert cache.cache_info().currsize - before == {1: 4, 2: 6, 3: 8}[n]
     info = cache.cache_info()
-    assert info.currsize == info.maxsize == len(pairs) == info.misses == 32
-    for (gate, n), (op, wires) in pairs.items():
-        again, again_wires = analysis._key_op(gate, key_index(n))
-        assert again is op and again_wires == wires == gate.wires
-    assert cache.cache_info().hits == 32
+    assert info.currsize == info.misses == len(tables) == 18
+    hits = info.hits
+    for gate, table in tables.items():
+        op, wires = analysis._key_op(gate, key_index(3))
+        assert wires == gate.wires
+        if GATE_SPECS[gate.kind].pauli:
+            assert op is table
+        elif isinstance(op, linalg._Keyed):
+            assert op.entries is table
+        else:
+            assert np.array_equal(op, table.take(key_index(3)[gate.wires], axis=0))
+    assert cache.cache_info().hits - hits == len(tables)
 
 
 def test_the_cached_arrays_are_read_only():
-    # a cnot's per-key stack, h's table rows, and the key and mask rows every call shares
+    # the cnot table and twin operators the cache shares, h's index rows, and the key and
+    # mask rows every call shares; a gathered cnot stack is the caller's own, writable
     n = 3
-    cnot, _ = analysis._key_op(Gate.cnot(2, 0), key_index(n))
-    h, _ = analysis._key_op(Gate.named("h", 1), key_index(n))
+    index = analysis._keys(n)[2]
+    twins, table = rewrite._fixed("cnot", (2, 0))
+    cnot, _ = analysis._key_op(Gate.cnot(2, 0), index)
+    again, _ = analysis._key_op(Gate.cnot(2, 0), index)
+    h, _ = analysis._key_op(Gate.named("h", 1), index)
     assert isinstance(h, linalg._Keyed) and isinstance(h.entries, tuple)
-    for arr in (cnot, h.index, *analysis._keys(n), *analysis._masks(n, 4)):
+    assert table.shape == (4, 4, 4) and cnot.shape == (4 ** n, 4, 4)
+    shared = [op for pairs in twins for op, _ in pairs if isinstance(op, np.ndarray)]
+    assert len(shared) == 4
+    for arr in (table, *shared, h.index, *analysis._keys(n), *analysis._masks(n, 4)):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1
+    assert not np.shares_memory(cnot, table) and not np.shares_memory(cnot, again)
+    cnot[...] = np.nan
+    fresh, _ = analysis._key_op(Gate.cnot(2, 0), index)
+    assert np.array_equal(fresh, again) and np.array_equal(fresh, table.take(index[2, 0], axis=0))
 
 
 def test_a_gate_with_angles_never_enters_the_cache():
     rng = RandomSource(190)
     t = rng.angles(6)
-    for gate in (Gate.rz(t[0], 0), Gate.ry(t[1], 1), Gate("u", (2,), tuple(t[2:]))):
+    angled = (Gate.rz(t[0], 0), Gate.ry(t[1], 1), Gate("u", (2,), tuple(t[2:])))
+    for gate in angled:
         op, _ = analysis._key_op(gate, key_index(3))
         assert isinstance(op, linalg._Keyed)
-    info = analysis._fixed_key_op.cache_info()
+    assert verify_security(Circuit(3, angled), rng.pure_state(3), 1e-9).passed
+    info = rewrite._fixed.cache_info()
     assert info.currsize == info.hits == info.misses == 0
 
 
@@ -527,7 +588,7 @@ def test_a_warm_cache_changes_no_report_and_no_stack(n):
     # same report, every stack byte for byte, and still the blocks oracle entry for entry
     rng = RandomSource(195 + n)
     circuit = Circuit(n, rng.circuit(n, 16).gates + tuple(_angle_free_gates(n)))
-    caches = (analysis._fixed_key_op, analysis._masks)
+    caches = (rewrite._fixed, analysis._masks)
     for sigma in (rng.pure_state(n), rng.density_state(n, rank=1), rng.density_state(n)):
         v, _ = _factor(sigma)
         for cache in caches:
@@ -544,13 +605,12 @@ def test_a_warm_cache_changes_no_report_and_no_stack(n):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.mutant
 def test_a_key_dependent_pauli_twin_takes_the_per_key_path(monkeypatch):
     # x when the twin's x bit is set, z otherwise: every entry is a Pauli, but not
     # one shared by all keys, so no frame may stand in for the four twins
     circuit, sigma = Circuit(2, (Gate.named("x", 1),)), RandomSource(8).pure_state(2).to_density()
-    monkeypatch.setattr(
-        rewrite, "twin", lambda gate, x, z: rewrite.RewriteResult((Gate.named("x" if x else "z", gate.wires[0]),), 0)
-    )
+    monkeypatch.setattr(rewrite, "_rule", lambda kind, wires, params, x, z: ((("x" if x else "z", wires, ()),), 0))
     op, wires = analysis._key_op(circuit.gates[0], key_index(2))
     assert isinstance(op, linalg._Keyed) and wires == (1,)
     # the fuser takes it for no Pauli: it comes out as one operator per key

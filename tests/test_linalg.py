@@ -30,7 +30,6 @@ from qfhe.linalg import (
     canonical_angle,
     gate_matrix,
 )
-from qfhe.qotp import _mask
 from qfhe.rng import RandomSource
 
 from oracles import (
@@ -44,6 +43,8 @@ from oracles import (
     full_matrix,
     fuse_blocks,
     gate_steps,
+    MASK_GATES,
+    mask_gates,
     matmul_2x2,
     pauli_basis,
     pauli_operator,
@@ -242,10 +243,6 @@ def test_gate_by_gate_matches_one_shot_embedding():
 
 # --- kernel against the dense oracle -------------------------------------
 
-#: the gate kinds of each QOTP variant's mask, for the dense mask oracle
-MASK_GATES = {"xz": ("x", "z"), "hy": ("h", "y")}
-
-
 def _assert_matches_dense(apply, full, rng, n):
     """apply() on a random pure and density state equals the dense operator full."""
     psi, rho = rng.pure_state(n), rng.density_state(n)
@@ -364,7 +361,7 @@ def test_simulate_equals_gate_by_gate_apply(n):
             assert np.array_equal(_raw(simulate(circuit, state)), _raw(_fold(circuit, state)))
             for variant in sorted(MASK_GATES):
                 key = QotpKey(n, rng.bit_string(n), rng.bit_string(n), variant)
-                mask = Circuit(n, _mask(key, state))
+                mask = Circuit(n, mask_gates(key))
                 unmask = Circuit(n, mask.gates[::-1])
                 assert np.array_equal(_raw(encrypt(key, state)), _raw(_fold(mask, state)))
                 assert np.array_equal(_raw(decrypt(key, state)), _raw(_fold(unmask, state)))

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qfhe import Gate, PureState, QotpKey, decrypt, encrypt, keygen, trace_distance
+from qfhe import PureState, QotpKey, decrypt, encrypt, keygen, trace_distance
+from qfhe.linalg import gate_matrix
 from qfhe.qotp import VARIANT_HY, _mask
 from qfhe.rng import RandomSource
 
@@ -136,10 +137,9 @@ def test_all_keys_enumeration():
     assert len(set(keys)) == 16
 
 
-def test_mask_gates_are_shared_per_kind_and_wire():
-    for variant, kinds in (("xz", ("z", "x")), (VARIANT_HY, ("y", "h"))):
+def test_mask_is_each_wires_z_bit_gate_then_its_x_bit_gate():
+    # the apply loop's pairs: a Pauli as its exponents (x, z), h as its row-major entries
+    h = tuple(gate_matrix("h").reshape(-1).tolist())
+    for variant, ops in (("xz", ((0, 1), (1, 0))), (VARIANT_HY, ((1, 1), h))):
         key = QotpKey(3, "101", "110", variant)
-        mask = _mask(key, None)
-        want = (Gate.named(kinds[0], 0), Gate.named(kinds[1], 0), Gate.named(kinds[0], 1), Gate.named(kinds[1], 2))
-        assert mask == want
-        assert all(a is b for a, b in zip(mask, _mask(key, None)))
+        assert _mask(key, None) == [(ops[0], (0,)), (ops[1], (0,)), (ops[0], (1,)), (ops[1], (2,))]

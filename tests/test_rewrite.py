@@ -18,8 +18,8 @@ from qfhe import (
     simulate,
     trace_distance,
 )
-from qfhe import rewrite
-from qfhe.circuits import serialize_circuit
+from qfhe import PureState, linalg, rewrite, verify_security
+from qfhe.circuits import _ops, serialize_circuit
 from qfhe.linalg import ATOL_EXACT, GATE_SPECS, TAU, gate_matrix
 from qfhe.qotp import VARIANT_HY
 from qfhe.rewrite import RewriteResult, Scheme, rewrite_gate, scheme_evaluate, twin
@@ -186,8 +186,8 @@ def test_paulis_are_their_own_twins():
 
 
 def test_twins_share_gates_instead_of_rebuilding_them():
-    # a twin with no angle negated is the gate itself; cnot's corrections come from one
-    # cache per (kind, wire), and Gate is frozen, so sharing them is safe
+    # a twin with no angle negated is the gate itself, and so is cnot's last gate; Gate is
+    # frozen, so sharing them is safe
     for gate in (Gate.rz(0.3, 1), Gate.ry(0.3, 1), Gate.u(0.1, 0.2, 0.3, 0.4, 1), Gate.rz(0.0, 1)):
         assert twin(gate, 0, 0).gates[0] is gate
     zero, half_turn = Gate.rz(0.0, 1), Gate.rz(math.pi, 1)
@@ -195,9 +195,8 @@ def test_twins_share_gates_instead_of_rebuilding_them():
     # -pi wraps to pi: the same gate, with its sign flip still counted
     assert twin(half_turn, 1, 0) == RewriteResult((half_turn,), 1)
     assert twin(Gate.rz(0.3, 1), 1, 0).gates == (Gate.rz(-0.3, 1),)
-    first, second = twin(Gate.cnot(2, 0), 1, 1), twin(Gate.cnot(2, 0), 1, 1)
-    assert first.gates == (Gate.named("z", 2), Gate.named("x", 0), Gate.cnot(2, 0))
-    assert all(a is b for a, b in zip(first.gates[:2], second.gates[:2]))
+    cnot = Gate.cnot(2, 0)
+    assert twin(cnot, 1, 1).gates == (Gate.named("z", 2), Gate.named("x", 0), cnot) and twin(cnot, 1, 1).gates[2] is cnot
 
 
 #: canonical angles at the edges of negation: zero, the smallest subnormal (whose negation
@@ -225,17 +224,30 @@ def test_unchecked_twins_equal_the_checked_rebuild(kind):
 ANGLE_FREE = [kind for kind, spec in GATE_SPECS.items() if not spec.params]
 
 
+def _pair_bytes(ops) -> list:
+    """(operator, wires) pairs in a form that compares every operator's bits: repr keeps -0.0 apart from 0.0."""
+    return [(repr(op) if isinstance(op, tuple) else op.tobytes(), wires) for op, wires in ops]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cached_twins_equal_the_rule_computed_cold(n):
-    # repr tells -0.0 from 0.0 and round-trips every angle, so equal reprs are equal bits
+    # each cached twin is the pairs reader's cold output and the Gate reader's twin as the
+    # apply loop's pairs, bit for bit; the cached key table is the one built from cold twins
     for kind in ANGLE_FREE:
         for wires in itertools.permutations(range(n), len(GATE_SPECS[kind].wires)):
-            for x, z in itertools.product((0, 1), repeat=2):
-                rewrite._fixed_twin.cache_clear()
-                cold = twin(Gate(kind, wires), x, z)
-                cached = rewrite._fixed_twin(kind, wires, x, z)
-                assert cached == cold and repr(cached) == repr(cold), (kind, wires, x, z)
-                assert rewrite._fixed_twin(kind, wires, x, z) is cached
+            rewrite._fixed.cache_clear()
+            cached = rewrite._fixed(kind, wires)
+            assert rewrite._fixed(kind, wires) is cached
+            twins, table = cached
+            cold = [rewrite._pairs(kind, wires, (), x, z) for x in (0, 1) for z in (0, 1)]
+            for (x, z), got, want in zip(itertools.product((0, 1), repeat=2), twins, cold, strict=True):
+                gates = _ops(twin(Gate(kind, wires), x, z).gates)
+                assert _pair_bytes(got) == _pair_bytes(want) == _pair_bytes(gates), (kind, wires, x, z)
+            cold_table = linalg._key_table(cold)
+            if isinstance(table, np.ndarray):
+                assert table.tobytes() == cold_table.tobytes()
+            else:
+                assert repr(table) == repr(cold_table)
 
 
 def test_only_angle_free_gates_enter_the_twin_cache():
@@ -244,13 +256,12 @@ def test_only_angle_free_gates_enter_the_twin_cache():
     key = keygen(3, rng)
     rewrite_circuit(key, angled)
     evaluate(key, angled, rng.pure_state(3))
-    assert rewrite._fixed_twin.cache_info().currsize == 0
-    # one entry per distinct (kind, wires, x, z) of the angle-free gates
+    assert rewrite._fixed.cache_info().currsize == 0
+    # one entry per distinct (kind, wires) of the angle-free gates, whatever key bits they read
     circuit = rng.circuit(3, 60)
     evaluate(key, circuit, rng.pure_state(3))
-    bits = [(int(key.x_bits[g.wires[0]]), int(key.z_bits[g.wires[-1]])) for g in circuit.gates]
-    fixed = {(g.kind, g.wires, *b) for g, b in zip(circuit.gates, bits) if not g.params}
-    assert 0 < len(fixed) == rewrite._fixed_twin.cache_info().currsize
+    fixed = {(g.kind, g.wires) for g in circuit.gates if not g.params}
+    assert 0 < len(fixed) == rewrite._fixed.cache_info().currsize
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -262,9 +273,63 @@ def test_rewrite_and_evaluate_give_the_same_bytes_cold_and_warm(n):
             lambda: evaluate(key, circuit, psi).amplitudes.tobytes(),
             lambda: evaluate(key, circuit, rho).matrix.tobytes())
     for run in runs:
-        rewrite._fixed_twin.cache_clear()
+        rewrite._fixed.cache_clear()
         cold = run()
-        assert rewrite._fixed_twin.cache_info().currsize > 0 and run() == cold
+        evaluate(key, circuit, psi)  # the Gate reader takes no twin from the cache: warm it here
+        assert rewrite._fixed.cache_info().currsize > 0 and run() == cold
+
+
+def _raw(state) -> bytes:
+    return (state.amplitudes if isinstance(state, PureState) else state.matrix).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_evaluate_equals_simulate_of_the_rewritten_circuit(n):
+    # the library's evaluate takes the pairs reader and the CLI's the Gate reader: the
+    # same bytes, pure states to n = 8 and density states to n = 5
+    rng = RandomSource(210 + n)
+    for _ in range(3):
+        circuit, key = rng.circuit(n, rng.integer(1, 48)), keygen(n, rng)
+        for state in (rng.pure_state(n), *([rng.density_state(n)] if n <= 5 else [])):
+            assert _raw(evaluate(key, circuit, state)) == _raw(simulate(rewrite_circuit(key, circuit), state))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_scheme_evaluate_equals_simulate_of_the_twin(scheme):
+    # an hy key's z bit is Y's, so its twin is the rule's with z = 0
+    rng = RandomSource(220)
+    variant = VARIANT_HY if scheme is Scheme.RY_HY else "xz"
+    kinds = {Scheme.RZ_ONLY: ["rz"], Scheme.RY_ONLY: ["ry"], Scheme.RY_HY: ["ry"],
+             Scheme.COMBINED: ["rz", "ry"], Scheme.CNOT_ONLY: ["cnot"]}[scheme]
+    for kind in kinds:
+        op = Gate.cnot(1, 0) if kind == "cnot" else Gate(kind, (1,), (rng.angle(),))
+        for key in all_keys(2, variant):
+            x, z = int(key.x_bits[op.wires[0]]), int(key.z_bits[op.wires[-1]]) * (variant == "xz")
+            want = Circuit(2, twin(op, x, z).gates)
+            for state in (rng.pure_state(2), rng.density_state(2)):
+                assert _raw(scheme_evaluate(scheme, key, op, state)) == _raw(simulate(want, state))
+
+
+def test_evaluate_and_the_key_stack_build_no_gate(monkeypatch):
+    # every angle-free twin is built cold, with Gate construction and RewriteResult raising
+    rng = RandomSource(230)
+    circuit, key, psi, rho = rng.circuit(3, 60), keygen(3, rng), rng.pure_state(3), rng.density_state(3)
+    op, hy_key = Gate.ry(0.4, 1), keygen(3, rng, VARIANT_HY)
+    want = [_raw(evaluate(key, circuit, s)) for s in (psi, rho)] + [_raw(scheme_evaluate(Scheme.RY_HY, hy_key, op, rho))]
+    report = verify_security(circuit, rho, 1e-9)
+    rewrite._fixed.cache_clear()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a Gate or a RewriteResult")
+
+    monkeypatch.setattr(Gate, "_unchecked", forbidden)
+    monkeypatch.setattr(Gate, "__post_init__", forbidden)
+    monkeypatch.setattr(rewrite, "RewriteResult", forbidden)
+    got = [_raw(evaluate(key, circuit, s)) for s in (psi, rho)] + [_raw(scheme_evaluate(Scheme.RY_HY, hy_key, op, rho))]
+    assert got == want
+    assert verify_security(circuit, rho, 1e-9) == report and report.passed
+    with pytest.raises(AssertionError, match="built a Gate"):
+        rewrite_circuit(key, circuit)
 
 
 # --- whole-circuit rewriting --------------------------------------------
