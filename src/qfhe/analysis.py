@@ -5,7 +5,8 @@ Three families of checks, all numerical at desk scale:
   forgetting the key yields the totally mixed state,
 - Pauli-basis decomposition and the key-independence classifier: the only
   operators whose rewritten twin needs no key knowledge are phase-Paulis,
-- the commutation identities every rewrite rule rests on.
+- the commutation identities every rewrite rule rests on, each angle rule
+  bounded at every angle by its values at two.
 
 No Pauli operator is built as a matrix. Column i of X^a Z^b holds
 S[b, i] = (-1)^popcount(b & i) in row i ^ a, so decomposing is a gather
@@ -21,7 +22,8 @@ is key-independent and shared, else each key takes its own. The loop fuses
 each wire's run of twins on its four entries, shared Paulis in, gathered per
 key when a block takes it; a lone shared Pauli is a frame. Each angle-free
 gate's table of twins is ``rewrite._fixed``'s, and the masks' index and sign
-rows are cached per (n, r), read-only. Sizes are hard-guarded.
+rows and the keys' twin-table rows are cached per (n, r), read-only. Sizes
+are hard-guarded.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ import numpy as np
 from . import linalg, rewrite
 from .circuits import Circuit, Gate, _ops
 from .linalg import DensityState, PureState, canonical_angle
-from .rng import RandomSource
 
 _MAX_QUBITS_AVERAGE = 4
 _MAX_QUBITS_EVALUATE = 3
@@ -45,8 +46,6 @@ _MAX_QUBITS_CLASSIFY = 3
 CLASSIFY_TOL = 1e-8
 #: default bound on verify_security's distances: ATOL_STATE, far above their 1e-16-scale rounding
 VERIFY_TOL = 1e-9
-#: check_appendix_identities draws every angle before any check, about 150 us of work each
-_MAX_SAMPLES = 100_000
 
 
 class ClassifyResult(NamedTuple):
@@ -75,7 +74,7 @@ class SecurityReport(NamedTuple):
 def _check_tolerance(tol: float) -> float:
     if isinstance(tol, (bool, np.bool_)) or not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    return float(tol)
+    return float(tol) + 0.0  # -0.0 + 0.0 is 0.0
 
 
 def average_over_keys(sigma: DensityState) -> DensityState:
@@ -101,15 +100,11 @@ def _key_op(gate: Gate, index: np.ndarray) -> tuple:
     """The gate's (operator, wires) pair for the key stack's apply loop: every key's twin.
 
     The twin reads the x bit of the gate's first wire i and the z bit of its last j, so key k's twin is row
-    index[i, j, k] = 2x + z of ``linalg._key_table``, built from the four ``rewrite._pairs`` (``rewrite._fixed``
+    index[i, j, k] = 2x + z of ``linalg._key_table``, built from ``rewrite._four`` (``rewrite._fixed``
     keeps an angle-free gate's): a Pauli shared by every key goes in as its exponents, four one-qubit entries
     as ``linalg._Keyed``, and cnot's table gathered per key, a fresh array."""
     kind, wires, params = gate.kind, gate.wires, gate.params
-    if params:
-        twins = [rewrite._pairs(kind, wires, params, x, z) for x in (0, 1) for z in (0, 1)]
-        table = linalg._key_table(twins)
-    else:
-        table = rewrite._fixed(kind, wires)[1]
+    table = linalg._key_table(rewrite._four(kind, wires, params)) if params else rewrite._fixed(kind, wires)[1]
     rows = index[wires[0], wires[-1]]
     if isinstance(table, np.ndarray):
         return table.take(rows, axis=0), wires
@@ -127,23 +122,19 @@ def _factor(sigma: PureState | DensityState) -> tuple[np.ndarray, np.ndarray]:
     return q[:, pick] * np.sqrt(np.abs(lam[pick])), np.sign(lam[pick])
 
 
-@functools.lru_cache(maxsize=_MAX_QUBITS_EVALUATE)
-def _keys(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Key k's masks (a, b) = divmod(k, 2^n), and index[i, j, k] = 2 x_i + z_j, its twin-table row on wires i, j."""
+@functools.lru_cache(maxsize=9)  # every (n, r) within the guard: r = 1, 2, ..., 2^n for n = 1..3
+def _masks(n: int, cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every key's mask on a (2^n, r) factor as one row: key k's index row into the shared row, as
+    ``linalg._signed_gather`` builds it, the same offset into key k's own row of a (4^n, 2^n r) stack, and its
+    sign row, for its masks (a, b) = divmod(k, 2^n); and index[i, j, k] = 2 x_i + z_j, its twin-table row on
+    wires i, j."""
     a, b = divmod(np.arange(4 ** n), 2 ** n)
     x, z = (bits >> np.arange(n - 1, -1, -1)[:, None] & 1 for bits in (a, b))  # each wire's bits, read once
-    return tuple(map(linalg._read_only, (a, b, 2 * x[:, None] + z)))
-
-
-@functools.lru_cache(maxsize=9)  # every (n, r) within the guard: r = 1, 2, ..., 2^n for n = 1..3
-def _masks(n: int, cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every key's mask on a (2^n, r) factor as one row: key k's index row into the shared row, as
-    ``linalg._signed_gather`` builds it, the same offset into key k's own row of a (4^n, 2^n r) stack, and its sign row."""
-    a, b, _ = _keys(n)
     m = n + cols.bit_length() - 1
     rows = linalg._indices(m) ^ a[:, None] * cols
     own = rows + (np.arange(len(a))[:, None] << m)
-    return tuple(map(linalg._read_only, (rows, own, linalg._parity_signs(m)[rows & b[:, None] * cols])))
+    signs = linalg._parity_signs(m)[rows & b[:, None] * cols]
+    return tuple(map(linalg._read_only, (rows, own, signs, 2 * x[:, None] + z)))
 
 
 def _key_stacks(circuit: Circuit, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,8 +146,7 @@ def _key_stacks(circuit: Circuit, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     apply loop E_k = U_k F_k, U_k the twin circuit, and one more D_k = P_k E_k.
     """
     n = circuit.n_qubits
-    rows, own, signs = _masks(n, v.shape[1])
-    index = _keys(n)[2]
+    rows, own, signs, index = _masks(n, v.shape[1])
     cipher = (v.reshape(-1)[rows] * signs).reshape(-1, *v.shape)
     evaluated = linalg._run(cipher, n, [_key_op(g, index) for g in circuit.gates], columns=False)
     return cipher, evaluated, (evaluated.reshape(-1)[own] * signs).reshape(cipher.shape)
@@ -303,45 +293,42 @@ _ROTATION_RULES = (("rz-through-x", "rz", "x"), ("ry-through-x", "ry", "x"),
 #: CNOT (A^j (x) B^j) = (C^j (x) D^j) CNOT: (rule, (A, B), (C, D)), "i" the identity
 _CNOT_RULES = (("cnot-x-control", ("x", "i"), ("x", "x")), ("cnot-z-control", ("z", "i"), ("z", "i")),
                ("cnot-x-target", ("i", "x"), ("i", "x")), ("cnot-z-target", ("i", "z"), ("z", "z")))
+#: the angles an angle rule is checked at. t enters rz and ry only as e^(+-it/2), so a residual entry is c e^(it/2)
+#: + d e^(-it/2): its values here bound |c| and |d| by the larger of the two, and so the entry at every t by twice that
+_GRID = (math.pi / 2, 3 * math.pi / 2)
 
 
-def check_appendix_identities(samples: int, rng: RandomSource) -> dict[str, float]:
-    """Worst entrywise error of each commutation rule over all bits and sampled angles.
+def check_appendix_identities() -> dict[str, float]:
+    """A bound on the entrywise error of each commutation rule, over all bits and every angle.
 
     Returns one entry per rule, in a fixed order: the nine displayed rules
     (Z and X anticommute, the rotation rows, the cnot rows) plus the Ry rule
-    for the hy mask. samples is at most 100,000, checked before any draw.
+    for the hy mask. An angle row is twice its largest error on ``_GRID``. The
+    one-qubit sides multiply as ``GateSpec.build`` entries by ``linalg._mul``, in
+    Python scalars, and cnot's entries are 0 and +-1: the same report on any BLAS.
     """
-    samples = linalg._as_size(samples, "samples", 1)
-    if samples > _MAX_SAMPLES:
-        raise ValueError(f"samples must be at most {_MAX_SAMPLES}, got {samples}")
-    G = linalg.gate_matrix  # a rotation R(t) is G(kind, (t,))
-    X, Y, Z, H, CNOT = map(G, ("x", "y", "z", "h", "cnot"))
-    P = {"x": X, "z": Z, "h": H, "i": np.eye(2, dtype=complex)}
-    _pow = np.linalg.matrix_power  # a matrix to the power 0 or 1: the identity or itself
-    thetas = rng.angles(samples)
-    bits = (0, 1)
+    specs, mul, bits = linalg.GATE_SPECS, linalg._mul, (0, 1)
+    one = linalg._PAULIS[0, 0]
+    P = {kind: (one, specs[kind].build()) for kind in ("x", "y", "z", "h")} | {"i": (one, one)}  # P[kind][j]: power j
 
-    def max_err(pairs) -> float:
-        return max(float(np.max(np.abs(lhs - rhs))) for lhs, rhs in pairs)
+    def error(pairs) -> float:  # the largest |l - r| over the entries of one-qubit (lhs, rhs) pairs
+        return max(abs(l - r) for lhs, rhs in pairs for l, r in zip(lhs, rhs))
 
-    report: dict[str, float] = {}
-    report["zx-anticommute"] = max_err(
-        (_pow(Z, k) @ _pow(X, j), (-1) ** (j * k) * _pow(X, j) @ _pow(Z, k))
-        for j in bits for k in bits
-    )
+    X, Z = P["x"], P["z"]
+    report = {"zx-anticommute": error(
+        (mul(Z[k], X[j]), [(-1) ** (j * k) * e for e in mul(X[j], Z[k])]) for j in bits for k in bits
+    )}
     for name, kind, mask in _ROTATION_RULES:
-        report[name] = max_err(
-            (G(kind, (t,)) @ _pow(P[mask], j), _pow(P[mask], j) @ G(kind, ((-1) ** j * t,)))
-            for j in bits for t in thetas
+        R = specs[kind].build
+        report[name] = 2 * error(
+            (mul(R(t), P[mask][j]), mul(P[mask][j], R((-1) ** j * t))) for j in bits for t in _GRID
         )
+    CNOT = specs["cnot"].build()
     for name, before, after in _CNOT_RULES:
-        report[name] = max_err(
-            (CNOT @ np.kron(*(_pow(P[k], j) for k in before)), np.kron(*(_pow(P[k], j) for k in after)) @ CNOT)
-            for j in bits
-        )
-    report["ry-through-hy-mask"] = max_err(
-        (G("ry", ((-1) ** j * t,)) @ _pow(H, j) @ _pow(Y, k), _pow(H, j) @ _pow(Y, k) @ G("ry", (t,)))
-        for j in bits for k in bits for t in thetas
+        kron = [[np.kron(*(linalg._as_array(P[k][j]) for k in side)) for j in bits] for side in (before, after)]
+        report[name] = max(float(np.max(np.abs(CNOT @ b - a @ CNOT))) for b, a in zip(*kron))
+    Ry, masks = specs["ry"].build, [(j, mul(P["h"][j], P["y"][k])) for j in bits for k in bits]
+    report["ry-through-hy-mask"] = 2 * error(
+        (mul(Ry((-1) ** j * t), m), mul(m, Ry(t))) for j, m in masks for t in _GRID
     )
     return report

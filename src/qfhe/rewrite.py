@@ -105,12 +105,17 @@ def _pairs(kind: str, wires: tuple[int, ...], params: tuple[float, ...], x: int,
     return [(specs[k].pauli or specs[k].build(*p), w) for k, w, p in _rule(kind, wires, params, x, z)[0]]
 
 
+def _four(kind: str, wires: tuple[int, ...], params: tuple[float, ...]) -> tuple:
+    """The gate's four twins as ``_pairs``, key bits (x, z) at row 2x + z."""
+    return tuple(_pairs(kind, wires, params, x, z) for x in (0, 1) for z in (0, 1))
+
+
 @functools.lru_cache(maxsize=256)  # 4n one-wire and n(n - 1) cnot entries: 238, every angle-free gate, at n = 14
 def _fixed(kind: str, wires: tuple[int, ...]) -> tuple:
-    """An angle-free gate's (x, y, z, h, cnot) four twins as pairs, key bits (x, z) at row 2x + z, and the key
-    stack's table of them, ``linalg._key_table``; shared, so cnot's arrays are read-only. Code that replaces
-    the rule at run time must call its ``cache_clear``."""
-    twins = tuple(_pairs(kind, wires, (), x, z) for x in (0, 1) for z in (0, 1))
+    """An angle-free gate's (x, y, z, h, cnot) ``_four`` twins and the key stack's table of them,
+    ``linalg._key_table``; shared, so cnot's arrays are read-only. Code that replaces the rule at
+    run time must call its ``cache_clear``."""
+    twins = _four(kind, wires, ())
     for op in (op for pairs in twins for op, _ in pairs if not isinstance(op, tuple)):
         linalg._read_only(op)
     return twins, linalg._key_table(twins)

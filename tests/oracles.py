@@ -31,7 +31,8 @@ one operator on any wire set: ``checked_operator`` checks the operator and
 wires, ``evolve`` runs trusted pairs on a state and checks the result.
 ``phase_adjusted_distance`` is the classifier's criterion for one conjugate
 at a time, and ``min_eigenvalue`` is the eigensolve that the density check's
-Cholesky test of positivity stands in for.
+Cholesky test of positivity stands in for. ``identities_sampled`` checks the
+commutation rules at any angles drawn, by dense products.
 The package itself works on wire axes, sign tables, key stacks and whole
 arrays instead, so nothing here is imported by ``src/qfhe``.
 """
@@ -42,7 +43,7 @@ import math
 
 import numpy as np
 
-from qfhe import linalg, qotp, rewrite
+from qfhe import analysis, linalg, qotp, rewrite
 from qfhe.analysis import (
     _MAX_QUBITS_AVERAGE,
     _MAX_QUBITS_EVALUATE,
@@ -579,3 +580,38 @@ def phase_adjusted_distance(candidate: np.ndarray, reference: np.ndarray) -> flo
 def min_eigenvalue(mat: np.ndarray) -> float:
     """The smallest eigenvalue of a Hermitian matrix, by a full eigensolve."""
     return float(np.linalg.eigvalsh(mat)[0])
+
+
+def identities_sampled(thetas) -> dict[str, float]:
+    """``analysis.check_appendix_identities`` as the largest entrywise error at each of the given angles.
+
+    Every side is a ``gate_matrix`` product by numpy's ``@``, and the rule rows
+    are read from ``analysis`` at call time, so a replaced row is seen here too.
+    """
+    G = linalg.gate_matrix  # a rotation R(t) is G(kind, (t,))
+    X, Y, Z, H, CNOT = map(G, ("x", "y", "z", "h", "cnot"))
+    P = {"x": X, "z": Z, "h": H, "i": np.eye(2, dtype=complex)}
+    _pow = np.linalg.matrix_power  # a matrix to the power 0 or 1: the identity or itself
+    bits = (0, 1)
+
+    def max_err(pairs) -> float:
+        return max(float(np.max(np.abs(lhs - rhs))) for lhs, rhs in pairs)
+
+    report = {"zx-anticommute": max_err(
+        (_pow(Z, k) @ _pow(X, j), (-1) ** (j * k) * _pow(X, j) @ _pow(Z, k)) for j in bits for k in bits
+    )}
+    for name, kind, mask in analysis._ROTATION_RULES:
+        report[name] = max_err(
+            (G(kind, (t,)) @ _pow(P[mask], j), _pow(P[mask], j) @ G(kind, ((-1) ** j * t,)))
+            for j in bits for t in thetas
+        )
+    for name, before, after in analysis._CNOT_RULES:
+        report[name] = max_err(
+            (CNOT @ np.kron(*(_pow(P[k], j) for k in before)), np.kron(*(_pow(P[k], j) for k in after)) @ CNOT)
+            for j in bits
+        )
+    report["ry-through-hy-mask"] = max_err(
+        (G("ry", ((-1) ** j * t,)) @ _pow(H, j) @ _pow(Y, k), _pow(H, j) @ _pow(Y, k) @ G("ry", (t,)))
+        for j in bits for k in bits for t in thetas
+    )
+    return report

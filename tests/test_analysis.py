@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 import struct
@@ -51,6 +52,7 @@ from oracles import (
     all_keys,
     average_over_keys_loop,
     full_matrix,
+    identities_sampled,
     key_index,
     key_stacks_blocks,
     key_stacks_dense,
@@ -135,6 +137,7 @@ def test_verify_security_keeps_its_tolerance_as_a_float():
     for tol, want in ((1, 1.0), (0, 0.0), (np.float32(0.5), 0.5), (np.float64(1e-9), 1e-9)):
         report = verify_security(Circuit(1), rho, tol)
         assert type(report.tolerance) is float and report.tolerance == want
+    assert math.copysign(1.0, verify_security(Circuit(1), rho, -0.0).tolerance) == 1.0  # written as 0.0
 
 
 def test_verify_security_rejects_a_non_circuit_after_the_tolerance_and_state():
@@ -552,7 +555,7 @@ def test_the_cached_arrays_are_read_only():
     # the cnot table and twin operators the cache shares, h's index rows, and the key and
     # mask rows every call shares; a gathered cnot stack is the caller's own, writable
     n = 3
-    index = analysis._keys(n)[2]
+    index = analysis._masks(n, 4)[3]
     twins, table = rewrite._fixed("cnot", (2, 0))
     cnot, _ = analysis._key_op(Gate.cnot(2, 0), index)
     again, _ = analysis._key_op(Gate.cnot(2, 0), index)
@@ -561,7 +564,7 @@ def test_the_cached_arrays_are_read_only():
     assert table.shape == (4, 4, 4) and cnot.shape == (4 ** n, 4, 4)
     shared = [op for pairs in twins for op, _ in pairs if isinstance(op, np.ndarray)]
     assert len(shared) == 4
-    for arr in (table, *shared, h.index, *analysis._keys(n), *analysis._masks(n, 4)):
+    for arr in (table, *shared, h.index, *analysis._masks(n, 4)):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1
     assert not np.shares_memory(cnot, table) and not np.shares_memory(cnot, again)
@@ -942,45 +945,54 @@ def test_classify_tolerance_between_the_criteria_is_a_value_error():
 # --- commutation identities ----------------------------------------------
 
 def test_appendix_identities_all_hold():
-    report = check_appendix_identities(100, RandomSource(7))
+    report = check_appendix_identities()
     assert len(report) == 10
     assert max(report.values()) <= 1e-12
 
 
 def test_appendix_identities_deterministic():
-    a = check_appendix_identities(25, RandomSource(9))
-    b = check_appendix_identities(25, RandomSource(9))
-    assert a == b
+    assert check_appendix_identities() == check_appendix_identities()
 
 
 def test_appendix_identities_reject_zero_samples():
-    with pytest.raises(ValueError):
-        check_appendix_identities(0, RandomSource(0))
+    # the grid is fixed: the check takes no sample count, zero or any other, and no random source
+    with pytest.raises(TypeError):
+        check_appendix_identities(0)
+    with pytest.raises(TypeError):
+        check_appendix_identities(100, RandomSource(7))
 
 
-class _NoDraws:
-    """A random source that fails any draw."""
-
-    def angles(self, count):
-        raise AssertionError(f"drew {count} angles")
-
-
-@pytest.mark.parametrize("samples,message", [
-    ("3", "samples must be an integer, got '3'"),
-    (2.0, "samples must be an integer, got 2.0"),
-    (True, "samples must be an integer, got True"),
-    (100_001, "samples must be at most 100000, got 100001"),
-    (10 ** 9, "samples must be at most 100000, got 1000000000"),
-    (10 ** 30, f"samples must be at most 100000, got {10 ** 30}"),
-])
-def test_appendix_identities_reject_bad_samples_before_any_draw(samples, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        check_appendix_identities(samples, _NoDraws())
+def test_the_sampled_oracle_agrees_at_a_thousand_angles():
+    sampled = identities_sampled(RandomSource(940).angles(1000))
+    assert list(sampled) == list(check_appendix_identities())
+    assert max(sampled.values()) <= ATOL_EXACT
 
 
-def test_single_sample_still_passes():
-    report = check_appendix_identities(1, RandomSource(5))
-    assert max(report.values()) <= 1e-12
+def test_two_grid_angles_bound_every_angle():
+    # an entry c e^(it/2) + d e^(-it/2) at any t is at most twice its larger value on the grid
+    rng = RandomSource(941)
+    grid = analysis._GRID
+    for _ in range(200):
+        c, d = (complex(*rng.angles(2)) - 3 - 3j for _ in range(2))
+        f = [c * cmath.exp(0.5j * t) + d * cmath.exp(-0.5j * t) for t in (*grid, *rng.angles(50))]
+        assert max(map(abs, f[2:])) <= 2 * max(map(abs, f[:2])) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("rules,row,false", [
+    ("_ROTATION_RULES", "rz-through-z", ("rz-through-z", "rz", "z")),
+    ("_ROTATION_RULES", "ry-through-x", ("ry-through-x", "ry", "i")),
+    ("_CNOT_RULES", "cnot-z-target", ("cnot-z-target", ("i", "z"), ("i", "z"))),
+    ("_CNOT_RULES", "cnot-x-control", ("cnot-x-control", ("x", "i"), ("x", "i"))),
+], ids=["rz-through-z", "ry-through-identity", "cnot-z-target-uncorrected", "cnot-x-control-uncorrected"])
+def test_a_false_rule_fails_the_certificate_and_the_oracle(monkeypatch, rules, row, false):
+    # the certificate reads the false row far above its tolerance, and bounds what the oracle samples
+    table = [r for r in getattr(analysis, rules) if r[0] != row] + [false]
+    monkeypatch.setattr(analysis, rules, tuple(table))
+    report = check_appendix_identities()
+    sampled = identities_sampled(RandomSource(942).angles(1000))
+    assert report[row] >= 0.1 and sampled[row] > 0.1
+    assert sampled[row] <= report[row] + ATOL_EXACT
+    assert max(err for name, err in report.items() if name != row) <= ATOL_EXACT
 
 
 def test_u_rewrite_endpoints():

@@ -611,6 +611,15 @@ def test_verify_security_zero_tol_fails(tmp_path):
     assert main(["verify-security", "--circuit", circ, "--state", state, "--tol", "0"]) == 1
 
 
+def test_verify_security_writes_a_negative_zero_tol_as_zero(tmp_path, capsys):
+    circ = write(tmp_path / "c.json", json.dumps({"qubits": 1, "gates": []}))
+    state = write(tmp_path / "s.json", pure_state_doc(np.array([1.0, 0.0])))
+    code = main(["verify-security", "--circuit", circ, "--state", state, "--tol", "-0", "--format", "json"])
+    out = capsys.readouterr().out
+    assert '"tolerance": 0.0,' in out and "-0.0" not in out
+    assert code == (0 if json.loads(out)["pass"] else 1)
+
+
 @pytest.mark.parametrize("tol", ["1e-9", "0"])
 def test_verify_security_takes_a_pure_state_as_is_with_its_density_verdict(tmp_path, capsys, monkeypatch, tol):
     # the pure file reaches the library as a PureState; its report, exit code included,
@@ -708,28 +717,21 @@ def test_classify_json_format(tmp_path, capsys):
 # --- check-identities ----------------------------------------------------
 
 def test_check_identities_table(capsys):
-    assert main(["check-identities", "--samples", "100", "--seed", "7"]) == 0
+    assert main(["check-identities"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 11  # 10 identities + result line
     assert lines[-1].startswith("result: PASS")
 
 
 def test_check_identities_deterministic(capsys):
-    assert main(["check-identities", "--samples", "10", "--seed", "3"]) == 0
+    assert main(["check-identities", "--format", "json"]) == 0
     first = capsys.readouterr().out
-    assert main(["check-identities", "--samples", "10", "--seed", "3"]) == 0
+    assert main(["check-identities", "--format", "json"]) == 0
     assert capsys.readouterr().out == first
 
 
-def test_check_identities_single_sample(capsys):
-    assert main(["check-identities", "--samples", "1", "--seed", "0"]) == 0
-
-
-def test_check_identities_rejects_zero_samples():
-    assert main(["check-identities", "--samples", "0"]) == 2
-
-
-def test_check_identities_rejects_samples_past_the_cap_before_any_draw(monkeypatch, capsys):
-    monkeypatch.setattr(RandomSource, "angles", lambda self, count: pytest.fail(f"drew {count} angles"))
-    assert main(["check-identities", "--samples", "1000000000"]) == 2
-    assert capsys.readouterr().err == "error: samples must be at most 100000, got 1000000000\n"
+def test_check_identities_rejects_zero_samples(capsys):
+    # the check reads a fixed grid of two angles: it takes no sample count, zero or any other, and no seed
+    for argv in (["--samples", "0"], ["--samples", "100"], ["--seed", "7"]):
+        assert main(["check-identities", *argv]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

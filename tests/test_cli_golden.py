@@ -3,7 +3,8 @@
 Every step below runs ``qfhe.cli.main`` in a scratch directory holding the
 files of ``golden/cli/inputs`` and the golden circuits. The files a step
 writes, its exit code, and its stdout and stderr when not empty must equal
-the files under ``golden/cli/expected``. Run this file as a script,
+the files under ``golden/cli/expected``. The commutation report must also
+keep its bytes under other OpenBLAS kernels. Run this file as a script,
 ``PYTHONPATH=src python tests/test_cli_golden.py``, to rewrite the expected
 files after a deliberate output change.
 """
@@ -14,8 +15,11 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from qfhe.cli import main
 
@@ -63,7 +67,7 @@ def steps():
                                      "--out", "mismatch.json"]
     for name in UNITARIES:
         yield f"classify_{name}", ["classify", "--unitary", f"unitary_{name}.json", "--format", "json"]
-    # the human formats, and the commutation report at its default seed and sample count
+    # the human formats, and the commutation report
     yield "verify_bell_rz_human", ["verify-security", "--circuit", "bell_rz.json", "--state", "state_n2_density.json"]
     yield "classify_phase_xz_zx_human", ["classify", "--unitary", "unitary_phase_xz_zx.json"]
     for fmt in ("json", "human"):
@@ -102,6 +106,30 @@ def test_cli_outputs_match_golden_bytes(tmp_path):
     assert sorted(got) == sorted(expected)
     mismatched = [name for name in sorted(got) if got[name] != expected[name]]
     assert not mismatched, mismatched
+
+
+def _dispatched_cpu_features() -> str:
+    """The CPU features numpy dispatches to past its baseline, as ``NPY_DISABLE_CPU_FEATURES`` takes them."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    return " ".join(_multiarray_umath.__cpu_dispatch__)
+
+
+@pytest.mark.parametrize("coretype,baseline", [("Haswell", False), ("Prescott", False), ("Prescott", True)],
+                         ids=["haswell", "prescott", "prescott-numpy-baseline"])
+def test_check_identities_bytes_do_not_depend_on_the_blas_kernel(coretype, baseline):
+    # each run is a fresh process: OpenBLAS picks its kernel, and numpy its dispatch, at load time
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    if baseline:
+        env["NPY_DISABLE_CPU_FEATURES"] = _dispatched_cpu_features()
+    run = subprocess.run([sys.executable, "-m", "qfhe", "check-identities", "--format", "json"],
+                         env=env, capture_output=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == (EXPECTED / "check_identities_json.stdout").read_bytes()
 
 
 if __name__ == "__main__":
