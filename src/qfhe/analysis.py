@@ -104,11 +104,11 @@ def _key_op(gate: Gate, index: np.ndarray) -> tuple:
     keeps an angle-free gate's): a Pauli shared by every key goes in as its exponents, four one-qubit entries
     as ``linalg._Keyed``, and cnot's table gathered per key, a fresh array."""
     kind, wires, params = gate.kind, gate.wires, gate.params
-    table = linalg._key_table(rewrite._four(kind, wires, params)) if params else rewrite._fixed(kind, wires)[1]
+    table = linalg._key_table(rewrite._four(kind, wires, params)) if params else rewrite._fixed(kind, wires)
     rows = index[wires[0], wires[-1]]
     if isinstance(table, np.ndarray):
         return table.take(rows, axis=0), wires
-    return (table if len(table) == 2 else linalg._Keyed(table, rows)), wires  # a Pauli's exponents, or four entries
+    return (table[0] if len(table[0]) == 2 else linalg._Keyed(table, rows)), wires  # a Pauli's exponents, or entries
 
 
 def _factor(sigma: PureState | DensityState) -> tuple[np.ndarray, np.ndarray]:

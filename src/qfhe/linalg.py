@@ -409,13 +409,13 @@ def _mul(l: tuple, r: tuple) -> tuple:
 def _fuse(ops):
     """The (operator, wires) pairs with each wire's run of one-qubit operators multiplied into one.
 
-    A Pauli (x, z) joins a run pending on its wire as its 2x2, or else passes
-    through. A k-qubit operator takes its wires' runs as op @ (run_0 (x) ...
-    (x) run_k-1), the identity for a wire with none; the runs left come last,
-    in wire order. Runs of entries multiply by ``_mul``, keyed ones on their
-    four entries, and become arrays only when absorbed or yielded; a product
-    with an array is numpy's, so it broadcasts over (K, d, d) stacks. A cnot
-    takes two runs of entries as one array of their 8, two fixed gathers and one product.
+    A one-qubit operator is a Pauli's exponents (x, z), row-major entries or
+    ``_Keyed``; a Pauli joins a run pending on its wire as its entries, or
+    else passes through. A k-qubit array takes its wires' runs as op @ (run_0
+    (x) ... (x) run_k-1), the identity for a wire with none; the runs left
+    come last, in wire order. Runs multiply by ``_mul``, keyed ones on their
+    four entries, and become arrays, by numpy, only when absorbed or yielded.
+    A cnot takes two runs of entries as one array of their 8, two fixed gathers and one product.
     """
     pend = {}
     for op, wires in ops:
@@ -427,8 +427,6 @@ def _fuse(ops):
             if run is not None:
                 if isinstance(op, tuple) and isinstance(run, tuple):
                     op = _mul(op, run)
-                elif isinstance(op, np.ndarray) or isinstance(run, np.ndarray):
-                    op = _as_array(op) @ _as_array(run)
                 else:  # keyed: entry by entry, a shared side in each entry, under the wire's one index
                     ls, rs = (o.entries if isinstance(o, _Keyed) else (o,) * 4 for o in (op, run))
                     op = _Keyed(tuple(map(_mul, ls, rs)), (op if isinstance(op, _Keyed) else run).index)
@@ -446,18 +444,17 @@ def _fuse(ops):
 
 
 def _key_table(twins) -> tuple | np.ndarray:
-    """The key stack's table of a gate's four twins, lists of (operator, wires) pairs, key bits (x, z) at row 2x + z.
+    """A gate's table of its four twins, lists of (operator, wires) pairs, key bits (x, z) at row 2x + z.
 
-    One Pauli's exponents if it is every twin, shared by every key; else the one-qubit twins' entries, a Pauli's
-    as in ``_PAULIS``, four to a tuple; else each two-qubit twin folded by ``_fuse``, one read-only (4, 4, 4) array.
+    A one-qubit gate's rows are its four operators: one Pauli's exponents four times if it is every twin, else
+    entries, a Pauli's as in ``_PAULIS``. cnot's are its twins folded by ``_fuse``, one read-only (4, 4, 4) array.
     """
     if len(twins[0][-1][1]) == 1:  # a one-qubit gate's twin is one pair
-        ops = [op for ((op, _),) in twins]
+        ops = tuple(op for ((op, _),) in twins)
         if len(ops[0]) == 2 and ops.count(ops[0]) == 4:
-            return ops[0]
+            return ops
         return tuple(_PAULIS[op] if len(op) == 2 else op for op in ops)
-    folds = [next(_fuse((_as_array(_PAULIS[op]) if isinstance(op, tuple) else op, w) for op, w in twin))
-             for twin in twins]
+    folds = [next(_fuse((_PAULIS[op] if isinstance(op, tuple) else op, w) for op, w in twin)) for twin in twins]
     return _read_only(np.array([op for op, _ in folds]))
 
 
@@ -468,11 +465,11 @@ def _run(arr: np.ndarray, n: int, ops, columns: bool) -> np.ndarray:
     on its row axes. With the column pass U* acts on the column axes too: a
     density matrix or a stack of them. Without it arr is a statevector as one
     column, a state's factor or ``analysis``'s stack of every key's factor,
-    with a power of two columns. Each pair is trusted: a complex 2^k x 2^k
-    operator on k distinct in-range wires, shared or one per stack entry as
-    in ``_apply_on_axes``, a one-qubit operator as its row-major entries as
-    in ``GateSpec.build`` or ``_Keyed``, or a Pauli on one wire by its
-    exponents as in ``GateSpec.pauli``.
+    with a power of two columns. Each pair is trusted: a one-qubit operator
+    is a Pauli's exponents as in ``GateSpec.pauli``, row-major entries as in
+    ``GateSpec.build`` or ``_Keyed``; any other is a complex 2^k x 2^k array
+    on k distinct in-range wires, shared or one per stack entry as in
+    ``_apply_on_axes``.
     The pairs run fused by ``_fuse``: one operator per wire's run, a Pauli
     multiplied into a run pending on its wire. Each run of the Paulis left
     is one frame i^k X^a Z^b, one signed gather shared by a whole stack.

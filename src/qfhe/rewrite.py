@@ -6,11 +6,11 @@ one rule: it reads the mask's x bit on the gate's first wire and its z bit on
 the last. Single-qubit gates map to exactly one gate; cnot maps to at most three.
 Two readers package its parts: ``twin`` as Gates, ``_pairs`` as the apply
 loop's (operator, wires) pairs, which ``evaluate`` and the key stack run. An
-angle-free gate's twins never change, so ``_fixed`` keeps its four per (kind, wires).
+angle-free gate's twins never change, so ``_fixed`` keeps its table of four per (kind, wires).
 
-The restricted single-gate schemes are the same rule with fewer gates permitted,
+The restricted single-gate schemes are ``evaluate`` with fewer gates permitted,
 one row of permitted kinds and key variant per ``Scheme``. Under the hy mask
-H^a Y^b, Y commutes with Ry and H negates its angle: the twin is ``twin`` with z = 0.
+H^a Y^b, Y commutes with Ry and H negates its angle: the twin is the rule's with z = 0.
 
 Density-matrix semantics are blind to global phase, but the matrix-level test
 oracles are not: every dropped (-1) factor -- the cnot sign, a Pauli's sign
@@ -111,14 +111,10 @@ def _four(kind: str, wires: tuple[int, ...], params: tuple[float, ...]) -> tuple
 
 
 @functools.lru_cache(maxsize=256)  # 4n one-wire and n(n - 1) cnot entries: 238, every angle-free gate, at n = 14
-def _fixed(kind: str, wires: tuple[int, ...]) -> tuple:
-    """An angle-free gate's (x, y, z, h, cnot) ``_four`` twins and the key stack's table of them,
-    ``linalg._key_table``; shared, so cnot's arrays are read-only. Code that replaces the rule at
-    run time must call its ``cache_clear``."""
-    twins = _four(kind, wires, ())
-    for op in (op for pairs in twins for op, _ in pairs if not isinstance(op, tuple)):
-        linalg._read_only(op)
-    return twins, linalg._key_table(twins)
+def _fixed(kind: str, wires: tuple[int, ...]):
+    """An angle-free gate's (x, y, z, h, cnot) ``linalg._key_table`` of its ``_four`` twins, which ``evaluate``
+    and the key stack read. Code that replaces the rule at run time must call its ``cache_clear``."""
+    return linalg._key_table(_four(kind, wires, ()))
 
 
 def _require_xz(key: QotpKey) -> None:
@@ -162,7 +158,7 @@ def evaluate(key: QotpKey, circuit: Circuit, ciphertext):
     ops: list = []
     for gate, x, z in _bits(key, circuit):
         kind, wires, params = gate.kind, gate.wires, gate.params
-        ops += _pairs(kind, wires, params, x, z) if params else _fixed(kind, wires)[0][2 * x + z]
+        ops += _pairs(kind, wires, params, x, z) if params else [(_fixed(kind, wires)[2 * x + z], wires)]
     return circuits._apply(key.n_qubits, ops, ciphertext)
 
 
@@ -177,7 +173,7 @@ _SCHEMES = {
 
 
 def scheme_evaluate(scheme: Scheme, key: QotpKey, op: Gate, ciphertext: DensityState) -> DensityState:
-    """Single-gate Evaluate for the restricted schemes; rejects op outside the permitted set."""
+    """Single-gate Evaluate for the restricted schemes: ``evaluate`` of op, unless op is outside the permitted set."""
     linalg._require(scheme, Scheme)
     linalg._require(key, QotpKey)
     linalg._require(op, Gate)
@@ -187,9 +183,9 @@ def scheme_evaluate(scheme: Scheme, key: QotpKey, op: Gate, ciphertext: DensityS
     if key.variant != variant:
         raise ValueError(f"scheme {scheme.value!r} requires a {variant!r} key")
     linalg._require(ciphertext, linalg.PureState, DensityState)
-    if ciphertext.n_qubits != key.n_qubits:
-        raise ValueError(f"key is for {key.n_qubits} qubit(s), state has {ciphertext.n_qubits}")
+    n = key.n_qubits
+    if ciphertext.n_qubits != n:
+        raise ValueError(f"key is for {n} qubit(s), state has {ciphertext.n_qubits}")
     _check_wires(key, op)
-    z = int(key.z_bits[op.wires[-1]]) if variant == qotp.VARIANT_XZ else 0  # an hy key's z bit is Y's
-    pairs = _pairs(op.kind, op.wires, op.params, int(key.x_bits[op.wires[0]]), z)
-    return circuits._apply(key.n_qubits, pairs, ciphertext)
+    xz = key if variant == qotp.VARIANT_XZ else QotpKey(n, key.x_bits, "0" * n)  # an hy key's z bit is Y's: z = 0
+    return evaluate(xz, Circuit(n, (op,)), ciphertext)

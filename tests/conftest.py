@@ -15,10 +15,10 @@ def _clear() -> None:
 def _cold_caches():
     """Each test starts and ends with the twin cache and the key stack's mask cache empty.
 
-    ``rewrite._fixed`` keeps each angle-free gate's four twins and the key
-    stack's table of them, so a mutant of ``rewrite._rule``, of a
-    ``GateSpec`` or of ``analysis._key_op`` would meet twins another test
-    built. h lifts to u, so even a mutant of u's parity column would meet
+    ``rewrite._fixed`` keeps each angle-free gate's table of its four twins,
+    which ``evaluate`` and the key stack both read, so a mutant of
+    ``rewrite._rule``, of a ``GateSpec`` or of ``analysis._key_op`` would meet
+    twins another test built. h lifts to u, so even a mutant of u's parity column would meet
     stale h twins. ``analysis._masks`` is emptied too, so the stacks of the
     guard-raised sizes some tests run are not kept.
     """

@@ -143,10 +143,11 @@ def apply_to_wires(unitary: np.ndarray, wires, state):
     """A k-qubit operator on the named wires of a PureState or DensityState, by the apply loop; returns the same kind.
 
     The operator and wires are checked by ``checked_operator``, and the result
-    as a state. The operator is contracted with the wire axes of the state,
-    never embedded into a 2^n x 2^n matrix.
+    as a state. The operator, a one-qubit one as its row-major entries, is
+    contracted with the wire axes of the state, never embedded into a 2^n x 2^n matrix.
     """
-    return evolve(state, [checked_operator(unitary, wires, state.n_qubits)])
+    unitary, wires = checked_operator(unitary, wires, state.n_qubits)
+    return evolve(state, [(tuple(unitary.reshape(-1).tolist()) if len(wires) == 1 else unitary, wires)])
 
 
 def embed_on_wires(unitary: np.ndarray, wires: tuple[int, ...], n_qubits: int) -> np.ndarray:
@@ -211,6 +212,13 @@ def twin_error(gate: Gate, n_qubits: int) -> float:
         lhs = full_matrix(Circuit(n_qubits, result.gates)) @ mask
         worst = max(worst, float(np.max(np.abs(lhs - (-1) ** result.phase_flips * mask @ gate_matrix))))
     return worst
+
+
+def twin_matrix(gate: Gate, x: int, z: int) -> np.ndarray:
+    """``full_matrix`` of the gate's ``rewrite.twin`` under key bits (x, z), on the gate's own wires in its order."""
+    local = {w: i for i, w in enumerate(gate.wires)}
+    parts = [Gate(g.kind, tuple(local[w] for w in g.wires), g.params) for g in rewrite.twin(gate, x, z).gates]
+    return full_matrix(Circuit(len(gate.wires), parts))
 
 
 def verify_security_loop(circuit: Circuit, sigma: DensityState, tol: float) -> SecurityReport:

@@ -19,8 +19,9 @@ from qfhe import (
     maximally_mixed,
     simulate,
     trace_distance,
+    verify_security,
 )
-from qfhe import linalg
+from qfhe import linalg, rewrite
 from qfhe.linalg import (
     ATOL_EXACT,
     GATE_SPECS,
@@ -384,7 +385,7 @@ def test_simulate_checks_one_state_per_run(monkeypatch, kind):
 def test_end_of_run_check_catches_a_non_unitary():
     # the loop trusts its pairs, so only the final construction can notice
     rng = RandomSource(71)
-    x, double = gate_matrix("x"), 2 * np.eye(2, dtype=complex)
+    x, double = GATE_SPECS["x"].build(), (2 + 0j, 0j, 0j, 2 + 0j)
     for state in (rng.pure_state(2), rng.density_state(2)):
         with pytest.raises(ValueError, match="is not 1 within"):
             evolve(state, [(x, (0,)), (double, (1,)), (x, (1,))])
@@ -480,22 +481,27 @@ def test_kernel_plans_equal_the_uncached_generic_path(m, stack):
 
 # --- the fuser -------------------------------------------------------------
 
+def _entries(mat: np.ndarray) -> tuple:
+    """A 2x2 matrix as the loop's one-qubit operator: its row-major entries as Python complex numbers."""
+    return tuple(mat.reshape(-1).tolist())
+
+
 def test_fuse_multiplies_a_run_on_one_wire_into_one_operator():
     rng = RandomSource(130)
     a, b, c = (rng.unitary(2) for _ in range(3))
-    (got,) = _fuse([(a, (1,)), (b, (1,)), (c, (1,))])
-    assert got[1] == (1,) and np.array_equal(got[0], c @ (b @ a))
+    (got,) = _fuse([(_entries(a), (1,)), (_entries(b), (1,)), (_entries(c), (1,))])
+    assert got[1] == (1,) and _same_bits(got[0], matmul_2x2(c, matmul_2x2(b, a)))
 
 
 def test_fuse_multiplies_a_pauli_into_a_pending_run_and_passes_one_with_none():
     u = RandomSource(131).unitary(2)
     # y joins the run pending on wire 0; x on wire 1, with none pending, passes first
-    ops = list(_fuse([(u, (0,)), ((1, 1), (0,)), ((1, 0), (1,))]))
+    ops = list(_fuse([(_entries(u), (0,)), ((1, 1), (0,)), ((1, 0), (1,))]))
     assert len(ops) == 2 and ops[0] == ((1, 0), (1,))
     assert ops[1][1] == (0,) and np.array_equal(ops[1][0], gate_matrix("y") @ u)
     # a Pauli before the run on its wire stays a frame, ahead of the run
-    ops = list(_fuse([((0, 1), (0,)), (u, (0,))]))
-    assert len(ops) == 2 and ops[0] == ((0, 1), (0,)) and ops[1][0] is u
+    ops = list(_fuse([((0, 1), (0,)), (_entries(u), (0,))]))
+    assert len(ops) == 2 and ops[0] == ((0, 1), (0,)) and np.array_equal(ops[1][0], u)
 
 
 @pytest.mark.parametrize("wires", [(0, 1), (1, 0)], ids=["control_first", "target_first"])
@@ -508,28 +514,29 @@ def test_fuse_folds_pending_runs_into_a_cnot(wires):
         ([(b, (wires[1],))], (eye, b)),
         ([(a, (wires[0],)), (b, (wires[1],))], (a, b)),
     ):
-        (got,) = _fuse([*runs, (cnot, wires)])
+        (got,) = _fuse([*((_entries(run), w) for run, w in runs), (cnot, wires)])
         assert got[1] == wires and np.array_equal(got[0], cnot @ np.kron(*factors))
         want = embed_on_wires(cnot, wires, 2)
         for run, (w,) in runs:
             want = want @ embed_on_wires(run, (w,), 2)
         assert np.max(np.abs(embed_on_wires(got[0], wires, 2) - want)) <= ATOL_EXACT
     # a run on another wire stays pending past the cnot, which passes unchanged
-    ops = list(_fuse([(a, (2,)), (cnot, wires)]))
-    assert len(ops) == 2 and ops[0][0] is cnot and ops[1][1] == (2,) and ops[1][0] is a
+    ops = list(_fuse([(_entries(a), (2,)), (cnot, wires)]))
+    assert len(ops) == 2 and ops[0][0] is cnot and ops[1][1] == (2,) and np.array_equal(ops[1][0], a)
 
 
 def test_fuse_broadcasts_a_per_key_stack_over_a_shared_run():
     rng = RandomSource(133)
     u, v = rng.unitary(2), rng.unitary(2)
     stack = np.array([rng.unitary(2) for _ in range(4)])
-    (got,) = _fuse([(u, (0,)), (stack, (0,))])
+    keyed = linalg._Keyed(tuple(map(_entries, stack)), np.arange(4))
+    (got,) = _fuse([(_entries(u), (0,)), (keyed, (0,))])
     assert got[1] == (0,) and got[0].shape == (4, 2, 2)
     for key in range(4):
         assert np.max(np.abs(got[0][key] - stack[key] @ u)) <= ATOL_EXACT
     # the per-key run and a shared one meet in a shared cnot: one (K, 4, 4) operator
     cnot = gate_matrix("cnot")
-    (got,) = _fuse([(stack, (1,)), (v, (0,)), (cnot, (1, 0))])
+    (got,) = _fuse([(keyed, (1,)), (_entries(v), (0,)), (cnot, (1, 0))])
     assert got[1] == (1, 0) and got[0].shape == (4, 4, 4)
     for key in range(4):
         assert np.max(np.abs(got[0][key] - cnot @ np.kron(stack[key], v))) <= ATOL_EXACT
@@ -542,7 +549,7 @@ def test_fuse_passes_a_lone_operator_on_unsorted_wires_through_unchanged():
     assert got[0] is op and got[1] == (2, 0, 1)
     # with a run pending on wire 0 the factors follow the operator's wire order
     a = rng.unitary(2)
-    (got,) = _fuse([(a, (0,)), (op, (2, 0, 1))])
+    (got,) = _fuse([(_entries(a), (0,)), (op, (2, 0, 1))])
     assert got[1] == (2, 0, 1)
     want = embed_on_wires(op, (2, 0, 1), 3) @ embed_on_wires(a, (0,), 3)
     assert np.max(np.abs(embed_on_wires(got[0], (2, 0, 1), 3) - want)) <= ATOL_EXACT
@@ -580,17 +587,13 @@ def test_fuse_multiplies_entry_tuples_in_python_scalars():
     ops = list(_fuse([(a, (0,)), ((1, 1), (0,)), ((1, 0), (1,))]))
     assert len(ops) == 2 and ops[0] == ((1, 0), (1,))
     assert ops[1][1] == (0,) and _same_bits(ops[1][0], matmul_2x2(gate_matrix("y"), mats[0]))
-    # a product with an array is numpy's: a per-key stack broadcasts over a run of entries
-    stack = np.array([rng.unitary(2) for _ in range(4)])
-    (got,) = _fuse([(a, (0,)), (stack, (0,))])
-    assert _same_bits(got[0], stack @ mats[0])
 
 
 def test_fuse_multiplies_a_keyed_run_on_its_entries_and_gathers_it_once():
     rng = RandomSource(137)
     index = np.array([3, 0, 2, 1, 1, 3])  # each of six keys' row of the tables
-    tables = [[rng.unitary(2) for _ in range(4)] for _ in range(3)]
-    k1, k2, k3 = (linalg._Keyed(tuple(tuple(m.reshape(-1).tolist()) for m in t), index) for t in tables)
+    tables = [[rng.unitary(2) for _ in range(4)] for _ in range(2)]
+    k1, k2 = (linalg._Keyed(tuple(tuple(m.reshape(-1).tolist()) for m in t), index) for t in tables)
     mat = rng.unitary(2)
     u = tuple(mat.reshape(-1).tolist())
     # keyed after a shared run, keyed after keyed, a Pauli after keyed: each entry in scalars
@@ -605,9 +608,6 @@ def test_fuse_multiplies_a_keyed_run_on_its_entries_and_gathers_it_once():
     assert got[1] == (1, 0) and got[0].shape == (6, 4, 4)
     for key, row in enumerate(index):
         assert np.max(np.abs(got[0][key] - cnot @ np.kron(tables[0][row], mat))) <= ATOL_EXACT
-    # a keyed run meeting an array is gathered and multiplied by numpy
-    (got,) = _fuse([(k3, (2,)), (mat, (2,))])
-    assert _same_bits(got[0], mat @ np.array(tables[2])[index])
 
 
 def _entry_runs() -> list:
@@ -657,6 +657,35 @@ def test_fuse_absorbs_a_keyed_run_and_a_run_of_entries_as_the_oracle_does(wires)
         ((want, want_wires),) = fuse_blocks(2, [*steps, (cnot, wires, False)])
         assert got[1] == want_wires == wires and got[0].shape == want.shape == (5, 4, 4)
         assert np.max(np.abs(got[0] - want)) <= ATOL_EXACT
+
+
+def test_no_library_path_hands_the_fuser_a_one_qubit_array(monkeypatch):
+    # the loop's contract: a one-qubit operator is a Pauli's exponents, entries or _Keyed, never
+    # an array. The twin cache starts cold, so the key tables' cnot folds pass through the fuser too
+    one_qubit = []
+    fuse = linalg._fuse
+
+    def recording(ops):
+        ops = list(ops)
+        one_qubit.extend(op for op, wires in ops if len(wires) == 1)
+        return fuse(ops)
+
+    monkeypatch.setattr(linalg, "_fuse", recording)
+    rng = RandomSource(140)
+    for n in (1, 2, 3):
+        fixed = [Gate.named(k, w) for k in "xyzh" for w in range(n)] + [
+            Gate.cnot(c, t) for c in range(n) for t in range(n) if c != t]
+        circuit, key = Circuit(n, rng.circuit(n, 20).gates + tuple(fixed)), keygen(n, rng)
+        for state in (rng.pure_state(n), rng.density_state(n)):
+            simulate(circuit, state)
+            decrypt(key, evaluate(key, circuit, encrypt(key, state)))
+            assert verify_security(circuit, state, 1e-9).passed
+    for scheme, (kinds, variant) in rewrite._SCHEMES.items():
+        key = keygen(2, rng, variant)
+        for kind in kinds:
+            op = Gate.cnot(1, 0) if kind == "cnot" else Gate(kind, (1,), tuple(rng.angles(1)))
+            rewrite.scheme_evaluate(scheme, key, op, encrypt(key, rng.density_state(2)))
+    assert one_qubit and not [op for op in one_qubit if isinstance(op, np.ndarray)]
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -19,13 +19,13 @@ from qfhe import (
     trace_distance,
 )
 from qfhe import PureState, linalg, rewrite, verify_security
-from qfhe.circuits import _ops, serialize_circuit
+from qfhe.circuits import serialize_circuit
 from qfhe.linalg import ATOL_EXACT, GATE_SPECS, TAU, gate_matrix
 from qfhe.qotp import VARIANT_HY
 from qfhe.rewrite import RewriteResult, Scheme, rewrite_gate, scheme_evaluate, twin
 from qfhe.rng import RandomSource
 
-from oracles import KIND_GATES, all_keys, apply_to_density, full_matrix, pauli_operator, twin_error
+from oracles import KIND_GATES, all_keys, apply_to_density, full_matrix, pauli_operator, twin_error, twin_matrix
 
 
 def _twin(kind, params, j, k):
@@ -224,30 +224,23 @@ def test_unchecked_twins_equal_the_checked_rebuild(kind):
 ANGLE_FREE = [kind for kind, spec in GATE_SPECS.items() if not spec.params]
 
 
-def _pair_bytes(ops) -> list:
-    """(operator, wires) pairs in a form that compares every operator's bits: repr keeps -0.0 apart from 0.0."""
-    return [(repr(op) if isinstance(op, tuple) else op.tobytes(), wires) for op, wires in ops]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cached_twins_equal_the_rule_computed_cold(n):
-    # each cached twin is the pairs reader's cold output and the Gate reader's twin as the
-    # apply loop's pairs, bit for bit; the cached key table is the one built from cold twins
+    # the cached table is the one built from cold twins, bit for bit, and its row 2x + z is
+    # the Gate reader's twin under bits (x, z): a shared Pauli's exponents, else its operator
     for kind in ANGLE_FREE:
         for wires in itertools.permutations(range(n), len(GATE_SPECS[kind].wires)):
             rewrite._fixed.cache_clear()
-            cached = rewrite._fixed(kind, wires)
-            assert rewrite._fixed(kind, wires) is cached
-            twins, table = cached
-            cold = [rewrite._pairs(kind, wires, (), x, z) for x in (0, 1) for z in (0, 1)]
-            for (x, z), got, want in zip(itertools.product((0, 1), repeat=2), twins, cold, strict=True):
-                gates = _ops(twin(Gate(kind, wires), x, z).gates)
-                assert _pair_bytes(got) == _pair_bytes(want) == _pair_bytes(gates), (kind, wires, x, z)
-            cold_table = linalg._key_table(cold)
+            table = rewrite._fixed(kind, wires)
+            assert rewrite._fixed(kind, wires) is table
+            cold = linalg._key_table(rewrite._four(kind, wires, ()))
             if isinstance(table, np.ndarray):
-                assert table.tobytes() == cold_table.tobytes()
+                assert table.shape == (4, 4, 4) and table.tobytes() == cold.tobytes()
             else:
-                assert repr(table) == repr(cold_table)
+                assert len(table) == 4 and repr(table) == repr(cold)
+            for (x, z), row in zip(itertools.product((0, 1), repeat=2), table, strict=True):
+                op = linalg._as_array(linalg._PAULIS[row] if len(row) == 2 else row)
+                assert np.array_equal(op, twin_matrix(Gate(kind, wires), x, z)), (kind, wires, x, z)
 
 
 def test_only_angle_free_gates_enter_the_twin_cache():
@@ -507,7 +500,7 @@ def test_cnot_scheme_round_trip():
 def test_scheme_rejects_non_permitted_operator():
     key = keygen(1, RandomSource(0))
     rho = RandomSource(0).density_state(1)
-    with pytest.raises(OperatorNotPermitted):
+    with pytest.raises(OperatorNotPermitted, match=r"^operator 'ry' is not permitted by scheme 'rz-only'$"):
         scheme_evaluate(Scheme.RZ_ONLY, key, Gate.ry(1.0, 0), rho)
     with pytest.raises(OperatorNotPermitted):
         scheme_evaluate(Scheme.RY_ONLY, key, Gate.rz(1.0, 0), rho)
@@ -516,6 +509,9 @@ def test_scheme_rejects_non_permitted_operator():
     key2 = keygen(2, RandomSource(0))
     with pytest.raises(OperatorNotPermitted):
         scheme_evaluate(Scheme.CNOT_ONLY, key2, Gate.named("h", 0), RandomSource(0).density_state(2))
+    # the operator is checked before the key's variant, the state and the wires
+    with pytest.raises(OperatorNotPermitted):
+        scheme_evaluate(Scheme.RY_HY, key2, Gate.rz(1.0, 5), rho)
 
 
 @pytest.mark.parametrize("not_a_state", [np.array([1, 0], dtype=complex), "x"], ids=["array", "str"])
@@ -561,10 +557,22 @@ def test_scheme_rejects_a_non_scheme_or_a_non_gate(scheme, op, message):
 
 def test_scheme_rejects_variant_mismatch():
     rho = RandomSource(0).density_state(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^scheme 'ry-hy' requires a 'hy' key$"):
         scheme_evaluate(Scheme.RY_HY, keygen(1, RandomSource(0)), Gate.ry(1.0, 0), rho)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^scheme 'rz-only' requires a 'xz' key$"):
         scheme_evaluate(Scheme.RZ_ONLY, keygen(1, RandomSource(0), VARIANT_HY), Gate.rz(1.0, 0), rho)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.RZ_ONLY, Scheme.RY_HY], ids=["xz", "hy"])
+@pytest.mark.parametrize("state", [RandomSource(0).density_state(2), PureState.basis(2, 1)], ids=["density", "pure"])
+def test_scheme_rejects_a_state_of_another_size(scheme, state):
+    # the key sets the size; the size is checked before the wires
+    key = QotpKey(1, "1", "1", VARIANT_HY if scheme is Scheme.RY_HY else "xz")
+    op = Gate(next(iter(rewrite._SCHEMES[scheme][0])), (0,), (0.4,))
+    with pytest.raises(ValueError, match=r"^key is for 1 qubit\(s\), state has 2$"):
+        scheme_evaluate(scheme, key, op, state)
+    with pytest.raises(ValueError, match=r"^key is for 1 qubit\(s\), state has 2$"):
+        scheme_evaluate(scheme, key, Gate(op.kind, (3,), op.params), state)
 
 
 @pytest.mark.parametrize("scheme,op,n", [
