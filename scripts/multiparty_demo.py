@@ -11,6 +11,7 @@ import argparse
 
 import numpy as np
 
+from checked_args import SEED
 from qfhe import (
     Circuit,
     DensityState,
@@ -36,7 +37,7 @@ def join_keys(keys) -> QotpKey:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=2024)
+    parser.add_argument("--seed", type=SEED, default=2024)
     args = parser.parse_args()
     rng = RandomSource(args.seed)
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from checked_args import SEED
 from qfhe.cli import main as qfhe
 
 
@@ -66,7 +67,7 @@ def run(seed: int, workdir: Path) -> int:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=SEED, default=42)
     parser.add_argument("--workdir", default=None, help="keep files here instead of a temp dir")
     args = parser.parse_args()
     if args.workdir:

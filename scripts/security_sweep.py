@@ -12,32 +12,20 @@ factor run: one column, or one per eigenvalue of every rank.
 import argparse
 import math
 
+from checked_args import SEED, checked
 from qfhe import average_over_keys, maximally_mixed, trace_distance, verify_security
 from qfhe.analysis import VERIFY_TOL
 from qfhe.rng import RandomSource
 
 
-def _checked(convert, ok, rule: str):
-    """An argparse type: the converted text if ok holds for it, else an error naming the rule (exit 2)."""
-    def parse(text: str):
-        try:
-            value = convert(text)
-            if ok(value):
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
-    return parse
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    count = _checked(int, lambda v: v >= 1, "an integer >= 1")
-    parser.add_argument("--seed", type=_checked(int, lambda v: 0 <= v < 2 ** 64, "an integer in [0, 2^64)"), default=7)
+    count = checked(int, lambda v: v >= 1, "an integer >= 1")
+    parser.add_argument("--seed", type=SEED, default=7)
     parser.add_argument("--states", type=count, default=20)
     parser.add_argument("--circuits", type=count, default=10)
-    parser.add_argument("--tol", type=_checked(lambda t: float(t) + 0.0, lambda v: math.isfinite(v) and v >= 0,
-                                               "a finite number >= 0"), default=VERIFY_TOL)
+    parser.add_argument("--tol", type=checked(lambda t: float(t) + 0.0, lambda v: math.isfinite(v) and v >= 0,
+                                              "a finite number >= 0"), default=VERIFY_TOL)
     args = parser.parse_args()
     rng = RandomSource(args.seed)
 

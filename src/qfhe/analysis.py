@@ -9,11 +9,12 @@ Three families of checks, all numerical at desk scale:
   bounded at every angle by its values at two.
 
 No Pauli operator is built as a matrix. Column i of X^a Z^b holds
-S[b, i] = (-1)^popcount(b & i) in row i ^ a, so decomposing is a gather
-with the sign row ``linalg._parity_signs``, and masking is the one signed
-gather the apply loop runs for Pauli frames: key averaging (n one-wire
-twirls of four masks) and the classifier conjugate by it, a matrix read as
-a 2n-qubit row. ``verify_security`` factors the state, sigma = V S V^dagger
+S[b, i] = (-1)^popcount(b & i) in row i ^ a, so every mask is one gather by
+the index and sign rows ``linalg._mask`` builds, and ``_masks`` caches
+every key's, read-only. Key averaging (n one-wire twirls of four masks) and
+the classifier conjugate a matrix read as a 2n-qubit row, each mask lifted
+onto both halves; decomposing reads the rows of lift 1, its X^a rows and its
+sign table. ``verify_security`` factors the state, sigma = V S V^dagger
 with S a diagonal of signs, masks V's rows under every key by one gather,
 takes the 4^n factors through ``linalg``'s apply loop, row-only, each by its
 key's twin circuit, and decrypts by the gather again. ``rewrite._rule`` reads two key bits,
@@ -21,9 +22,8 @@ so its four twins give every key's twin of a gate: one Pauli for all four
 is key-independent and shared, else each key takes its own. The loop fuses
 each wire's run of twins on its four entries, shared Paulis in, gathered per
 key when a block takes it; a lone shared Pauli is a frame. Each angle-free
-gate's table of twins is ``rewrite._fixed``'s, and the masks' index and sign
-rows and the keys' twin-table rows are cached per (n, r), read-only. Sizes
-are hard-guarded.
+gate's table of twins is ``rewrite._fixed``'s; the keys' twin-table rows and
+decryption offsets are built once per call. Sizes are hard-guarded.
 """
 from __future__ import annotations
 
@@ -88,11 +88,10 @@ def average_over_keys(sigma: DensityState) -> DensityState:
     n = sigma.n_qubits
     if n > _MAX_QUBITS_AVERAGE:
         raise ValueError(f"key averaging is limited to {_MAX_QUBITS_AVERAGE} qubits, got {n}")
-    mat = sigma.matrix
-    a, b = divmod(np.arange(4), 2)
-    for wire in range(n):
-        shift = n - 1 - wire
-        mat = linalg._pauli_conjugates(mat, a << shift, b << shift, n).sum(axis=0) / 4
+    mat, dim = sigma.matrix, 2 ** n
+    for wire in range(n):  # the wire's four masks on both halves of the matrix read as one row
+        rows, signs = _masks(1, (dim + 1) << (n - 1 - wire), 2 * n)
+        mat = (mat.reshape(-1)[rows] * signs).reshape(-1, dim, dim).sum(axis=0) / 4
     return DensityState(n, mat)
 
 
@@ -122,19 +121,14 @@ def _factor(sigma: PureState | DensityState) -> tuple[np.ndarray, np.ndarray]:
     return q[:, pick] * np.sqrt(np.abs(lam[pick])), np.sign(lam[pick])
 
 
-@functools.lru_cache(maxsize=9)  # every (n, r) within the guard: r = 1, 2, ..., 2^n for n = 1..3
-def _masks(n: int, cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every key's mask on a (2^n, r) factor as one row: key k's index row into the shared row, as
-    ``linalg._signed_gather`` builds it, the same offset into key k's own row of a (4^n, 2^n r) stack, and its
-    sign row, for its masks (a, b) = divmod(k, 2^n); and index[i, j, k] = 2 x_i + z_j, its twin-table row on
-    wires i, j."""
+#: every (n, lift, m) the guards admit: 9 key stacks (r = 1, 2, ..., 2^n for n = 1..3), 4 classifier sizes (n =
+#: 0..3), 10 averaging wires (n = 1..4; n = 1's is the classifier's) and 2 decompositions no key stack shares (n = 0, 4)
+@functools.lru_cache(maxsize=24)
+def _masks(n: int, lift: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every key's mask on 2^m entries: key k's (rows, signs) by ``linalg._mask`` for (a lift, b lift), (a, b) =
+    divmod(k, 2^n), as read-only (4^n, 2^m) arrays. At most 64 KiB each within the guards."""
     a, b = divmod(np.arange(4 ** n), 2 ** n)
-    x, z = (bits >> np.arange(n - 1, -1, -1)[:, None] & 1 for bits in (a, b))  # each wire's bits, read once
-    m = n + cols.bit_length() - 1
-    rows = linalg._indices(m) ^ a[:, None] * cols
-    own = rows + (np.arange(len(a))[:, None] << m)
-    signs = linalg._parity_signs(m)[rows & b[:, None] * cols]
-    return tuple(map(linalg._read_only, (rows, own, signs, 2 * x[:, None] + z)))
+    return tuple(map(linalg._read_only, linalg._mask(a[:, None] * lift, b[:, None] * lift, m)))
 
 
 def _key_stacks(circuit: Circuit, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,10 +139,14 @@ def _key_stacks(circuit: Circuit, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     gather of V as one row gives every F_k = P_k V, one row-only run of the
     apply loop E_k = U_k F_k, U_k the twin circuit, and one more D_k = P_k E_k.
     """
-    n = circuit.n_qubits
-    rows, own, signs, index = _masks(n, v.shape[1])
+    n, m = circuit.n_qubits, v.size.bit_length() - 1
+    rows, signs = _masks(n, v.shape[1], m)
     cipher = (v.reshape(-1)[rows] * signs).reshape(-1, *v.shape)
+    a, b = divmod(np.arange(len(rows)), 2 ** n)
+    x, z = (bits >> np.arange(n - 1, -1, -1)[:, None] & 1 for bits in (a, b))  # each wire's bits, read once
+    index = 2 * x[:, None] + z  # index[i, j, k] = 2 x_i + z_j: key k's twin-table row on wires i, j
     evaluated = linalg._run(cipher, n, [_key_op(g, index) for g in circuit.gates], columns=False)
+    own = rows + (np.arange(len(rows))[:, None] << m)  # key k's rows, offset into its own row of the stack
     return cipher, evaluated, (evaluated.reshape(-1)[own] * signs).reshape(cipher.shape)
 
 
@@ -212,11 +210,10 @@ def pauli_decompose(operator: np.ndarray) -> np.ndarray:
     if n > _MAX_QUBITS_DECOMPOSE:
         raise ValueError(f"decomposition is limited to {_MAX_QUBITS_DECOMPOSE} qubits, got {n}")
     linalg._check_entries(operator)
-    # v[a, i] = U[i ^ a, i]; the reduction sums over i in np.trace's order
-    idx = np.arange(dim)
-    v = operator[idx ^ idx[:, None], idx]
-    signs = linalg._parity_signs(n)[idx[:, None] & idx]  # S[b, i]
-    return (v[:, None, :] * signs).sum(axis=2) / dim
+    rows, signs = _masks(n, 1, n)  # key a 2^n + b: rows[k, i] = i ^ a, signs[k, i] = S[b, i ^ a]
+    # v[a, i] = U[i ^ a, i], rows[0] the identity; the reduction sums over i in np.trace's order
+    v = operator[rows[::dim], rows[0]]
+    return (v[:, None, :] * signs[:dim]).sum(axis=2) / dim
 
 
 #: overlaps |tr(U^dagger C)| below this take no phase. A conjugate C within the
@@ -261,8 +258,10 @@ def classify_key_independent(operator: np.ndarray, tol: float = CLASSIFY_TOL) ->
     if n > _MAX_QUBITS_CLASSIFY:
         raise ValueError(f"classification is limited to {_MAX_QUBITS_CLASSIFY} qubits, got {n}")
 
-    # every (a, b) as one stack: 16^n entries, bounded by _MAX_QUBITS_CLASSIFY above
-    conjugates = linalg._pauli_conjugates(operator, *divmod(np.arange(dim * dim), dim), n)
+    # entry (r, c) of X^a Z^b U (X^a Z^b)^dagger is S[b, r] S[b, c] U[r ^ a, c ^ a]: U read as one row takes
+    # X^(a(2^n+1)) Z^(b(2^n+1)), the mask on both halves; every (a, b) as one stack, 16^n entries
+    rows, signs = _masks(n, dim + 1, 2 * n)
+    conjugates = (operator.reshape(-1)[rows] * signs).reshape(-1, dim, dim)
     max_dev = float(np.max(_phase_adjusted_distances(conjugates, operator)))
     by_conjugation = max_dev <= tol
 

@@ -7,8 +7,9 @@ Conventions used everywhere in this package:
 
 Everything here is double precision, and two operations do all the work:
 the one gate kernel gathers a gate's wire axes in front by one transpose and
-multiplies them by one gemm, never building a 2^n x 2^n operator, and the
-one signed gather applies a Pauli mask X^a Z^b. The one apply loop runs a
+multiplies them by one gemm, never building a 2^n x 2^n operator, and a
+Pauli mask X^a Z^b is one gather by the index and sign rows of its one
+builder, ``_mask``. The one apply loop runs a
 statevector, a density matrix (U on the row half, U* on the column half) or
 a stack of them, each operator shared or one per stack entry; row-only, it
 takes ``analysis.verify_security``'s 4^n ciphertext factors by their twins.
@@ -340,29 +341,14 @@ def _parity_signs(m: int) -> np.ndarray:
     return _read_only(functools.reduce(np.kron, [(1.0, -1.0)] * m, np.ones(1)).astype(complex))
 
 
-def _signed_gather(flat: np.ndarray, a, b, m: int) -> np.ndarray:
-    """X^a Z^b on the last axis of a row or of a (B, 2^m) stack: out[..., i] = S[b, i ^ a] flat[..., i ^ a].
+def _mask(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """X^a Z^b on 2^m entries as its index and sign rows: out[..., i] = signs[i] flat[..., rows[i]].
 
-    a and b are ints, one mask on the row or on every row of the stack, or (K, 1)
-    columns, K masks on one shared row. Returns a new C-contiguous array, exact.
+    rows = i ^ a and signs = S[b, i ^ a], exact. a and b are ints, one mask, or
+    (K, 1) columns, K masks as (K, 2^m) rows. The only builder of a mask's rows.
     """
     rows = _indices(m) ^ a
-    signs = _parity_signs(m)[rows & b]
-    if flat.ndim == 1:
-        return flat[rows] * signs
-    return flat.take(rows, axis=-1) * signs  # one mask for the whole stack
-
-
-def _pauli_conjugates(mat: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """X^a Z^b M (X^a Z^b)^dagger of one matrix for each key (a[k], b[k]), as a C-contiguous (K, 2^n, 2^n) stack.
-
-    Entry (r, c) is S[b, r] S[b, c] M[r ^ a, c ^ a]: read as a 2n-qubit row,
-    M takes the mask on both halves, X^(a(2^n+1)) Z^(b(2^n+1)), one signed
-    gather of K masks on the shared row, so exact. The inverse mask
-    Z^b X^a = +-X^a Z^b gives the same stack.
-    """
-    lift = (1 << n) + 1
-    return _signed_gather(mat.reshape(-1), a[:, None] * lift, b[:, None] * lift, 2 * n).reshape(-1, 1 << n, 1 << n)
+    return rows, _parity_signs(m)[rows & b]
 
 
 def _compose(frame: tuple[int, int, int], pauli: tuple[int, int], wire: int, n: int) -> tuple[int, int, int]:
@@ -378,13 +364,15 @@ def _compose(frame: tuple[int, int, int], pauli: tuple[int, int], wire: int, n: 
 
 
 def _apply_frame(flat: np.ndarray, frame: tuple[int, int, int], lift: int, m: int, columns: bool) -> np.ndarray:
-    """The frame i^k X^a Z^b as one signed gather of its mask times lift.
+    """The frame i^k X^a Z^b on the last axis of a row or of a (B, 2^m) stack: one gather by its mask times lift.
 
     Without the column pass lift is the column count and i^k is kept. With it
     lift is 2^n + 1: both halves of a density row take the mask; i^k cancels.
+    Returns a new C-contiguous array.
     """
     k, a, b = frame
-    out = _signed_gather(flat, a * lift, b * lift, m)
+    rows, signs = _mask(a * lift, b * lift, m)
+    out = (flat[rows] if flat.ndim == 1 else flat.take(rows, axis=-1)) * signs  # one mask for a whole stack
     return out * _I_POWERS[k] if k and not columns else out
 
 

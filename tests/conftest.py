@@ -19,8 +19,9 @@ def _cold_caches():
     which ``evaluate`` and the key stack both read, so a mutant of
     ``rewrite._rule``, of a ``GateSpec`` or of ``analysis._key_op`` would meet
     twins another test built. h lifts to u, so even a mutant of u's parity column would meet
-    stale h twins. ``analysis._masks`` is emptied too, so the stacks of the
-    guard-raised sizes some tests run are not kept.
+    stale h twins. ``analysis._masks``, every key's mask rows for the key stack,
+    the classifier, key averaging and the decomposition, is emptied too, so the
+    rows of the guard-raised sizes some tests run are not kept.
     """
     _clear()
     yield

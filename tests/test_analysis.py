@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import re
 import struct
@@ -39,8 +40,8 @@ from qfhe.linalg import (
     ATOL_EXACT,
     ATOL_STATE,
     GATE_SPECS,
-    _pauli_conjugates,
-    _signed_gather,
+    _apply_frame,
+    _mask,
     all_bit_strings,
     canonical_angle,
     gate_matrix,
@@ -437,20 +438,27 @@ def test_dropping_the_cnot_correction_fails_the_table_and_the_security_check(mon
     assert not _passes_security()
 
 
-@pytest.mark.mutant
-def test_the_key_batch_checks_every_key(monkeypatch):
-    # h takes a keyed table (a Pauli would run as a shared frame); gathered to one
-    # operator per key, doubling key 5's twin alone scales its decryption by 4, and
-    # the trace of I/4 under it comes out 4.0
-    circuit, sigma = Circuit(2, (Gate.named("h", 1),)), maximally_mixed(2)
-    assert verify_security(circuit, sigma, 1e-9).passed
+def _key_op_with_key_5_as(alter):
+    """``analysis._key_op`` with key 5's twin replaced by alter(its entries): the ``linalg._Keyed`` table gains one
+    row, and key 5's index points at it."""
     key_op = analysis._key_op
 
-    def doubled(gate, index):
+    def altered(gate, index):
         op, wires = key_op(gate, index)
-        op = linalg._as_array(op)  # a fresh (16, 2, 2) gather
-        op[5] *= 2
-        return op, wires
+        rows = op.index.copy()
+        rows[5] = len(op.entries)
+        return linalg._Keyed((*op.entries, alter(op.entries[op.index[5]])), rows), wires
+    return altered
+
+
+@pytest.mark.mutant
+def test_the_key_batch_checks_every_key(monkeypatch):
+    # h takes a keyed table (a Pauli would run as a shared frame); doubling key 5's
+    # twin alone, as one more table row that only key 5's index reads, scales its
+    # decryption by 4, and the trace of I/4 under it comes out 4.0
+    circuit, sigma = Circuit(2, (Gate.named("h", 1),)), maximally_mixed(2)
+    assert verify_security(circuit, sigma, 1e-9).passed
+    doubled = _key_op_with_key_5_as(lambda entries: tuple(2 * e for e in entries))
 
     monkeypatch.setattr(analysis, "_key_op", doubled)
     with pytest.raises(ValueError, match="trace 4.0 is not 1 within"):
@@ -463,13 +471,7 @@ def test_a_nan_in_one_key_fails_the_entry_check(monkeypatch, sigma):
     # a NaN passes a trace test alone (abs(nan - 1) > tol is False), so the
     # decrypted factors' entries are checked first
     circuit = Circuit(2, (Gate.named("h", 1),))
-    key_op = analysis._key_op
-
-    def poisoned(gate, index):
-        op, wires = key_op(gate, index)
-        op = linalg._as_array(op)
-        op[5, 0, 0] = np.nan
-        return op, wires
+    poisoned = _key_op_with_key_5_as(lambda entries: (complex("nan"), *entries[1:]))
 
     monkeypatch.setattr(analysis, "_key_op", poisoned)
     with pytest.raises(ValueError, match="entries must be finite"):
@@ -552,17 +554,17 @@ def test_an_angle_free_gate_builds_its_key_op_once():
 
 
 def test_the_cached_arrays_are_read_only():
-    # the cnot table the cache shares, h's index rows, and the key and mask rows every
-    # call shares; a gathered cnot stack is the caller's own, writable
+    # the cnot table the cache shares and the mask rows every call shares; a gathered
+    # cnot stack is the caller's own, writable
     n = 3
-    index = analysis._masks(n, 4)[3]
+    index = key_index(n)
     table = rewrite._fixed("cnot", (2, 0))
     cnot, _ = analysis._key_op(Gate.cnot(2, 0), index)
     again, _ = analysis._key_op(Gate.cnot(2, 0), index)
     h, _ = analysis._key_op(Gate.named("h", 1), index)
     assert isinstance(h, linalg._Keyed) and isinstance(h.entries, tuple)
     assert table.shape == (4, 4, 4) and cnot.shape == (4 ** n, 4, 4)
-    for arr in (table, h.index, *analysis._masks(n, 4)):
+    for arr in (table, *analysis._masks(n, 4, n + 2)):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1
     assert not np.shares_memory(cnot, table) and not np.shares_memory(cnot, again)
@@ -604,6 +606,59 @@ def test_a_warm_cache_changes_no_report_and_no_stack(n):
         for got, cold_stack, want in zip(warm, cold, key_stacks_blocks(circuit, v), strict=True):
             assert got.tobytes() == cold_stack.tobytes()
             assert np.array_equal(got, want)
+
+
+def _mask_readers() -> list:
+    """(name, call) for every reader of ``analysis._masks`` at every size its guard admits: the key stack at each
+    factor width r = 1, 2, ..., 2^n, the classifier, key averaging and the decomposition."""
+    rng, draw = RandomSource(210), np.random.default_rng(210)
+
+    def matrix(dim: int, cols: int) -> np.ndarray:
+        return draw.normal(size=(dim, cols)) + 1j * draw.normal(size=(dim, cols))
+
+    calls = [(f"key stack n={n} r={1 << i}", functools.partial(_key_stacks, rng.circuit(n, 12), matrix(2 ** n, 1 << i)))
+             for n in range(1, analysis._MAX_QUBITS_EVALUATE + 1) for i in range(n + 1)]
+    calls += [(f"classify n={n}", functools.partial(classify_key_independent, np.linalg.qr(matrix(2 ** n, 2 ** n))[0]))
+              for n in range(analysis._MAX_QUBITS_CLASSIFY + 1)]
+    calls += [(f"average n={n}", functools.partial(average_over_keys, rng.density_state(n)))
+              for n in range(1, analysis._MAX_QUBITS_AVERAGE + 1)]
+    calls += [(f"decompose n={n}", functools.partial(pauli_decompose, matrix(2 ** n, 2 ** n)))
+              for n in range(analysis._MAX_QUBITS_DECOMPOSE + 1)]
+    return calls
+
+
+def _output_bytes(out) -> bytes:
+    if isinstance(out, DensityState):
+        return out.matrix.tobytes()
+    if isinstance(out, np.ndarray):
+        return out.tobytes()
+    return b"".join(o.tobytes() for o in out) if isinstance(out[0], np.ndarray) else repr(out).encode()
+
+
+def test_one_mask_cache_serves_every_reader_at_every_admitted_size(monkeypatch):
+    # each reader reads analysis._masks, and a warm call gives the cold call's bytes. All
+    # sizes at once fit the cache, each entry built once: 9 key stacks, 4 classifier sizes
+    # (n = 0..3), 10 averaging wires (n = 1..4, n = 1's the classifier's entry) and the
+    # decompositions of n = 0 and 4 (n = 1..3's are the key stack's r = 1 entries). Every
+    # array is read-only and at most 64 KiB, under glibc's 128 KiB mmap threshold
+    cache, keys = analysis._masks, []
+    monkeypatch.setattr(analysis, "_masks", lambda *key: keys.append(key) or cache(*key))
+    calls = _mask_readers()
+    for name, call in calls:
+        cache.cache_clear()
+        read = len(keys)
+        cold = call()
+        assert len(keys) > read, name
+        assert _output_bytes(call()) == _output_bytes(cold), name
+    cache.cache_clear()
+    keys.clear()
+    for _, call in calls:
+        call()
+    info = cache.cache_info()
+    assert info.currsize == info.misses == len(set(keys)) == 9 + 4 + 10 - 1 + 2 <= info.maxsize
+    for key in set(keys):
+        for arr in cache(*key):
+            assert not arr.flags.writeable and arr.nbytes <= 64 * 1024, key
 
 
 @pytest.mark.mutant
@@ -686,6 +741,12 @@ def test_density_inputs_reject_a_pure_state(call):
 
 # --- Pauli conjugation ---------------------------------------------------
 
+def _conjugates(mat: np.ndarray, n: int, lift: int) -> np.ndarray:
+    """Every key's mask of ``analysis._masks`` on mat read as one row, as the classifier and key averaging gather."""
+    rows, signs = analysis._masks(n, lift, mat.size.bit_length() - 1)
+    return (mat.reshape(-1)[rows] * signs).reshape(-1, *mat.shape)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pauli_conjugates_equal_the_dense_products(n):
     rng = np.random.default_rng(70 + n)
@@ -694,26 +755,27 @@ def test_pauli_conjugates_equal_the_dense_products(n):
     shape = (len(a), dim, dim)
     shared = rng.normal(size=shape[1:]) + 1j * rng.normal(size=shape[1:])
     stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    got = _pauli_conjugates(shared, a, b, n)
+    lift = dim + 1
+    got = _conjugates(shared, n, lift)
     assert got.shape == shape and got.flags.c_contiguous
     for k, (_, p) in enumerate(pauli_basis(n)):
         assert np.max(np.abs(got[k] - p @ shared @ p.conj().T)) <= ATOL_EXACT
     # one key over a whole stack, as the apply loop flushes a shared frame on a density
     # stack: entry by entry the same gather, and C-contiguous so that the stack sums in a
     # gemm result's order
-    lift = dim + 1
     for k in (1, len(a) - 1):
-        got_one_key = _signed_gather(stack.reshape(len(a), -1), int(a[k]) * lift, int(b[k]) * lift, 2 * n)
+        frame = (0, int(a[k]), int(b[k]))
+        got_one_key = _apply_frame(stack.reshape(len(a), -1), frame, lift, 2 * n, True)
         assert got_one_key.flags.c_contiguous
         for entry in range(len(a)):
-            want = _pauli_conjugates(stack[entry], a[k:k + 1], b[k:k + 1], n)[0]
+            want = _conjugates(stack[entry], n, lift)[k]
             assert got_one_key[entry].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_signed_gather_on_rows_equals_the_dense_products(m):
-    # the statevector frames' and the conjugates' forms of the one gather: each row exactly
-    # X^a Z^b times its source row
+    # the statevector frames' and the key masks' forms of the one gather by ``_mask``'s
+    # rows: each row exactly X^a Z^b times its source row
     rng = np.random.default_rng(80 + m)
     dim = 2 ** m
     a = np.array([0, dim - 1, *rng.integers(0, dim, 10)])
@@ -722,10 +784,11 @@ def test_signed_gather_on_rows_equals_the_dense_products(m):
     stack = rng.normal(size=(len(a), dim)) + 1j * rng.normal(size=(len(a), dim))
     bits = all_bit_strings(m)
     ops = [pauli_operator(bits[x], bits[z]) for x, z in zip(a, b)]
-    per_key_shared = _signed_gather(row, a[:, None], b[:, None], m)
+    rows, signs = _mask(a[:, None], b[:, None], m)
+    per_key_shared = row[rows] * signs
     for k, op in enumerate(ops):
-        one_mask = _signed_gather(row, int(a[k]), int(b[k]), m)
-        one_mask_stack = _signed_gather(stack, int(a[k]), int(b[k]), m)
+        one_mask = _apply_frame(row, (0, int(a[k]), int(b[k])), 1, m, False)
+        one_mask_stack = _apply_frame(stack, (0, int(a[k]), int(b[k])), 1, m, False)
         assert np.array_equal(one_mask, op @ row)
         assert np.array_equal(one_mask_stack, stack @ op.T)
         assert np.array_equal(per_key_shared[k], op @ row)
@@ -741,8 +804,8 @@ def test_a_shared_mask_on_a_stack_equals_the_per_row_path(m):
     dim = 2 ** m
     stack = rng.normal(size=(2 * dim, dim)) + 1j * rng.normal(size=(2 * dim, dim))
     for a, b in ((0, 0), (dim - 1, 0), (0, dim - 1), *rng.integers(0, dim, (4, 2)).tolist()):
-        shared = _signed_gather(stack, a, b, m)
-        per_row = np.array([_signed_gather(row, a, b, m) for row in stack])
+        shared = _apply_frame(stack, (0, a, b), 1, m, False)
+        per_row = np.array([_apply_frame(row, (0, a, b), 1, m, False) for row in stack])
         assert shared.shape == stack.shape and shared.flags.c_contiguous
         assert shared.tobytes() == per_row.tobytes()
 

@@ -713,7 +713,7 @@ def test_fused_simulate_and_round_trip_match_the_circuit_matrix(n):
 def test_evaluate_and_simulate_keep_their_fused_pass_counts(monkeypatch):
     # a seeded n=8, 64-gate circuit of every kind: one gemm pass per fused block and one
     # gather per frame. Gate by gate the same calls made 64 passes and 25 gathers.
-    counts = {"_apply_on_axes": 0, "_signed_gather": 0}
+    counts = {"_apply_on_axes": 0, "_apply_frame": 0}
 
     def counting(name, kernel):
         def call(*args):
@@ -729,7 +729,7 @@ def test_evaluate_and_simulate_keep_their_fused_pass_counts(monkeypatch):
     evaluate(key, circuit, state)
     simulate(circuit, state)
     assert counts["_apply_on_axes"] <= 24
-    assert counts["_signed_gather"] <= 9
+    assert counts["_apply_frame"] <= 9
 
 
 def test_trace_distance_examples():
